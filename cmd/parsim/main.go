@@ -178,6 +178,7 @@ func main() {
 		100*float64(s.EventsCommitted)/float64(s.EventsProcessed))
 	fmt.Printf("  remote=%d local=%d anti=%d gvt-rounds=%d\n",
 		s.RemoteMessages, s.LocalMessages, s.AntiMessages, s.GVTRounds)
+	fmt.Printf("  stalls=%d stall-timer-wakes=%d\n", s.Stalls, s.StallTimerWakes)
 	if *dynamic {
 		fmt.Printf("  migrations=%d forwarded=%d rebalance-rounds=%d route-epoch=%d\n",
 			s.Migrations, s.ForwardedMessages, res.Stats.RebalanceRounds, res.Stats.RouteEpoch)
@@ -240,6 +241,7 @@ func buildTransport(nodeSpec, peers string, heartbeat, peerTimeout time.Duration
 		Node: i, Peers: addrs,
 		HeartbeatEvery: heartbeat, PeerTimeout: peerTimeout,
 		ConfigTag: tag, Fault: fp,
+		MeshUp: func() { fmt.Printf("node %s: mesh up, %d peers connected\n", nodeSpec, n-1) },
 	})
 }
 

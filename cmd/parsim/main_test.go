@@ -87,25 +87,29 @@ func TestParsimMultiProcessSmoke(t *testing.T) {
 
 // chaosArgs is the shared flag set for the process-level chaos tests: a
 // workload long enough to outlive any injected fault, a fast failure
-// detector, and no oracle check (failing runs have nothing to verify).
+// detector, and no oracle check (failing runs have nothing to verify). Over
+// TCP loopback on a 2-vCPU host this circuit runs about 0.3 ms per cycle, so
+// 20000 cycles last seconds even at ten times that speed.
 func chaosArgs(extra ...string) []string {
 	return append([]string{
-		"-bench", "s5378", "-scale", "0.05", "-nodes", "2", "-cycles", "2000",
+		"-bench", "s5378", "-scale", "0.05", "-nodes", "2", "-cycles", "20000",
 		"-grain", "0", "-noverify", "-heartbeat", "100ms", "-peer-timeout", "500ms",
 	}, extra...)
 }
 
 // TestParsimChaosKillPeer SIGKILLs one of two processes mid-run: the
 // survivor must exit with code 3 (mesh peer failure) naming the dead node,
-// within the failure-detection bound — not hang on the FIN barrier.
+// within the failure-detection bound — not hang on the FIN barrier, and not
+// finish the run first.
 func TestParsimChaosKillPeer(t *testing.T) {
 	procs := smoketest.StartCluster(t, 2, func(int) []string { return chaosArgs() })
-	// "circuit" prints at startup; the handshake (milliseconds on loopback)
-	// is done long before the extra settle delay elapses.
+	// "mesh up" prints once the handshake completed, just before the node
+	// sends its first event; the kill lands a short settle later, far
+	// inside the run chaosArgs sizes.
 	for _, p := range procs {
-		p.WaitOutput(t, "circuit", 30*time.Second)
+		p.WaitOutput(t, "mesh up", 30*time.Second)
 	}
-	time.Sleep(1500 * time.Millisecond)
+	time.Sleep(200 * time.Millisecond)
 	procs[1].Kill()
 	out, code := procs[0].Wait(t, 60*time.Second)
 	if code != 3 {
@@ -113,6 +117,9 @@ func TestParsimChaosKillPeer(t *testing.T) {
 	}
 	if !strings.Contains(out, "node 1") {
 		t.Errorf("survivor's error does not name the dead peer:\n%s", out)
+	}
+	if strings.Contains(out, "parallel run:") {
+		t.Errorf("survivor completed the run before the kill landed:\n%s", out)
 	}
 }
 

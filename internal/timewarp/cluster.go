@@ -30,6 +30,12 @@ type ClusterStats struct {
 	// ForwardedMessages counts events that arrived under a stale routing
 	// epoch and were forwarded to the receiver's current home.
 	ForwardedMessages uint64 `json:"forwarded_messages"`
+	// Stalls counts parks on the optimism window: all local work lay beyond
+	// the horizon and the progress floor had not yet reached it.
+	Stalls uint64 `json:"stalls"`
+	// StallTimerWakes counts stall parks ended by the idleWait backstop
+	// rather than by a progress-floor or mailbox wakeup.
+	StallTimerWakes uint64 `json:"stall_timer_wakes"`
 }
 
 func (s *ClusterStats) add(o ClusterStats) {
@@ -42,6 +48,8 @@ func (s *ClusterStats) add(o ClusterStats) {
 	s.AntiMessages += o.AntiMessages
 	s.Migrations += o.Migrations
 	s.ForwardedMessages += o.ForwardedMessages
+	s.Stalls += o.Stalls
+	s.StallTimerWakes += o.StallTimerWakes
 }
 
 // schedEntry is a lazily maintained LTSF scheduler entry: the LP claimed to
@@ -62,16 +70,24 @@ func (h *schedHeap) pop() schedEntry { return heapPop((*[]schedEntry)(h), schedL
 // eventPool recycles event slices across bundles, rollbacks and fossil
 // collection, bounding the kernel's per-event GC pressure. Each cluster owns
 // one pool and every LP operation runs on its owning cluster's goroutine
-// (initialization is single-threaded), so no locking is needed.
+// (initialization is single-threaded), so no locking is needed. held is the
+// total capacity, in events, of the slices currently pooled.
 type eventPool struct {
 	free [][]Event
+	held int
 }
 
 // maxPooledEventCap bounds the backing-array size the pool will retain. One
 // rollback burst with huge bundles would otherwise park arbitrarily large
-// arrays in the pool forever — the pool length bound alone caps the count of
-// pinned slices, not their size.
+// arrays in the pool forever.
 const maxPooledEventCap = 1024
+
+// maxPooledEvents bounds the pool's retained capacity (1<<16 events, 4 MiB
+// at 64 bytes per event). The bound is on capacity, not slice count: the
+// live set of small bundles between GVT rounds holds thousands of slices,
+// and a pool that refuses them sends nearly every execution to the
+// allocator.
+const maxPooledEvents = 1 << 16
 
 // get returns a recycled zero-length slice, or nil (callers append).
 //
@@ -81,24 +97,29 @@ func (p *eventPool) get() []Event {
 		s := p.free[n-1]
 		p.free[n-1] = nil
 		p.free = p.free[:n-1]
+		p.held -= cap(s)
 		return s
 	}
 	return nil
 }
 
-// put recycles a slice's backing array. The pool is bounded in count and in
-// per-slice capacity so a rollback burst cannot pin memory forever.
+// put recycles a slice's backing array. The pool is bounded in retained
+// capacity and in per-slice capacity so a rollback burst cannot pin memory
+// forever.
 //
 //kernelvet:pool-put
 func (p *eventPool) put(s []Event) {
-	if cap(s) == 0 || cap(s) > maxPooledEventCap || len(p.free) >= 256 {
+	if cap(s) == 0 || cap(s) > maxPooledEventCap || p.held+cap(s) > maxPooledEvents {
 		return
 	}
+	p.held += cap(s)
 	p.free = append(p.free, s[:0])
 }
 
 // idleWait bounds how long an idle or window-stalled cluster blocks on its
-// mailbox before re-checking scheduler, GVT and optimism-window state.
+// mailbox before re-checking scheduler, GVT and optimism-window state. It is
+// a liveness backstop: mail, control bits and (for a window-stalled cluster)
+// the progress floor crossing its horizon all wake the wait directly.
 const idleWait = 50 * time.Microsecond
 
 // cluster is one simulation node: a goroutine owning a set of LPs, a batched
@@ -390,6 +411,15 @@ func (c *cluster) executeOne() (n int, windowStalled bool) {
 	return 0, false
 }
 
+// nextWork returns the scheduler top, the time this cluster publishes as its
+// progress (TimeInfinity when it has nothing scheduled).
+func (c *cluster) nextWork() Time {
+	if len(c.sched) > 0 {
+		return c.sched[0].t
+	}
+	return TimeInfinity
+}
+
 // run is the cluster's main loop. GVT rounds happen asynchronously around
 // it: the loop keeps draining and executing events while a round is in
 // flight, and the round's cut/report steps are single checkGVT probes. It is
@@ -420,11 +450,9 @@ func (c *cluster) run() {
 		// top is accurate after executeOne). The optimism throttle reads
 		// the floor over these, and senders read individual entries for the
 		// urgency flush trigger; publishing before any idle wait keeps both
-		// fresh. One plain atomic store.
-		next := TimeInfinity
-		if len(c.sched) > 0 {
-			next = c.sched[0].t
-		}
+		// fresh. One atomic store, plus the wake scan of publishProgress
+		// while some cluster is window-stalled.
+		next := c.nextWork()
 		k.tr.publish(c, next)
 		switch {
 		case n > 0 || moved > 0:
@@ -432,12 +460,12 @@ func (c *cluster) run() {
 		case windowStalled:
 			// All local work lies beyond the optimism horizon. Flush held
 			// batches (they may be what lets the floor advance elsewhere)
-			// and wait like an idle cluster instead of spinning a core;
-			// stragglers and GVT wakeups still interrupt the wait
-			// instantly. No GVT request: the window throttles against the
-			// published progress floor, not GVT.
+			// and park until the floor reaches next − window; stragglers
+			// and GVT wakeups still interrupt the wait instantly. No GVT
+			// request: the window throttles against the published progress
+			// floor, not GVT.
 			c.flushAll()
-			c.waitMail()
+			c.waitFloor(next - k.cfg.OptimismWindow)
 		default:
 			c.idleLoops++
 			if c.idleLoops >= 16 {
@@ -454,6 +482,26 @@ func (c *cluster) run() {
 	// Terminal GVT is infinity and the network is empty: commit everything
 	// that is still uncollected.
 	c.fossilCollect(k.GVT())
+}
+
+// waitFloor parks a window-stalled cluster until the progress floor reaches
+// need, its horizon. The cluster registers need before re-reading the floor
+// and Kernel.publishProgress stores a cluster's progress before reading the
+// waiter count; with sequentially consistent atomics either this re-read
+// sees the new progress or the publisher sees the waiter and wakes it, so no
+// floor advance is lost and the timer in waitMail is only a backstop.
+func (c *cluster) waitFloor(need Time) {
+	k := c.kernel
+	atomic.StoreInt64(&k.stallNeed[c.id].t, need)
+	atomic.AddInt64(&k.stalled.n, 1)
+	if k.progressFloor() < need {
+		c.stats.Stalls++
+		if c.waitMail() {
+			c.stats.StallTimerWakes++
+		}
+	}
+	atomic.StoreInt64(&k.stallNeed[c.id].t, TimeInfinity)
+	atomic.AddInt64(&k.stalled.n, -1)
 }
 
 // localMin returns the earliest work this cluster is responsible for: the

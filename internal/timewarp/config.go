@@ -120,10 +120,10 @@ type Config struct {
 	// default is aggressive cancellation, as in WARPED's default.
 	LazyCancellation bool
 	// OptimismWindow bounds optimistic execution: a cluster does not
-	// execute bundles beyond GVT + OptimismWindow virtual time units,
-	// which caps how far lightly-communicating nodes drift ahead (and so
-	// how deep stragglers cut). Zero leaves optimism unbounded, Time
-	// Warp's default.
+	// execute bundles beyond the progress floor (the minimum next work time
+	// the clusters publish) + OptimismWindow virtual time units, which caps
+	// how far lightly-communicating nodes drift ahead (and so how deep
+	// stragglers cut). Zero leaves optimism unbounded, Time Warp's default.
 	OptimismWindow Time
 
 	// Net groups the transport selection and communication knobs.

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -152,6 +153,12 @@ type Kernel struct {
 	// false sharing. Under TCPTransport remote entries are mirrors kept
 	// fresh by progress frames.
 	published []paddedTime
+	// stallNeed[i] is the progress floor window-stalled cluster i is parked
+	// on (TimeInfinity when it is not), and stalled counts such clusters;
+	// publishProgress scans stallNeed only while stalled is non-zero (see
+	// cluster.waitFloor).
+	stallNeed []paddedTime
+	stalled   paddedCount
 
 	ran bool
 }
@@ -177,6 +184,7 @@ func New(cfg Config, handlers []Handler) (*Kernel, error) {
 		gvt:       -1,
 		prevGVT:   -2,
 		published: make([]paddedTime, cfg.NumClusters),
+		stallNeed: make([]paddedTime, cfg.NumClusters),
 		loadBufs:  make([]loadSnapBuf, cfg.NumClusters),
 	}
 	// A cluster that has not yet published progress must look idle, not
@@ -187,6 +195,7 @@ func New(cfg Config, handlers []Handler) (*Kernel, error) {
 	// all-atomic-or-nothing, and the seed is not hot.
 	for i := range k.published {
 		atomic.StoreInt64(&k.published[i].t, TimeInfinity)
+		atomic.StoreInt64(&k.stallNeed[i].t, TimeInfinity)
 	}
 	k.clusters = make([]*cluster, cfg.NumClusters)
 	for i := range k.clusters {
@@ -300,9 +309,31 @@ type paddedCount struct {
 }
 
 // publishProgress records cluster id's next work time for the optimism
-// window and the urgency flush trigger.
+// window and the urgency flush trigger, and wakes every local
+// window-stalled cluster whose horizon the progress floor has now reached.
+// The common case (nobody stalled) costs one extra atomic load.
+//
+// After a wake the caller yields once. The woken goroutine is queued on the
+// caller's processor, and with every cluster runnable it would wait there
+// until the caller is preempted; meanwhile the caller runs past the woken
+// cluster, the lead flips, and the new leader collects stragglers (s9234,
+// Random partition, k=2, grain 0 on a 2-vCPU host: efficiency about 0.96
+// without the yield, 0.98 with it).
 func (k *Kernel) publishProgress(id int, t Time) {
 	atomic.StoreInt64(&k.published[id].t, t)
+	if atomic.LoadInt64(&k.stalled.n) == 0 {
+		return
+	}
+	floor := k.progressFloor()
+	woke := false
+	for _, c := range k.local {
+		if need := atomic.LoadInt64(&k.stallNeed[c.id].t); need < TimeInfinity && need <= floor && c.mail.wake() {
+			woke = true
+		}
+	}
+	if woke {
+		runtime.Gosched()
+	}
 }
 
 // progressFloor returns the minimum self-reported next work time across
@@ -374,11 +405,14 @@ func (k *Kernel) Run() (RunStats, error) {
 			break
 		}
 	}
-	// Seed each cluster's scheduler.
+	// Seed each cluster's scheduler and publish its first work time, so the
+	// optimism window holds from the first event on rather than from the
+	// moment the slower-starting goroutine first publishes.
 	for _, c := range k.local {
 		for _, lp := range c.lps {
 			c.schedule(lp)
 		}
+		k.tr.publish(c, c.nextWork())
 	}
 
 	start := time.Now()

@@ -82,8 +82,12 @@ func TestMigrationUnderRollbacks(t *testing.T) {
 			var rounds int32
 			handlers := make([]Handler, 0, chains+4)
 			clusterOf := make([]int, 0, chains+4)
+			// Long chains keep the run alive across several GVT rounds:
+			// with eight clusters sharing fewer cores a round waits for
+			// every cluster goroutine to be scheduled, and migrations
+			// need a completed round followed by a load round.
 			for i := 0; i < chains; i++ {
-				handlers = append(handlers, &chainLP{limit: 220})
+				handlers = append(handlers, &chainLP{limit: 1500})
 				clusterOf = append(clusterOf, i%8)
 			}
 			handlers = append(handlers,

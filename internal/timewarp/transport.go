@@ -130,10 +130,14 @@ func (m *mailbox) take(evScratch []Event, hdrScratch []batchHdr) ([]Event, []bat
 	return ev, hdr, ctrl
 }
 
-func (m *mailbox) wake() {
+// wake rings the notify channel; it reports whether this call filled it (a
+// consumer already rung is not rung twice).
+func (m *mailbox) wake() bool {
 	select {
 	case m.notify <- struct{}{}:
+		return true
 	default:
+		return false
 	}
 }
 
@@ -380,11 +384,13 @@ func (c *cluster) drainAllInit() int {
 	return n
 }
 
-// waitMail blocks for at most idleWait for a mailbox wakeup (a remote batch,
-// a GVT control bit, or a migration nudge). Idle and window-stalled clusters
-// both use it, so neither spins a core; an arriving batch is handled
-// immediately, so waiting never delays straggler receipt.
-func (c *cluster) waitMail() {
+// waitMail blocks for at most idleWait for a wakeup on the notify channel (a
+// remote batch, a GVT control bit, a migration nudge, or — for a
+// window-stalled cluster — the progress floor crossing its horizon). Idle and
+// window-stalled clusters both use it, so neither spins a core; an arriving
+// batch is handled immediately, so waiting never delays straggler receipt.
+// It reports whether the idleWait backstop ended the wait.
+func (c *cluster) waitMail() (timedOut bool) {
 	if c.idleTimer == nil {
 		c.idleTimer = time.NewTimer(idleWait)
 	} else {
@@ -396,6 +402,8 @@ func (c *cluster) waitMail() {
 		if c.drainMail() > 0 {
 			c.idleLoops = 0
 		}
+		return false
 	case <-c.idleTimer.C:
+		return true
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/rand"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -134,6 +135,10 @@ type TCPOptions struct {
 	// node's outbound traffic (chaos testing; see FaultPlan). Nil injects
 	// nothing.
 	Fault *FaultPlan
+	// MeshUp, when set, is called once every handshake has completed and
+	// the lanes are running, before this node's handlers send their first
+	// event.
+	MeshUp func()
 }
 
 // tcpPubState is one local cluster's conflation memory.
@@ -172,6 +177,19 @@ func (p *tcpPeer) wakeWriter() {
 	}
 }
 
+// handOff wakes the writer after frames were appended to the lane. On the
+// lane's empty→pending transition it also yields the processor once: when
+// every cluster goroutine is runnable, the woken writer would otherwise sit
+// in this goroutine's run queue until the scheduler preempts the caller
+// (milliseconds), and the batch would reach its peer late enough to cause
+// rollbacks there. A lane that already held frames has a writer on its way.
+func (p *tcpPeer) handOff(wasEmpty bool) {
+	p.wakeWriter()
+	if wasEmpty {
+		runtime.Gosched()
+	}
+}
+
 // enqueue appends pre-encoded frame bytes to the outbound lane. events > 0
 // subjects the append to data backpressure: refused (false) when the lane
 // already holds data and would exceed capEvents. Control frames pass 0 and
@@ -182,10 +200,11 @@ func (p *tcpPeer) enqueue(frame []byte, events, capEvents int) bool {
 		p.mu.Unlock()
 		return false
 	}
+	wasEmpty := len(p.buf) == 0
 	p.buf = append(p.buf, frame...)
 	p.dataEvents += events
 	p.mu.Unlock()
-	p.wakeWriter()
+	p.handOff(wasEmpty)
 	return true
 }
 
@@ -634,6 +653,9 @@ func (t *TCPTransport) start() error {
 		t.writeWG.Add(1)
 		go t.readLoop(p)
 		go t.writeLoop(p)
+	}
+	if t.opt.MeshUp != nil {
+		t.opt.MeshUp()
 	}
 	return nil
 }
@@ -1124,6 +1146,7 @@ func (t *TCPTransport) push(dst int, events []Event, hdr batchHdr) bool {
 		p.mu.Unlock()
 		return false
 	}
+	wasEmpty := len(p.buf) == 0
 	var off int
 	p.buf, off = beginFrame(p.buf, frameBatch)
 	p.buf = appendI32(p.buf, int32(dst))
@@ -1134,7 +1157,7 @@ func (t *TCPTransport) push(dst int, events []Event, hdr batchHdr) bool {
 	p.buf = endFrame(p.buf, off)
 	p.dataEvents += n
 	p.mu.Unlock()
-	p.wakeWriter()
+	p.handOff(wasEmpty)
 	return true
 }
 

@@ -223,3 +223,48 @@ func TestNetBusyCostsDoNotChangeResults(t *testing.T) {
 		t.Error("busy-cost model changed committed events")
 	}
 }
+
+// TestPublishProgressWakesStalledCluster: publishing progress wakes a
+// window-stalled cluster exactly when the progress floor reaches the horizon
+// it registered, and scans nobody while no cluster is registered as stalled.
+// The kernel never runs; the test drives publishProgress directly.
+func TestPublishProgressWakesStalledCluster(t *testing.T) {
+	k, err := New(Config{
+		NumClusters:    2,
+		ClusterOf:      []int{0, 1},
+		OptimismWindow: 10,
+	}, []Handler{&chainLP{limit: 1}, &chainLP{limit: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	notified := func(c int) bool {
+		select {
+		case <-k.clusters[c].mail.notify:
+			return true
+		default:
+			return false
+		}
+	}
+	// Cluster 1's next work is at 110, so with window 10 it needs the floor
+	// at 100.
+	k.publishProgress(1, 110)
+	k.stallNeed[1].t = 100
+
+	k.publishProgress(0, 100)
+	if notified(1) {
+		t.Error("stalled = 0: publishProgress scanned the waiters")
+	}
+
+	k.stalled.n = 1
+	k.publishProgress(0, 99)
+	if notified(1) {
+		t.Error("floor 99 below need 100 woke cluster 1")
+	}
+	k.publishProgress(0, 100)
+	if !notified(1) {
+		t.Error("floor 100 reaching need 100 did not wake cluster 1")
+	}
+	if notified(0) {
+		t.Error("cluster 0 is not stalled but was woken")
+	}
+}
