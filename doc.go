@@ -106,15 +106,16 @@
 //     and examples/ entry-point smoke tests;
 //
 //   - internal/seqsim: the sequential event-driven simulator used as the
-//     baseline and correctness oracle, in scalar and vectored (64 lanes per
-//     run) form;
+//     baseline and correctness oracle: one simulator generic over the value
+//     type, run scalar (Run, the one-lane case) or vectored (RunVec, 64
+//     lanes per run); its Lanes table is all the two modes do differently;
 //
 //   - internal/logicsim: gate-level logic simulation on the Time Warp
-//     kernel. Config.Vectors switches every gate LP to bit-parallel
-//     evaluation — signal events carry the packed planes in the kernel's
-//     wide payload block, one committed event advances 64 scenarios, and
-//     lane s is bit-identical to a scalar run with StimulusSeed+s
-//     (rollbacks, migration and TCP transport included);
+//     kernel, with one gate LP generic over the value type. Config.Vectors
+//     instantiates it on packed values — signal events carry the planes in
+//     the kernel's wide payload block, one committed event advances 64
+//     scenarios, and lane s is bit-identical to a scalar run with
+//     StimulusSeed+s (rollbacks, migration and TCP transport included);
 //
 //   - internal/experiments: harnesses regenerating every table and figure
 //     of the paper's evaluation.

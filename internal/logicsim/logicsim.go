@@ -4,11 +4,15 @@
 // identical to internal/seqsim (timestep evaluation, sender delay, hash
 // stimulus), so a parallel run commits exactly the events a sequential run
 // processes and produces the same output history — the cross-check used by
-// the integration tests.
+// the integration tests. One gate handler serves both evaluation modes: it is
+// generic over the value type (circuit.Value, or circuit.VecValue under
+// Config.Vectors), and a scalar run is the one-lane case.
 package logicsim
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"time"
 
 	"repro/internal/circuit"
@@ -73,8 +77,10 @@ type Config struct {
 	// disables it.
 	Grain int
 
-	// OptimismCycles bounds optimistic execution to GVT plus this many
-	// clock periods of virtual time (0 = unbounded).
+	// OptimismCycles bounds optimistic execution to the kernel's progress
+	// floor (the minimum next work time the clusters publish, not GVT) plus
+	// this many clock periods of virtual time: timewarp.Config's
+	// OptimismWindow. 0 is unbounded; a single cluster never stalls on it.
 	OptimismCycles float64
 
 	// GVTPeriodEvents, LazyCancellation, NetSendBusy, NetRecvBusy,
@@ -167,79 +173,147 @@ type Result struct {
 	Stats timewarp.RunStats
 }
 
+// wireLanes extends seqsim's per-value-type table with how a value travels:
+// in a signal event (the event's Value field for circuit.Value, the wide
+// Payload for circuit.VecValue) and in migrated gate state.
+type wireLanes[V any] struct {
+	seqsim.Lanes[V]
+	toEvent   func(v V) (int32, timewarp.Payload)
+	fromEvent func(ev *timewarp.Event) V
+	size      int // encoded bytes per value
+	put       func(buf []byte, v V) []byte
+	get       func(data []byte) V
+}
+
+func scalarLanes() wireLanes[circuit.Value] {
+	return wireLanes[circuit.Value]{
+		Lanes: seqsim.Scalar(),
+		// A zero payload keeps scalar wire frames in the narrow format.
+		toEvent:   func(v circuit.Value) (int32, timewarp.Payload) { return int32(v), timewarp.Payload{} },
+		fromEvent: func(ev *timewarp.Event) circuit.Value { return circuit.Value(ev.Value) },
+		size:      1,
+		put:       func(buf []byte, v circuit.Value) []byte { return append(buf, byte(v)) },
+		get:       func(data []byte) circuit.Value { return circuit.Value(data[0]) },
+	}
+}
+
+func vectorLanes() wireLanes[circuit.VecValue] {
+	return wireLanes[circuit.VecValue]{
+		Lanes: seqsim.Vector(),
+		toEvent: func(v circuit.VecValue) (int32, timewarp.Payload) {
+			return 0, timewarp.Payload{P0: v.Val, P1: v.Unknown}
+		},
+		fromEvent: func(ev *timewarp.Event) circuit.VecValue {
+			return circuit.VecValue{Val: ev.Pay.P0, Unknown: ev.Pay.P1}
+		},
+		size: 16,
+		put: func(buf []byte, v circuit.VecValue) []byte {
+			return binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(buf, v.Val), v.Unknown)
+		},
+		get: func(data []byte) circuit.VecValue {
+			return circuit.VecValue{Val: binary.LittleEndian.Uint64(data), Unknown: binary.LittleEndian.Uint64(data[8:])}
+		},
+	}
+}
+
 // shared holds the immutable tables every gate LP reads.
-type shared struct {
-	c      *circuit.Circuit
-	cfg    Config
-	outIdx map[int]int // gate ID -> primary output index
+type shared[V any] struct {
+	c     *circuit.Circuit
+	cfg   Config
+	lanes wireLanes[V]
 }
 
-// gateState is the mutable, snapshot-able state of one gate LP.
-type gateState struct {
-	inputs []circuit.Value
-	out    circuit.Value
-	ff     circuit.Value
-	hist   uint64 // cumulative output-history contribution of this LP
+// laneSums is a primary output's per-lane output-history signature. Lane 0
+// is inline, which is all a scalar run has; a vectored primary output keeps
+// the other lanes behind rest. A scalar snapshot therefore carries its
+// history in one word and never allocates for it.
+type laneSums struct {
+	lane0 uint64
+	rest  *[circuit.W - 1]uint64
 }
 
-func (s *gateState) clone() gateState {
-	return gateState{
-		inputs: append([]circuit.Value(nil), s.inputs...),
-		out:    s.out,
-		ff:     s.ff,
-		hist:   s.hist,
+func (h *laneSums) lane(i int) *uint64 {
+	if i == 0 {
+		return &h.lane0
+	}
+	return &h.rest[i-1]
+}
+
+// gateState is the mutable, snapshot-able state of one gate LP. A DFF's
+// latched value is its output, so it needs no field of its own.
+type gateState[V any] struct {
+	inputs []V
+	out    V
+	hist   laneSums
+}
+
+func (s *gateState[V]) clone() gateState[V] {
+	c := gateState[V]{inputs: append([]V(nil), s.inputs...), out: s.out, hist: s.hist}
+	if s.hist.rest != nil {
+		rest := *s.hist.rest
+		c.hist.rest = &rest
+	}
+	return c
+}
+
+// set copies o into s, which must belong to the same gate.
+func (s *gateState[V]) set(o *gateState[V]) {
+	copy(s.inputs, o.inputs)
+	s.out = o.out
+	s.hist.lane0 = o.hist.lane0
+	if o.hist.rest != nil {
+		*s.hist.rest = *o.hist.rest
 	}
 }
 
 // gateLP is the timewarp.Handler for one gate.
-type gateLP struct {
-	sim      *shared
-	id       int
+type gateLP[V any] struct {
+	sim      *shared[V]
 	typ      circuit.GateType
 	inputIdx int           // index in c.Inputs for Input gates, else -1
+	outIdx   int           // index in c.Outputs for primary outputs, else -1
 	pins     map[int][]int // driver gate ID -> input pin indices
 	fanout   []int         // deduplicated fanout gate IDs
 	delay    int64
-	st       gateState
+	st       gateState[V]
 	// snapFree pools discarded state snapshots (refilled by the kernel via
 	// RecycleState); each LP runs on one cluster goroutine, so no locking.
-	snapFree []*gateState
+	snapFree []*gateState[V]
 }
 
-func newGateLP(sim *shared, g *circuit.Gate, inputIdx int) *gateLP {
-	lp := &gateLP{
+// newGateLP builds the LP of gate g, whose pin map and fanout list come
+// from seqsim.GateWiring.
+func newGateLP[V any](sim *shared[V], g *circuit.Gate, pins map[int][]int, fanout []int) *gateLP[V] {
+	lp := &gateLP[V]{
 		sim:      sim,
-		id:       g.ID,
 		typ:      g.Type,
-		inputIdx: inputIdx,
-		pins:     make(map[int][]int, len(g.Fanin)),
+		inputIdx: -1,
+		outIdx:   -1,
+		pins:     pins,
+		fanout:   fanout,
 		delay:    seqsim.GateDelay(g),
 	}
-	for pin, src := range g.Fanin {
-		lp.pins[src] = append(lp.pins[src], pin)
-	}
-	seen := make(map[int]struct{}, len(g.Fanout))
-	for _, d := range g.Fanout {
-		if _, dup := seen[d]; dup {
-			continue
-		}
-		seen[d] = struct{}{}
-		lp.fanout = append(lp.fanout, d)
-	}
-	lp.st.inputs = make([]circuit.Value, len(g.Fanin))
+	lp.st.inputs = make([]V, len(g.Fanin))
 	for i := range lp.st.inputs {
-		lp.st.inputs[i] = circuit.X
+		lp.st.inputs[i] = sim.lanes.X
 	}
-	lp.st.out = circuit.X
-	lp.st.ff = circuit.X
+	lp.st.out = sim.lanes.X
 	return lp
+}
+
+// markOutput makes the LP primary output idx, which keeps an output history.
+func (lp *gateLP[V]) markOutput(idx int) {
+	lp.outIdx = idx
+	if lp.sim.lanes.N > 1 {
+		lp.st.hist.rest = new([circuit.W - 1]uint64)
+	}
 }
 
 // Init schedules the LP's first self-event: the first stimulus cycle for
 // primary inputs (cycle 0, unless a hotspot window excludes this input until
 // later), the cycle-0 clock edge for flip-flops. Subsequent cycles chain
 // from Execute so the pending queues stay small.
-func (lp *gateLP) Init(ctx *timewarp.Context) {
+func (lp *gateLP[V]) Init(ctx *timewarp.Context) {
 	switch lp.typ {
 	case circuit.Input:
 		if first := lp.nextStimulusCycle(0); first >= 0 {
@@ -252,23 +326,28 @@ func (lp *gateLP) Init(ctx *timewarp.Context) {
 
 // nextStimulusCycle returns this input LP's first stimulus cycle at or after
 // `from`, or -1; the shared schedule keeps parallel runs oracle-identical.
-func (lp *gateLP) nextStimulusCycle(from int) int {
+func (lp *gateLP[V]) nextStimulusCycle(from int) int {
 	cfg := &lp.sim.cfg
 	return seqsim.NextStimulusCycle(from, cfg.Cycles, cfg.StimulusEvery,
 		len(lp.sim.c.Inputs), lp.inputIdx, cfg.Hotspot, cfg.HotspotFraction)
 }
 
 // Execute implements the shared timestep semantics: apply every arrival,
-// then evaluate once with final inputs.
-func (lp *gateLP) Execute(ctx *timewarp.Context, now timewarp.Time, events []timewarp.Event) {
+// then evaluate once with final inputs. An event fires downstream when ANY
+// lane changed; a lane whose component is unchanged sees a no-op, which is
+// what keeps each lane bit-identical to its scalar run.
+func (lp *gateLP[V]) Execute(ctx *timewarp.Context, now timewarp.Time, events []timewarp.Event) {
 	cfg := &lp.sim.cfg
+	ops := &lp.sim.lanes
 	stimulus := false
 	clocked := false
-	for _, ev := range events {
+	for i := range events {
+		ev := &events[i]
 		switch ev.Kind {
 		case kindSignal:
+			v := ops.fromEvent(ev)
 			for _, pin := range lp.pins[int(ev.Sender)] {
-				lp.st.inputs[pin] = circuit.Value(ev.Value)
+				lp.st.inputs[pin] = v
 			}
 		case kindStimulus:
 			stimulus = true
@@ -281,24 +360,14 @@ func (lp *gateLP) Execute(ctx *timewarp.Context, now timewarp.Time, events []tim
 	case stimulus:
 		cycle := int(now / cfg.ClockPeriod)
 		seqsim.Burn(cfg.Grain)
-		v := seqsim.StimulusBit(cfg.StimulusSeed, lp.inputIdx, cycle)
-		if v != lp.st.out {
-			lp.st.out = v
-			lp.emit(ctx, now)
-		}
+		lp.update(ctx, now, ops.Stimulus(cfg.StimulusSeed, lp.inputIdx, cycle))
 		if next := lp.nextStimulusCycle(cycle + 1); next >= 0 {
 			ctx.Send(ctx.Self(), int64(next)*cfg.ClockPeriod, kindStimulus, 0)
 		}
 	case lp.typ == circuit.DFF:
 		if clocked {
 			seqsim.Burn(cfg.Grain)
-			d := lp.st.inputs[0]
-			if d != lp.st.ff {
-				lp.st.ff = d
-				lp.st.out = d
-				lp.note(now)
-				lp.emit(ctx, now)
-			}
+			lp.update(ctx, now, lp.st.inputs[0])
 			cycle := int((now - cfg.ClockPeriod/2) / cfg.ClockPeriod)
 			if next := cycle + 1; next < cfg.Cycles {
 				ctx.Send(ctx.Self(), int64(next)*cfg.ClockPeriod+cfg.ClockPeriod/2, kindClock, 0)
@@ -307,114 +376,122 @@ func (lp *gateLP) Execute(ctx *timewarp.Context, now timewarp.Time, events []tim
 		// Plain D-pin arrivals latch nothing until the next clock edge.
 	default:
 		seqsim.Burn(cfg.Grain)
-		out := circuit.Eval(lp.typ, lp.st.inputs)
-		if out != lp.st.out {
-			lp.st.out = out
-			lp.note(now)
-			lp.emit(ctx, now)
-		}
+		lp.update(ctx, now, ops.Eval(lp.typ, lp.st.inputs))
 	}
 }
 
-// emit sends the LP's (already updated) output to its fanout with sender
-// delay.
-func (lp *gateLP) emit(ctx *timewarp.Context, now timewarp.Time) {
+// update sets the LP's output to v. The lanes that changed enter the
+// rollback-safe output history (primary outputs only), and a change in any
+// lane is sent to the fanout with sender delay.
+func (lp *gateLP[V]) update(ctx *timewarp.Context, now timewarp.Time, v V) {
+	ops := &lp.sim.lanes
+	changed := ops.Diff(v, lp.st.out)
+	if changed == 0 {
+		return
+	}
+	lp.st.out = v
+	if lp.outIdx >= 0 {
+		for m := changed; m != 0; m &= m - 1 {
+			lane := bits.TrailingZeros64(m)
+			*lp.st.hist.lane(lane) += seqsim.OutputHash(now, lp.outIdx, ops.Lane(v, lane))
+		}
+	}
 	if lp.typ == circuit.Output {
 		return
 	}
+	value, pay := ops.toEvent(v)
 	for _, d := range lp.fanout {
-		ctx.Send(timewarp.LPID(d), now+lp.delay, kindSignal, int32(lp.st.out))
+		ctx.SendP(timewarp.LPID(d), now+lp.delay, kindSignal, value, pay)
 	}
-}
-
-// note records a primary-output change in the LP's rollback-safe signature.
-func (lp *gateLP) note(t timewarp.Time) {
-	idx, ok := lp.sim.outIdx[lp.id]
-	if !ok {
-		return
-	}
-	lp.st.hist += seqsim.OutputHash(t, idx, lp.st.out)
 }
 
 // SaveState implements timewarp.Handler. Snapshots come from the free list
 // the kernel refills via RecycleState, so steady-state snapshotting does not
 // allocate.
-func (lp *gateLP) SaveState() interface{} {
+func (lp *gateLP[V]) SaveState() interface{} {
 	if n := len(lp.snapFree); n > 0 {
 		s := lp.snapFree[n-1]
 		lp.snapFree[n-1] = nil
 		lp.snapFree = lp.snapFree[:n-1]
-		copy(s.inputs, lp.st.inputs)
-		s.out = lp.st.out
-		s.ff = lp.st.ff
-		s.hist = lp.st.hist
+		s.set(&lp.st)
 		return s
 	}
 	s := lp.st.clone()
 	return &s
 }
 
-// RestoreState implements timewarp.Handler.
-func (lp *gateLP) RestoreState(snap interface{}) {
-	s := snap.(*gateState)
-	// The snapshot stays immutable: copy out of it.
-	copy(lp.st.inputs, s.inputs)
-	lp.st.out = s.out
-	lp.st.ff = s.ff
-	lp.st.hist = s.hist
+// RestoreState implements timewarp.Handler. The snapshot stays immutable:
+// the state is copied out of it.
+func (lp *gateLP[V]) RestoreState(snap interface{}) {
+	lp.st.set(snap.(*gateState[V]))
 }
 
 // RecycleState implements timewarp.StateRecycler: discarded snapshots return
 // to the free list for the next SaveState.
-func (lp *gateLP) RecycleState(snap interface{}) {
-	s, ok := snap.(*gateState)
+func (lp *gateLP[V]) RecycleState(snap interface{}) {
+	s, ok := snap.(*gateState[V])
 	if !ok || len(lp.snapFree) >= 64 {
 		return
 	}
 	lp.snapFree = append(lp.snapFree, s)
 }
 
+// histFlag is 1 for a primary output, whose state carries history.
+func (lp *gateLP[V]) histFlag() byte {
+	if lp.outIdx >= 0 {
+		return 1
+	}
+	return 0
+}
+
 // EncodeState implements timewarp.StateCodec, making gates migratable across
 // a multi-process transport: the mutable simulation state is exactly
-// gateState (input pins, output, flip-flop latch, history signature) — the
-// rest of gateLP is immutable tables every replica builds identically from
-// the circuit.
-func (lp *gateLP) EncodeState(buf []byte) ([]byte, error) {
+// gateState — the rest of gateLP is immutable tables every replica builds
+// identically from the circuit. Layout: [npins u8][hist flag u8]
+// [npins values][out value][one little-endian u64 per lane if the flag is
+// set], a value taking wireLanes.size bytes.
+func (lp *gateLP[V]) EncodeState(buf []byte) ([]byte, error) {
+	ops := &lp.sim.lanes
 	if len(lp.st.inputs) > 255 {
-		return nil, fmt.Errorf("logicsim: gate %d has %d pins, wire limit 255", lp.id, len(lp.st.inputs))
+		return nil, fmt.Errorf("logicsim: gate has %d pins, wire limit 255", len(lp.st.inputs))
 	}
-	buf = append(buf, byte(len(lp.st.inputs)))
+	buf = append(buf, byte(len(lp.st.inputs)), lp.histFlag())
 	for _, v := range lp.st.inputs {
-		buf = append(buf, byte(v))
+		buf = ops.put(buf, v)
 	}
-	buf = append(buf, byte(lp.st.out), byte(lp.st.ff))
-	h := lp.st.hist
-	for i := 0; i < 8; i++ {
-		buf = append(buf, byte(h>>(8*i)))
+	buf = ops.put(buf, lp.st.out)
+	if lp.outIdx >= 0 {
+		for i := 0; i < ops.N; i++ {
+			buf = binary.LittleEndian.AppendUint64(buf, *lp.st.hist.lane(i))
+		}
 	}
 	return buf, nil
 }
 
-// DecodeState implements timewarp.StateCodec.
-func (lp *gateLP) DecodeState(data []byte) error {
-	if len(data) < 1 {
-		return fmt.Errorf("logicsim: gate state truncated")
+// DecodeState implements timewarp.StateCodec. The bytes come from a peer
+// process, so every length and flag is checked against this gate before any
+// state changes.
+func (lp *gateLP[V]) DecodeState(data []byte) error {
+	ops := &lp.sim.lanes
+	if len(data) < 2 {
+		return fmt.Errorf("logicsim: gate state truncated (len %d)", len(data))
 	}
-	n := int(data[0])
-	if n != len(lp.st.inputs) || len(data) != 1+n+2+8 {
-		return fmt.Errorf("logicsim: gate state for %d pins, have %d (len %d)", n, len(lp.st.inputs), len(data))
+	n, flag := len(lp.st.inputs), lp.histFlag()
+	want := 2 + (n+1)*ops.size + int(flag)*8*ops.N
+	if int(data[0]) != n || data[1] != flag || len(data) != want {
+		return fmt.Errorf("logicsim: gate state of %d bytes for %d pins (hist flag %d), want %d bytes for %d pins (hist flag %d)",
+			len(data), data[0], data[1], want, n, flag)
 	}
-	data = data[1:]
-	for i := 0; i < n; i++ {
-		lp.st.inputs[i] = circuit.Value(data[i])
+	data = data[2:]
+	for i := range lp.st.inputs {
+		lp.st.inputs[i] = ops.get(data)
+		data = data[ops.size:]
 	}
-	lp.st.out = circuit.Value(data[n])
-	lp.st.ff = circuit.Value(data[n+1])
-	var h uint64
-	for i := 0; i < 8; i++ {
-		h |= uint64(data[n+2+i]) << (8 * i)
+	lp.st.out = ops.get(data)
+	data = data[ops.size:]
+	for i := 0; i < len(data)/8; i++ {
+		*lp.st.hist.lane(i) = binary.LittleEndian.Uint64(data[8*i:])
 	}
-	lp.st.hist = h
 	return nil
 }
 
@@ -487,34 +564,43 @@ func Run(c *circuit.Circuit, a partition.Assignment, cfg Config) (Result, error)
 	if err := cfg.setDefaults(c); err != nil {
 		return Result{}, err
 	}
-	sim := &shared{c: c, cfg: cfg, outIdx: make(map[int]int, len(c.Outputs))}
+	if !cfg.Vectors {
+		res, _, _, err := run(c, a, cfg, scalarLanes())
+		return res, err
+	}
+	res, final, history, err := run(c, a, cfg, vectorLanes())
+	if err != nil {
+		return Result{}, err
+	}
+	res.VecFinalValues = final
+	res.VecOutputHistory = history
+	res.VecOutputValues = make([]circuit.VecValue, len(c.Outputs))
 	for i, id := range c.Outputs {
-		sim.outIdx[id] = i
+		res.VecOutputValues[i] = final[id]
 	}
-	inputIdx := make(map[int]int, len(c.Inputs))
-	for i, id := range c.Inputs {
-		inputIdx[id] = i
-	}
+	return res, nil
+}
+
+// run builds one gate LP per gate over value type V, runs the kernel, and
+// returns the lane-0 Result together with every gate's final value and each
+// lane's output history. Only the gates this process hosts at the end of
+// the run report: a remote gate's handler here is either an untouched
+// replica or a stale pre-migration copy, and exactly one node reports each
+// gate; the others stay X.
+func run[V any](c *circuit.Circuit, a partition.Assignment, cfg Config, ops wireLanes[V]) (Result, []V, []uint64, error) {
+	sim := &shared[V]{c: c, cfg: cfg, lanes: ops}
+	pins, fanout := seqsim.GateWiring(c)
 	handlers := make([]timewarp.Handler, c.NumGates())
-	lps := make([]*gateLP, c.NumGates())
-	var vlps []*vecGateLP
-	if cfg.Vectors {
-		vlps = make([]*vecGateLP, c.NumGates())
-	}
+	lps := make([]*gateLP[V], c.NumGates())
 	for id, g := range c.Gates {
-		idx := -1
-		if g.Type == circuit.Input {
-			idx = inputIdx[id]
-		}
-		if cfg.Vectors {
-			lp := newVecGateLP(sim, g, idx)
-			vlps[id] = lp
-			handlers[id] = lp
-		} else {
-			lp := newGateLP(sim, g, idx)
-			lps[id] = lp
-			handlers[id] = lp
-		}
+		lps[id] = newGateLP(sim, g, pins[id], fanout[id])
+		handlers[id] = lps[id]
+	}
+	for i, id := range c.Inputs {
+		lps[id].inputIdx = i
+	}
+	for i, id := range c.Outputs {
+		lps[id].markOutput(i)
 	}
 	var window timewarp.Time
 	if cfg.OptimismCycles > 0 {
@@ -549,61 +635,39 @@ func Run(c *circuit.Circuit, a partition.Assignment, cfg Config) (Result, error)
 	}
 	kernel, err := timewarp.New(twCfg, handlers)
 	if err != nil {
-		return Result{}, err
+		return Result{}, nil, nil, err
 	}
 	stats, err := kernel.Run()
 	if err != nil {
-		return Result{}, err
+		return Result{}, nil, nil, err
 	}
 
 	res := Result{
 		CommittedEvents: stats.EventsCommitted,
-		ScenarioEvents:  stats.EventsCommitted,
+		ScenarioEvents:  stats.EventsCommitted * uint64(ops.N),
 		OutputValues:    make([]circuit.Value, len(c.Outputs)),
 		FinalValues:     make([]circuit.Value, c.NumGates()),
 		Local:           make([]bool, c.NumGates()),
 		Stats:           stats,
 	}
-	// Report only the gates this process hosts at the end of the run: a
-	// remote gate's handler here is either an untouched replica or a stale
-	// pre-migration copy, and exactly one node reports each gate.
-	if cfg.Vectors {
-		res.ScenarioEvents = stats.EventsCommitted * circuit.W
-		res.VecOutputHistory = make([]uint64, circuit.W)
-		res.VecFinalValues = make([]circuit.VecValue, c.NumGates())
-		res.VecOutputValues = make([]circuit.VecValue, len(c.Outputs))
-		allX := circuit.BroadcastVec(circuit.X)
-		for id, lp := range vlps {
-			res.VecFinalValues[id] = allX
-			res.FinalValues[id] = circuit.X
-			if !kernel.LocalLP(timewarp.LPID(id)) {
-				continue
-			}
-			res.Local[id] = true
-			res.VecFinalValues[id] = lp.st.out
-			res.FinalValues[id] = lp.st.out.Lane(0)
-			for s, h := range lp.st.hist {
-				res.VecOutputHistory[s] += h
-			}
-		}
-		for i, id := range c.Outputs {
-			res.VecOutputValues[i] = res.VecFinalValues[id]
-			res.OutputValues[i] = res.FinalValues[id]
-		}
-		res.OutputHistory = res.VecOutputHistory[0]
-		return res, nil
-	}
+	final := make([]V, c.NumGates())
+	history := make([]uint64, ops.N)
 	for id, lp := range lps {
-		res.FinalValues[id] = circuit.X
-		if !kernel.LocalLP(timewarp.LPID(id)) {
-			continue
+		final[id] = ops.X
+		if kernel.LocalLP(timewarp.LPID(id)) {
+			res.Local[id] = true
+			final[id] = lp.st.out
+			if lp.outIdx >= 0 {
+				for s := range history {
+					history[s] += *lp.st.hist.lane(s)
+				}
+			}
 		}
-		res.Local[id] = true
-		res.FinalValues[id] = lp.st.out
-		res.OutputHistory += lp.st.hist
+		res.FinalValues[id] = ops.Lane(final[id], 0)
 	}
 	for i, id := range c.Outputs {
 		res.OutputValues[i] = res.FinalValues[id]
 	}
-	return res, nil
+	res.OutputHistory = history[0]
+	return res, final, history, nil
 }

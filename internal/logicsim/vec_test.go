@@ -120,7 +120,7 @@ func TestDeterminismMatrixVectors(t *testing.T) {
 }
 
 // TestVectorsForcedMigration holds the vectored mode to the oracle while the
-// kernel migrates gates between clusters mid-run: the vecGateLP StateCodec
+// kernel migrates gates between clusters mid-run: the vectored gateLP StateCodec
 // must carry every packed plane and all 64 per-lane history terms across the
 // move, or a lane's signature diverges.
 func TestVectorsForcedMigration(t *testing.T) {

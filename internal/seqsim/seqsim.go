@@ -21,7 +21,9 @@ package seqsim
 import (
 	"container/heap"
 	"fmt"
-	"sort"
+	"maps"
+	"math/bits"
+	"slices"
 
 	"repro/internal/circuit"
 )
@@ -104,6 +106,43 @@ func GateDelay(g *circuit.Gate) int64 {
 		return 1
 	}
 	return g.Delay
+}
+
+// GateWiring returns, per gate ID, the tables both simulators deliver
+// signals through: pins[id] maps each driver of gate id to the input pins it
+// feeds, and fanout[id] lists the readers of gate id once each (a reader
+// with several pins on one driver updates them all from one event). All
+// pin and fanout lists share two backing arrays.
+func GateWiring(c *circuit.Circuit) (pins []map[int][]int, fanout [][]int) {
+	pins = make([]map[int][]int, len(c.Gates))
+	fanout = make([][]int, len(c.Gates))
+	// Each backing array holds at most one entry per edge, so neither
+	// reallocates and every sub-slice stays valid.
+	pinBuf := make([]int, 0, c.NumEdges())
+	fanBuf := make([]int, 0, c.NumEdges())
+	for id, g := range c.Gates {
+		pins[id] = make(map[int][]int, len(g.Fanin))
+		for pin, src := range g.Fanin {
+			if _, done := pins[id][src]; done {
+				continue
+			}
+			start := len(pinBuf)
+			for p := pin; p < len(g.Fanin); p++ {
+				if g.Fanin[p] == src {
+					pinBuf = append(pinBuf, p)
+				}
+			}
+			pins[id][src] = pinBuf[start:len(pinBuf):len(pinBuf)]
+		}
+		start := len(fanBuf)
+		for _, d := range g.Fanout {
+			if !slices.Contains(fanBuf[start:], d) {
+				fanBuf = append(fanBuf, d)
+			}
+		}
+		fanout[id] = fanBuf[start:len(fanBuf):len(fanBuf)]
+	}
+	return pins, fanout
 }
 
 // MinClockPeriod returns the smallest clock period that guarantees all
@@ -202,18 +241,43 @@ type Result struct {
 	Activity []uint64
 }
 
-// event is one scheduled signal arrival.
-type event struct {
-	t      int64
-	gate   int
-	driver int // -1 stimulus, -2 DFF self-latch
-	val    circuit.Value
+// VecResult summarizes a vectored simulation run. Per-lane views use the
+// packed encoding: OutputValues[i].Lane(s) is lane s's final value of primary
+// output i, and OutputHistory[s] is lane s's order-insensitive signature —
+// each must equal the corresponding field of the scalar run with seed
+// StimulusSeed+s.
+type VecResult struct {
+	// Events counts application events processed; an event that changes any
+	// lane counts once (this is the committed-event denominator of the
+	// parallel vectored run). ScenarioEvents = Events × circuit.W is the
+	// scenario-event count the throughput studies report.
+	Events uint64
+	// Evaluations counts vectored gate evaluations (each advances all W
+	// lanes).
+	Evaluations uint64
+	// EndTime is the virtual time of the last processed event.
+	EndTime int64
+	// OutputValues holds the packed final value of each primary output.
+	OutputValues []circuit.VecValue
+	// OutputHistory holds each lane's order-insensitive signature over its
+	// primary-output changes.
+	OutputHistory []uint64
+	// FinalValues holds the packed final output value of every gate.
+	FinalValues []circuit.VecValue
 }
 
-type eventQueue []event
+// event is one scheduled signal arrival.
+type event[V any] struct {
+	t      int64
+	gate   int
+	driver int // -1 stimulus, -2 DFF clock edge
+	val    V
+}
 
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
+type eventQueue[V any] []event[V]
+
+func (q eventQueue[V]) Len() int { return len(q) }
+func (q eventQueue[V]) Less(i, j int) bool {
 	if q[i].t != q[j].t {
 		return q[i].t < q[j].t
 	}
@@ -222,9 +286,9 @@ func (q eventQueue) Less(i, j int) bool {
 	}
 	return q[i].driver < q[j].driver
 }
-func (q eventQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x interface{}) { *q = append(*q, x.(event)) }
-func (q *eventQueue) Pop() interface{} {
+func (q eventQueue[V]) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
+func (q *eventQueue[V]) Push(x interface{}) { *q = append(*q, x.(event[V])) }
+func (q *eventQueue[V]) Pop() interface{} {
 	old := *q
 	n := len(old)
 	x := old[n-1]
@@ -232,125 +296,162 @@ func (q *eventQueue) Pop() interface{} {
 	return x
 }
 
-// Simulator is a sequential event-driven simulator instance.
-type Simulator struct {
-	c        *circuit.Circuit
-	cfg      Config
-	values   []circuit.Value // current output value per gate
-	inputs   [][]circuit.Value
-	ffState  []circuit.Value
-	queue    eventQueue
-	res      Result
-	outIdx   map[int]int     // gate ID -> index in c.Outputs
-	pinsOf   []map[int][]int // gate ID -> driver -> pins
-	grain    int
-	scratch  map[int]struct{} // gates affected in the current timestep
-	activity []uint64
+// sim is the event-driven simulator over values of type V; Simulator runs it
+// on scalar values and RunVec on packed ones.
+type sim[V any] struct {
+	c           *circuit.Circuit
+	cfg         Config
+	lanes       Lanes[V]
+	values      []V // current output value per gate
+	inputs      [][]V
+	pins        []map[int][]int // gate ID -> driver -> pins
+	fanout      [][]int         // gate ID -> deduplicated readers
+	outIdx      map[int]int     // gate ID -> index in c.Outputs
+	queue       eventQueue[V]
+	scratch     map[int]struct{} // gates affected in the current timestep
+	grain       int
+	events      uint64
+	evaluations uint64
+	endTime     int64
+	history     []uint64 // per-lane output-history signature
+	activity    []uint64
 }
 
-// New prepares a simulator for circuit c.
-func New(c *circuit.Circuit, cfg Config) (*Simulator, error) {
+func newSim[V any](c *circuit.Circuit, cfg Config, lanes Lanes[V]) (sim[V], error) {
 	if err := cfg.setDefaults(c); err != nil {
-		return nil, err
+		return sim[V]{}, err
 	}
 	n := c.NumGates()
-	s := &Simulator{
+	s := sim[V]{
 		c:        c,
 		cfg:      cfg,
-		values:   make([]circuit.Value, n),
-		inputs:   make([][]circuit.Value, n),
-		ffState:  make([]circuit.Value, n),
+		lanes:    lanes,
+		values:   make([]V, n),
+		inputs:   make([][]V, n),
 		outIdx:   make(map[int]int, len(c.Outputs)),
-		pinsOf:   make([]map[int][]int, n),
 		scratch:  make(map[int]struct{}),
+		history:  make([]uint64, lanes.N),
 		activity: make([]uint64, n),
 	}
-	for i := range s.values {
-		s.values[i] = circuit.X
-		s.ffState[i] = circuit.X
-	}
 	for id, g := range c.Gates {
-		s.inputs[id] = make([]circuit.Value, len(g.Fanin))
+		s.values[id] = lanes.X
+		s.inputs[id] = make([]V, len(g.Fanin))
 		for i := range s.inputs[id] {
-			s.inputs[id][i] = circuit.X
+			s.inputs[id][i] = lanes.X
 		}
-		pins := make(map[int][]int, len(g.Fanin))
-		for pin, src := range g.Fanin {
-			pins[src] = append(pins[src], pin)
-		}
-		s.pinsOf[id] = pins
 	}
+	s.pins, s.fanout = GateWiring(c)
 	for i, id := range c.Outputs {
 		s.outIdx[id] = i
 	}
-	s.res.OutputValues = make([]circuit.Value, len(c.Outputs))
-	for i := range s.res.OutputValues {
-		s.res.OutputValues[i] = circuit.X
-	}
 	return s, nil
+}
+
+// Simulator is a sequential event-driven simulator instance.
+type Simulator struct{ sim[circuit.Value] }
+
+// New prepares a simulator for circuit c.
+func New(c *circuit.Circuit, cfg Config) (*Simulator, error) {
+	s, err := newSim(c, cfg, Scalar())
+	if err != nil {
+		return nil, err
+	}
+	return &Simulator{s}, nil
 }
 
 // SetGrain sets a per-evaluation busy-work loop count that models
 // heavyweight VHDL-process execution. Zero (the default) disables it.
 func (s *Simulator) SetGrain(iters int) { s.grain = iters }
 
-func (s *Simulator) schedule(t int64, gate, driver int, v circuit.Value) {
-	heap.Push(&s.queue, event{t: t, gate: gate, driver: driver, val: v})
-}
-
 // Run executes the configured number of clock cycles and returns the result.
 func (s *Simulator) Run() (Result, error) {
+	s.run()
+	return Result{
+		Events:        s.events,
+		Evaluations:   s.evaluations,
+		EndTime:       s.endTime,
+		OutputValues:  s.outputValues(),
+		OutputHistory: s.history[0],
+		FinalValues:   append([]circuit.Value(nil), s.values...),
+		Activity:      append([]uint64(nil), s.activity...),
+	}, nil
+}
+
+// Run is a convenience wrapper: build a simulator and run it.
+func Run(c *circuit.Circuit, cfg Config) (Result, error) {
+	s, err := New(c, cfg)
+	if err != nil {
+		return Result{}, err
+	}
+	return s.Run()
+}
+
+// RunVec executes the vectored oracle: the scalar Config drives all lanes,
+// lane s substituting StimulusSeed+s.
+func RunVec(c *circuit.Circuit, cfg Config) (VecResult, error) {
+	s, err := newSim(c, cfg, Vector())
+	if err != nil {
+		return VecResult{}, err
+	}
+	s.run()
+	return VecResult{
+		Events:        s.events,
+		Evaluations:   s.evaluations,
+		EndTime:       s.endTime,
+		OutputValues:  s.outputValues(),
+		OutputHistory: s.history,
+		FinalValues:   s.values,
+	}, nil
+}
+
+func (s *sim[V]) schedule(t int64, gate, driver int, v V) {
+	heap.Push(&s.queue, event[V]{t: t, gate: gate, driver: driver, val: v})
+}
+
+func (s *sim[V]) run() {
 	for cycle := 0; cycle < s.cfg.Cycles; cycle++ {
 		base := int64(cycle) * s.cfg.ClockPeriod
 		if cycle%s.cfg.StimulusEvery == 0 {
 			for idx, in := range s.c.Inputs {
+				// The hotspot window depends only on (input, cycle), so all
+				// lanes share one stimulus schedule — the property that keeps
+				// the vectored event stream the union of the lanes'.
 				if s.cfg.Hotspot && !HotspotActive(len(s.c.Inputs), s.cfg.HotspotFraction, idx, cycle) {
 					continue
 				}
-				s.schedule(base, in, -1, StimulusBit(s.cfg.StimulusSeed, idx, cycle))
+				s.schedule(base, in, -1, s.lanes.Stimulus(s.cfg.StimulusSeed, idx, cycle))
 			}
 		}
 		// The rising edge arrives mid-cycle, after the stimulus wave has
 		// settled; DFFs latch via self-events.
 		edge := base + s.cfg.ClockPeriod/2
 		for _, ff := range s.c.FlipFlops {
-			s.schedule(edge, ff, -2, circuit.X)
+			s.schedule(edge, ff, -2, s.lanes.X)
 		}
 	}
 
 	for s.queue.Len() > 0 {
-		t := s.queue[0].t
-		s.step(t)
+		s.step(s.queue[0].t)
 	}
-	s.res.FinalValues = append([]circuit.Value(nil), s.values...)
-	s.res.Activity = append([]uint64(nil), s.activity...)
-	return s.res, nil
 }
 
 // step processes every event with timestamp t: apply all pin updates, then
 // evaluate each affected gate once with its final inputs.
-func (s *Simulator) step(t int64) {
-	s.res.EndTime = t
-	for g := range s.scratch {
-		delete(s.scratch, g)
-	}
+func (s *sim[V]) step(t int64) {
+	s.endTime = t
+	clear(s.scratch)
 	clocked := make(map[int]struct{})
 	for s.queue.Len() > 0 && s.queue[0].t == t {
-		ev := heap.Pop(&s.queue).(event)
-		s.res.Events++
+		ev := heap.Pop(&s.queue).(event[V])
+		s.events++
 		switch ev.driver {
 		case -1: // stimulus at a primary input
-			s.burn()
-			s.res.Evaluations++
-			s.activity[ev.gate]++
-			if s.values[ev.gate] != ev.val {
-				s.values[ev.gate] = ev.val
-				s.emit(t, ev.gate)
-			}
+			s.evaluated(ev.gate)
+			s.update(t, ev.gate, ev.val)
 		case -2: // clock edge at a DFF
 			clocked[ev.gate] = struct{}{}
 		default: // signal arrival: update every pin fed by this driver
-			for _, pin := range s.pinsOf[ev.gate][ev.driver] {
+			for _, pin := range s.pins[ev.gate][ev.driver] {
 				s.inputs[ev.gate][pin] = ev.val
 			}
 			s.scratch[ev.gate] = struct{}{}
@@ -359,79 +460,71 @@ func (s *Simulator) step(t int64) {
 
 	// Evaluate affected gates in ID order (determinism; the order is
 	// immaterial to the results because inputs are already final).
-	affected := make([]int, 0, len(s.scratch))
-	for g := range s.scratch {
-		affected = append(affected, g)
-	}
-	sort.Ints(affected)
-	for _, id := range affected {
+	for _, id := range sortedIDs(s.scratch) {
 		g := s.c.Gates[id]
 		if g.Type == circuit.DFF {
 			continue // DFFs change only on clock edges
 		}
-		s.burn()
-		s.res.Evaluations++
-		s.activity[id]++
-		out := circuit.Eval(g.Type, s.inputs[id])
-		if out == s.values[id] {
-			continue
-		}
-		s.values[id] = out
-		s.noteOutput(t, id, out)
-		s.emit(t, id)
+		s.evaluated(id)
+		s.update(t, id, s.lanes.Eval(g.Type, s.inputs[id]))
 	}
 	// Clock edges latch after signal updates of the same instant (no ties
 	// occur under MinClockPeriod; the rule exists for user-chosen periods).
-	clockedList := make([]int, 0, len(clocked))
-	for ff := range clocked {
-		clockedList = append(clockedList, ff)
-	}
-	sort.Ints(clockedList)
-	for _, ff := range clockedList {
-		s.burn()
-		s.res.Evaluations++
-		s.activity[ff]++
-		d := s.inputs[ff][0]
-		if s.ffState[ff] == d {
-			continue
-		}
-		s.ffState[ff] = d
-		// Publish Q through the normal output path one delay later: model
-		// as the DFF's output changing now, delivered with sender delay.
-		if s.values[ff] != d {
-			s.values[ff] = d
-			s.noteOutput(t, ff, d)
-			s.emit(t, ff)
-		}
+	// Q publishes the latched D through the normal output path, delivered
+	// with sender delay.
+	for _, ff := range sortedIDs(clocked) {
+		s.evaluated(ff)
+		s.update(t, ff, s.inputs[ff][0])
 	}
 }
 
-// emit schedules the (already updated) output value of gate src at time t to
-// its deduplicated fanout, one sender delay later.
-func (s *Simulator) emit(t int64, src int) {
-	g := s.c.Gates[src]
+// sortedIDs returns the gate IDs in set in increasing order.
+func sortedIDs(set map[int]struct{}) []int {
+	ids := slices.AppendSeq(make([]int, 0, len(set)), maps.Keys(set))
+	slices.Sort(ids)
+	return ids
+}
+
+// evaluated counts one evaluation of gate id and burns its grain.
+func (s *sim[V]) evaluated(id int) {
+	if s.grain > 0 {
+		Burn(s.grain)
+	}
+	s.evaluations++
+	s.activity[id]++
+}
+
+// update sets gate id's output to v at time t. The lanes that changed enter
+// the output history (primary outputs only), and a change in any lane is
+// sent to the fanout one sender delay later.
+func (s *sim[V]) update(t int64, id int, v V) {
+	changed := s.lanes.Diff(v, s.values[id])
+	if changed == 0 {
+		return
+	}
+	s.values[id] = v
+	if idx, ok := s.outIdx[id]; ok {
+		for m := changed; m != 0; m &= m - 1 {
+			lane := bits.TrailingZeros64(m)
+			s.history[lane] += OutputHash(t, idx, s.lanes.Lane(v, lane))
+		}
+	}
+	g := s.c.Gates[id]
 	if g.Type == circuit.Output {
 		return
 	}
 	delay := GateDelay(g)
-	v := s.values[src]
-	// Fanout lists may contain duplicates (multi-pin readers); the reader
-	// updates every pin from one event, so deduplicate.
-	seen := make(map[int]struct{}, len(g.Fanout))
-	for _, d := range g.Fanout {
-		if _, dup := seen[d]; dup {
-			continue
-		}
-		seen[d] = struct{}{}
-		s.schedule(t+delay, d, src, v)
+	for _, d := range s.fanout[id] {
+		s.schedule(t+delay, d, id, v)
 	}
 }
 
-func (s *Simulator) burn() {
-	if s.grain <= 0 {
-		return
+func (s *sim[V]) outputValues() []V {
+	out := make([]V, len(s.c.Outputs))
+	for i, id := range s.c.Outputs {
+		out[i] = s.values[id]
 	}
-	Burn(s.grain)
+	return out
 }
 
 // Burn spins the CPU for iters iterations of an integer recurrence; it
@@ -446,22 +539,4 @@ func Burn(iters int) {
 	if x == 1 {
 		panic("seqsim: unreachable burn sentinel")
 	}
-}
-
-func (s *Simulator) noteOutput(t int64, gate int, v circuit.Value) {
-	idx, ok := s.outIdx[gate]
-	if !ok {
-		return
-	}
-	s.res.OutputValues[idx] = v
-	s.res.OutputHistory += OutputHash(t, idx, v)
-}
-
-// Run is a convenience wrapper: build a simulator and run it.
-func Run(c *circuit.Circuit, cfg Config) (Result, error) {
-	s, err := New(c, cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	return s.Run()
 }

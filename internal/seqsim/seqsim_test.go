@@ -1,6 +1,7 @@
 package seqsim
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -231,6 +232,32 @@ func TestGateDelayNormalized(t *testing.T) {
 	g.Delay = 5
 	if GateDelay(g) != 5 {
 		t.Error("explicit delay altered")
+	}
+}
+
+// TestGateWiring: a reader with two pins on one driver gets both pins under
+// that driver and appears once in the driver's fanout, readers in
+// first-seen order.
+func TestGateWiring(t *testing.T) {
+	c := circuit.New("wiring")
+	a := c.MustAddGate("a", circuit.Input)
+	b := c.MustAddGate("b", circuit.Input)
+	and := c.MustAddGate("and", circuit.And)
+	not := c.MustAddGate("not", circuit.Not)
+	c.MustConnect(a.ID, and.ID)
+	c.MustConnect(b.ID, and.ID)
+	c.MustConnect(a.ID, not.ID)
+	c.MustConnect(a.ID, and.ID)
+	pins, fanout := GateWiring(c)
+	want := map[int][]int{a.ID: {0, 2}, b.ID: {1}}
+	if !reflect.DeepEqual(pins[and.ID], want) {
+		t.Errorf("pins of and = %v, want %v", pins[and.ID], want)
+	}
+	if got := fanout[a.ID]; !reflect.DeepEqual(got, []int{and.ID, not.ID}) {
+		t.Errorf("fanout of a = %v, want [%d %d]", got, and.ID, not.ID)
+	}
+	if got := fanout[and.ID]; len(got) != 0 {
+		t.Errorf("fanout of and = %v, want none", got)
 	}
 }
 
