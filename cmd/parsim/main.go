@@ -25,8 +25,8 @@
 //	parsim -bench s5378 -nodes 4 -node 0/2 -peers 127.0.0.1:9101,127.0.0.1:9102 &
 //	parsim -bench s5378 -nodes 4 -node 1/2 -peers 127.0.0.1:9101,127.0.0.1:9102
 //
-// -dynamic works across processes too (gate state is migrated over the
-// wire), because the logic-gate handlers implement timewarp.StateCodec.
+// -dynamic works across processes too: gate state is migrated over the
+// wire, encoded by the same Handler.EncodeState the kernel saves it with.
 //
 // Multi-process exit codes distinguish failure classes for supervisors:
 //

@@ -48,8 +48,8 @@
 //     is a pluggable Transport: the in-memory default wires mailboxes
 //     directly, while NewTCPTransport runs one simulation as N OS
 //     processes exchanging length-prefixed binary frames (events, GVT
-//     waves, load reports, routes, and — for handlers implementing
-//     StateCodec — migration state) over a loopback-or-LAN mesh, with
+//     waves, load reports, routes, and migration state encoded by the
+//     handler's own state codec) over a loopback-or-LAN mesh, with
 //     the two-cut transit invariant held across the sockets. Events carry
 //     an opaque fixed-size wide payload block (two uint64 planes; on the
 //     wire flag-selected and omitted when zero, so payload-free traffic is

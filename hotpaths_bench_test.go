@@ -7,6 +7,7 @@
 package repro
 
 import (
+	"encoding/binary"
 	"fmt"
 	"testing"
 
@@ -72,8 +73,8 @@ func BenchmarkHotPaths(b *testing.B) {
 			if vectors {
 				// The vectored rows roll back 128 packed planes per gate
 				// instead of a handful of bytes; the alloc guard holds the
-				// snapshot free lists and payload recycling to the same
-				// steady-state as the scalar rows.
+				// states log and payload recycling to the same steady-state
+				// as the scalar rows.
 				name = "vec-" + name
 			}
 			b.Run(name, func(b *testing.B) {
@@ -128,8 +129,17 @@ func (r *tokenRingLP) Execute(ctx *timewarp.Context, now timewarp.Time, events [
 	}
 }
 
-func (r *tokenRingLP) SaveState() interface{}     { return r.seen }
-func (r *tokenRingLP) RestoreState(s interface{}) { r.seen = s.(int64) }
+func (r *tokenRingLP) EncodeState(buf []byte) []byte {
+	return binary.LittleEndian.AppendUint64(buf, uint64(r.seen))
+}
+
+func (r *tokenRingLP) DecodeState(data []byte) error {
+	if len(data) != 8 {
+		return fmt.Errorf("tokenRingLP: state of %d bytes, want 8", len(data))
+	}
+	r.seen = int64(binary.LittleEndian.Uint64(data))
+	return nil
+}
 
 // payloadRingLP is the token ring with every hop carrying a full wide payload
 // block (both planes nonzero), so each remote message takes the widened wire
@@ -158,10 +168,16 @@ func (r *payloadRingLP) Execute(ctx *timewarp.Context, now timewarp.Time, events
 	}
 }
 
-func (r *payloadRingLP) SaveState() interface{} { return [2]int64{r.seen, int64(r.acc)} }
-func (r *payloadRingLP) RestoreState(s interface{}) {
-	v := s.([2]int64)
-	r.seen, r.acc = v[0], uint64(v[1])
+func (r *payloadRingLP) EncodeState(buf []byte) []byte {
+	return binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(buf, uint64(r.seen)), r.acc)
+}
+
+func (r *payloadRingLP) DecodeState(data []byte) error {
+	if len(data) != 16 {
+		return fmt.Errorf("payloadRingLP: state of %d bytes, want 16", len(data))
+	}
+	r.seen, r.acc = int64(binary.LittleEndian.Uint64(data)), binary.LittleEndian.Uint64(data[8:])
+	return nil
 }
 
 // BenchmarkTransport measures the remote-message path of the Time Warp

@@ -154,7 +154,7 @@ func runTCPPair(t *testing.T, c *circuit.Circuit, a partition.Assignment, cfg Co
 // kernel instances connected by TCP loopback, must commit bit-identically to
 // the sequential oracle (and therefore to the in-memory kernel, which the
 // matrix above holds to the same oracle). The dynamic rows additionally force
-// gate migration between the processes, so StateCodec payloads cross the
+// gate migration between the processes, so encoded gate states cross the
 // socket and are still invisible in committed results.
 func TestDeterminismTCPLoopback(t *testing.T) {
 	if testing.Short() {

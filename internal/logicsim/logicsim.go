@@ -223,47 +223,16 @@ type shared[V any] struct {
 	lanes wireLanes[V]
 }
 
-// laneSums is a primary output's per-lane output-history signature. Lane 0
-// is inline, which is all a scalar run has; a vectored primary output keeps
-// the other lanes behind rest. A scalar snapshot therefore carries its
-// history in one word and never allocates for it.
-type laneSums struct {
-	lane0 uint64
-	rest  *[circuit.W - 1]uint64
-}
+// maxPins is the most input pins a gate may have: its state encoding counts
+// them in one byte.
+const maxPins = 255
 
-func (h *laneSums) lane(i int) *uint64 {
-	if i == 0 {
-		return &h.lane0
-	}
-	return &h.rest[i-1]
-}
-
-// gateState is the mutable, snapshot-able state of one gate LP. A DFF's
-// latched value is its output, so it needs no field of its own.
+// gateState is the mutable state of one gate LP: what EncodeState saves. A
+// DFF's latched value is its output, so it needs no field of its own.
 type gateState[V any] struct {
 	inputs []V
 	out    V
-	hist   laneSums
-}
-
-func (s *gateState[V]) clone() gateState[V] {
-	c := gateState[V]{inputs: append([]V(nil), s.inputs...), out: s.out, hist: s.hist}
-	if s.hist.rest != nil {
-		rest := *s.hist.rest
-		c.hist.rest = &rest
-	}
-	return c
-}
-
-// set copies o into s, which must belong to the same gate.
-func (s *gateState[V]) set(o *gateState[V]) {
-	copy(s.inputs, o.inputs)
-	s.out = o.out
-	s.hist.lane0 = o.hist.lane0
-	if o.hist.rest != nil {
-		*s.hist.rest = *o.hist.rest
-	}
+	hist   []uint64 // per-lane output-history signature; primary outputs only
 }
 
 // gateLP is the timewarp.Handler for one gate.
@@ -276,9 +245,6 @@ type gateLP[V any] struct {
 	fanout   []int         // deduplicated fanout gate IDs
 	delay    int64
 	st       gateState[V]
-	// snapFree pools discarded state snapshots (refilled by the kernel via
-	// RecycleState); each LP runs on one cluster goroutine, so no locking.
-	snapFree []*gateState[V]
 }
 
 // newGateLP builds the LP of gate g, whose pin map and fanout list come
@@ -304,9 +270,7 @@ func newGateLP[V any](sim *shared[V], g *circuit.Gate, pins map[int][]int, fanou
 // markOutput makes the LP primary output idx, which keeps an output history.
 func (lp *gateLP[V]) markOutput(idx int) {
 	lp.outIdx = idx
-	if lp.sim.lanes.N > 1 {
-		lp.st.hist.rest = new([circuit.W - 1]uint64)
-	}
+	lp.st.hist = make([]uint64, lp.sim.lanes.N)
 }
 
 // Init schedules the LP's first self-event: the first stimulus cycle for
@@ -393,7 +357,7 @@ func (lp *gateLP[V]) update(ctx *timewarp.Context, now timewarp.Time, v V) {
 	if lp.outIdx >= 0 {
 		for m := changed; m != 0; m &= m - 1 {
 			lane := bits.TrailingZeros64(m)
-			*lp.st.hist.lane(lane) += seqsim.OutputHash(now, lp.outIdx, ops.Lane(v, lane))
+			lp.st.hist[lane] += seqsim.OutputHash(now, lp.outIdx, ops.Lane(v, lane))
 		}
 	}
 	if lp.typ == circuit.Output {
@@ -405,37 +369,6 @@ func (lp *gateLP[V]) update(ctx *timewarp.Context, now timewarp.Time, v V) {
 	}
 }
 
-// SaveState implements timewarp.Handler. Snapshots come from the free list
-// the kernel refills via RecycleState, so steady-state snapshotting does not
-// allocate.
-func (lp *gateLP[V]) SaveState() interface{} {
-	if n := len(lp.snapFree); n > 0 {
-		s := lp.snapFree[n-1]
-		lp.snapFree[n-1] = nil
-		lp.snapFree = lp.snapFree[:n-1]
-		s.set(&lp.st)
-		return s
-	}
-	s := lp.st.clone()
-	return &s
-}
-
-// RestoreState implements timewarp.Handler. The snapshot stays immutable:
-// the state is copied out of it.
-func (lp *gateLP[V]) RestoreState(snap interface{}) {
-	lp.st.set(snap.(*gateState[V]))
-}
-
-// RecycleState implements timewarp.StateRecycler: discarded snapshots return
-// to the free list for the next SaveState.
-func (lp *gateLP[V]) RecycleState(snap interface{}) {
-	s, ok := snap.(*gateState[V])
-	if !ok || len(lp.snapFree) >= 64 {
-		return
-	}
-	lp.snapFree = append(lp.snapFree, s)
-}
-
 // histFlag is 1 for a primary output, whose state carries history.
 func (lp *gateLP[V]) histFlag() byte {
 	if lp.outIdx >= 0 {
@@ -444,31 +377,27 @@ func (lp *gateLP[V]) histFlag() byte {
 	return 0
 }
 
-// EncodeState implements timewarp.StateCodec, making gates migratable across
-// a multi-process transport: the mutable simulation state is exactly
-// gateState — the rest of gateLP is immutable tables every replica builds
-// identically from the circuit. Layout: [npins u8][hist flag u8]
-// [npins values][out value][one little-endian u64 per lane if the flag is
-// set], a value taking wireLanes.size bytes.
-func (lp *gateLP[V]) EncodeState(buf []byte) ([]byte, error) {
+// EncodeState implements timewarp.Handler. The kernel saves every bundle's
+// pre-state with it and migrates gates across a multi-process transport with
+// it. The mutable simulation state is exactly gateState — the rest of gateLP
+// is immutable tables every replica builds identically from the circuit.
+// Layout: [npins u8][hist flag u8][npins values][out value][one
+// little-endian u64 per lane if the flag is set], a value taking
+// wireLanes.size bytes; run rejects gates with more than maxPins pins.
+func (lp *gateLP[V]) EncodeState(buf []byte) []byte {
 	ops := &lp.sim.lanes
-	if len(lp.st.inputs) > 255 {
-		return nil, fmt.Errorf("logicsim: gate has %d pins, wire limit 255", len(lp.st.inputs))
-	}
 	buf = append(buf, byte(len(lp.st.inputs)), lp.histFlag())
 	for _, v := range lp.st.inputs {
 		buf = ops.put(buf, v)
 	}
 	buf = ops.put(buf, lp.st.out)
-	if lp.outIdx >= 0 {
-		for i := 0; i < ops.N; i++ {
-			buf = binary.LittleEndian.AppendUint64(buf, *lp.st.hist.lane(i))
-		}
+	for _, h := range lp.st.hist {
+		buf = binary.LittleEndian.AppendUint64(buf, h)
 	}
-	return buf, nil
+	return buf
 }
 
-// DecodeState implements timewarp.StateCodec. The bytes come from a peer
+// DecodeState implements timewarp.Handler. The bytes may come from a peer
 // process, so every length and flag is checked against this gate before any
 // state changes.
 func (lp *gateLP[V]) DecodeState(data []byte) error {
@@ -489,8 +418,8 @@ func (lp *gateLP[V]) DecodeState(data []byte) error {
 	}
 	lp.st.out = ops.get(data)
 	data = data[ops.size:]
-	for i := 0; i < len(data)/8; i++ {
-		*lp.st.hist.lane(i) = binary.LittleEndian.Uint64(data[8*i:])
+	for i := range lp.st.hist {
+		lp.st.hist[i] = binary.LittleEndian.Uint64(data[8*i:])
 	}
 	return nil
 }
@@ -593,6 +522,9 @@ func run[V any](c *circuit.Circuit, a partition.Assignment, cfg Config, ops wire
 	handlers := make([]timewarp.Handler, c.NumGates())
 	lps := make([]*gateLP[V], c.NumGates())
 	for id, g := range c.Gates {
+		if len(g.Fanin) > maxPins {
+			return Result{}, nil, nil, fmt.Errorf("logicsim: gate %d has %d pins, state encoding limit %d", id, len(g.Fanin), maxPins)
+		}
 		lps[id] = newGateLP(sim, g, pins[id], fanout[id])
 		handlers[id] = lps[id]
 	}
@@ -658,8 +590,8 @@ func run[V any](c *circuit.Circuit, a partition.Assignment, cfg Config, ops wire
 			res.Local[id] = true
 			final[id] = lp.st.out
 			if lp.outIdx >= 0 {
-				for s := range history {
-					history[s] += *lp.st.hist.lane(s)
+				for s, h := range lp.st.hist {
+					history[s] += h
 				}
 			}
 		}

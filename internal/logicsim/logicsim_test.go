@@ -1,6 +1,7 @@
 package logicsim
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -49,6 +50,16 @@ func TestRunValidatesInputs(t *testing.T) {
 	}
 	if _, err := Run(c, onePartition(t, c), Config{Cycles: 1, ClockPeriod: 1}); err == nil {
 		t.Error("degenerate clock period accepted")
+	}
+	wide := circuit.New("wide")
+	and := wide.MustAddGate("and", circuit.And)
+	for i := 0; i <= maxPins; i++ {
+		in := wide.MustAddGate(fmt.Sprintf("in%d", i), circuit.Input)
+		wide.MustConnect(in.ID, and.ID)
+	}
+	wide.MustConnect(and.ID, wide.MustAddGate("out", circuit.Output).ID)
+	if _, err := Run(wide, onePartition(t, wide), Config{Cycles: 1}); err == nil {
+		t.Errorf("gate with %d pins accepted", maxPins+1)
 	}
 }
 

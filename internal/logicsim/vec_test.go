@@ -120,9 +120,9 @@ func TestDeterminismMatrixVectors(t *testing.T) {
 }
 
 // TestVectorsForcedMigration holds the vectored mode to the oracle while the
-// kernel migrates gates between clusters mid-run: the vectored gateLP StateCodec
-// must carry every packed plane and all 64 per-lane history terms across the
-// move, or a lane's signature diverges.
+// kernel migrates gates between clusters mid-run: the vectored gateLP state
+// codec must carry every packed plane and all 64 per-lane history terms
+// across the move, or a lane's signature diverges.
 func TestVectorsForcedMigration(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test")
@@ -243,7 +243,7 @@ func runVecTCPPair(t *testing.T, c *circuit.Circuit, a partition.Assignment, cfg
 // TestVectorsTCPLoopback is the multi-process cell of the vectored column:
 // two OS-level kernel instances over TCP loopback, with the dynamic rows
 // additionally forcing migration, must reproduce all 64 scalar runs
-// bit-identically — payload-bearing events and widened StateCodec blobs
+// bit-identically — payload-bearing events and widened gate-state blobs
 // crossing the socket included.
 func TestVectorsTCPLoopback(t *testing.T) {
 	if testing.Short() {

@@ -19,13 +19,13 @@
 package seqsim
 
 import (
-	"container/heap"
 	"fmt"
 	"maps"
 	"math/bits"
 	"slices"
 
 	"repro/internal/circuit"
+	"repro/internal/minheap"
 )
 
 // StimulusBit returns the deterministic stimulus value of primary input
@@ -274,26 +274,16 @@ type event[V any] struct {
 	val    V
 }
 
-type eventQueue[V any] []event[V]
-
-func (q eventQueue[V]) Len() int { return len(q) }
-func (q eventQueue[V]) Less(i, j int) bool {
-	if q[i].t != q[j].t {
-		return q[i].t < q[j].t
+// eventLess orders sim.queue, a min-heap, by (t, gate, driver). That is a
+// total order, so the pop order is fully determined.
+func eventLess[V any](a, b *event[V]) bool {
+	if a.t != b.t {
+		return a.t < b.t
 	}
-	if q[i].gate != q[j].gate {
-		return q[i].gate < q[j].gate
+	if a.gate != b.gate {
+		return a.gate < b.gate
 	}
-	return q[i].driver < q[j].driver
-}
-func (q eventQueue[V]) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue[V]) Push(x interface{}) { *q = append(*q, x.(event[V])) }
-func (q *eventQueue[V]) Pop() interface{} {
-	old := *q
-	n := len(old)
-	x := old[n-1]
-	*q = old[:n-1]
-	return x
+	return a.driver < b.driver
 }
 
 // sim is the event-driven simulator over values of type V; Simulator runs it
@@ -307,7 +297,7 @@ type sim[V any] struct {
 	pins        []map[int][]int // gate ID -> driver -> pins
 	fanout      [][]int         // gate ID -> deduplicated readers
 	outIdx      map[int]int     // gate ID -> index in c.Outputs
-	queue       eventQueue[V]
+	queue       []event[V]
 	scratch     map[int]struct{} // gates affected in the current timestep
 	grain       int
 	events      uint64
@@ -405,7 +395,7 @@ func RunVec(c *circuit.Circuit, cfg Config) (VecResult, error) {
 }
 
 func (s *sim[V]) schedule(t int64, gate, driver int, v V) {
-	heap.Push(&s.queue, event[V]{t: t, gate: gate, driver: driver, val: v})
+	minheap.Push(&s.queue, event[V]{t: t, gate: gate, driver: driver, val: v}, eventLess[V])
 }
 
 func (s *sim[V]) run() {
@@ -430,7 +420,7 @@ func (s *sim[V]) run() {
 		}
 	}
 
-	for s.queue.Len() > 0 {
+	for len(s.queue) > 0 {
 		s.step(s.queue[0].t)
 	}
 }
@@ -441,8 +431,8 @@ func (s *sim[V]) step(t int64) {
 	s.endTime = t
 	clear(s.scratch)
 	clocked := make(map[int]struct{})
-	for s.queue.Len() > 0 && s.queue[0].t == t {
-		ev := heap.Pop(&s.queue).(event[V])
+	for len(s.queue) > 0 && s.queue[0].t == t {
+		ev := minheap.Pop(&s.queue, eventLess[V])
 		s.events++
 		switch ev.driver {
 		case -1: // stimulus at a primary input

@@ -4,6 +4,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/minheap"
 )
 
 // ClusterStats counts what one cluster (simulation node) did during a run.
@@ -59,13 +61,14 @@ type schedEntry struct {
 	lp *lpRuntime
 }
 
-// schedHeap is a min-heap over schedEntry, manipulated with the non-boxing
-// heapPush/heapPop helpers.
+// schedHeap is a min-heap over schedEntry.
 type schedHeap []schedEntry
 
-func (h *schedHeap) push(e schedEntry) { heapPush((*[]schedEntry)(h), e, schedLess) }
+func (h *schedHeap) push(e schedEntry) { minheap.Push((*[]schedEntry)(h), e, schedLess) }
 
-func (h *schedHeap) pop() schedEntry { return heapPop((*[]schedEntry)(h), schedLess) }
+func (h *schedHeap) pop() schedEntry { return minheap.Pop((*[]schedEntry)(h), schedLess) }
+
+func schedLess(a, b *schedEntry) bool { return a.t < b.t }
 
 // eventPool recycles event slices across bundles, rollbacks and fossil
 // collection, bounding the kernel's per-event GC pressure. Each cluster owns

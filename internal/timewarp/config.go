@@ -35,10 +35,6 @@ var (
 	// past the detection bound, or sent a corrupt frame. Every surviving
 	// node's Run returns an error wrapping it that names the failed peer.
 	ErrPeerDown = errors.New("timewarp: mesh peer failure")
-	// ErrNeedStateCodec rejects Rebalance on a multi-process transport when a
-	// handler does not implement StateCodec: LP state is handler-owned, so
-	// the kernel cannot move an LP between processes without it.
-	ErrNeedStateCodec = errors.New("timewarp: Rebalance on a multi-process transport requires every Handler to implement StateCodec")
 )
 
 // NetConfig groups the communication knobs of a run: the transport the

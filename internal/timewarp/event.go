@@ -29,11 +29,10 @@
 // in-transit charge is released only when its frame has been decoded into
 // the receiver's mailbox, and the cut waves carry pinned per-color
 // sent/received counters so a cut closes only after every frame under it
-// has landed. Handlers that additionally implement StateCodec can migrate
-// between processes (their state crosses in the same frames); a
-// configuration that enables Rebalance on a multi-process transport without
-// full StateCodec coverage is rejected at New. See transport_api.go for the
-// seam and transport_tcp.go for the mesh.
+// has landed. Migrating LPs cross in the same frames, their handler state
+// encoded by the Handler.EncodeState the kernel saves state with before
+// every bundle. See transport_api.go for the seam and transport_tcp.go for
+// the mesh.
 //
 // Events carry, besides the int32 application value, a fixed-size wide
 // Payload block (two uint64 planes) the kernel never interprets: it is how
@@ -75,7 +74,11 @@
 // migrate.go.
 package timewarp
 
-import "math"
+import (
+	"math"
+
+	"repro/internal/minheap"
+)
 
 // Time is virtual (simulation) time.
 type Time = int64
@@ -145,11 +148,21 @@ type Event struct {
 	Pay Payload
 }
 
-// eventHeap is a min-heap of events ordered by eventLess (receive time,
-// then sender, then ID, so bundle assembly is deterministic). It is
-// manipulated with the non-boxing heapPush/heapPop helpers.
+// eventHeap is a min-heap of events ordered by eventLess.
 type eventHeap []Event
 
-func (h *eventHeap) push(ev Event) { heapPush((*[]Event)(h), ev, eventLess) }
+func (h *eventHeap) push(ev Event) { minheap.Push((*[]Event)(h), ev, eventLess) }
 
-func (h *eventHeap) pop() Event { return heapPop((*[]Event)(h), eventLess) }
+func (h *eventHeap) pop() Event { return minheap.Pop((*[]Event)(h), eventLess) }
+
+// eventLess orders events by receive time, then sender, then ID, so bundle
+// assembly is deterministic.
+func eventLess(a, b *Event) bool {
+	if a.RecvTime != b.RecvTime {
+		return a.RecvTime < b.RecvTime
+	}
+	if a.Sender != b.Sender {
+		return a.Sender < b.Sender
+	}
+	return a.ID < b.ID
+}

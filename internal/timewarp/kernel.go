@@ -219,13 +219,6 @@ func New(cfg Config, handlers []Handler) (*Kernel, error) {
 			k.local = append(k.local, c)
 		}
 	}
-	if k.remote && cfg.Dynamic.Rebalance != nil {
-		for i, h := range handlers {
-			if _, ok := h.(StateCodec); !ok {
-				return nil, fmt.Errorf("%w: handler %d (%T)", ErrNeedStateCodec, i, h)
-			}
-		}
-	}
 	k.lps = make([]*lpRuntime, len(handlers))
 	for i, h := range handlers {
 		if h == nil {

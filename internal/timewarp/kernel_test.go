@@ -1,6 +1,11 @@
 package timewarp
 
 import (
+	"encoding/binary"
+	"fmt"
+	"runtime"
+	"slices"
+	"sync/atomic"
 	"testing"
 )
 
@@ -29,8 +34,26 @@ func (p *pingLP) Execute(ctx *Context, now Time, events []Event) {
 	}
 }
 
-func (p *pingLP) SaveState() interface{}     { return p.seen }
-func (p *pingLP) RestoreState(s interface{}) { p.seen = s.(int32) }
+func (p *pingLP) EncodeState(buf []byte) []byte { return appendI32(buf, p.seen) }
+func (p *pingLP) DecodeState(data []byte) error { return decodeI32(data, &p.seen) }
+
+// decodeI32 and decodeI64 decode the one-integer states of the test
+// handlers, rejecting any other length.
+func decodeI32(data []byte, v *int32) error {
+	if len(data) != 4 {
+		return fmt.Errorf("state of %d bytes, want 4", len(data))
+	}
+	*v = int32(binary.LittleEndian.Uint32(data))
+	return nil
+}
+
+func decodeI64(data []byte, v *int64) error {
+	if len(data) != 8 {
+		return fmt.Errorf("state of %d bytes, want 8", len(data))
+	}
+	*v = int64(binary.LittleEndian.Uint64(data))
+	return nil
+}
 
 func TestPingPongTwoClusters(t *testing.T) {
 	a := &pingLP{peer: 1, limit: 200, delay: 3, start: true}
@@ -105,8 +128,8 @@ func (f *fanLP) Execute(ctx *Context, now Time, events []Event) {
 	}
 }
 
-func (f *fanLP) SaveState() interface{}     { return f.seen }
-func (f *fanLP) RestoreState(s interface{}) { f.seen = s.(int32) }
+func (f *fanLP) EncodeState(buf []byte) []byte { return appendI32(buf, f.seen) }
+func (f *fanLP) DecodeState(data []byte) error { return decodeI32(data, &f.seen) }
 
 func TestFanOutAcrossClusters(t *testing.T) {
 	const nLeaf = 40
@@ -157,8 +180,8 @@ func (v *stragglerVictim) Execute(ctx *Context, now Time, events []Event) {
 	}
 }
 
-func (v *stragglerVictim) SaveState() interface{}     { return v.sum }
-func (v *stragglerVictim) RestoreState(s interface{}) { v.sum = s.(int64) }
+func (v *stragglerVictim) EncodeState(buf []byte) []byte { return appendI64(buf, v.sum) }
+func (v *stragglerVictim) DecodeState(data []byte) error { return decodeI64(data, &v.sum) }
 
 type stragglerSender struct {
 	victim LPID
@@ -182,8 +205,14 @@ func (s *stragglerSender) Execute(ctx *Context, now Time, events []Event) {
 	}
 }
 
-func (s *stragglerSender) SaveState() interface{}      { return nil }
-func (s *stragglerSender) RestoreState(s2 interface{}) {}
+// stragglerSender's state is empty: it derives everything from its events.
+func (s *stragglerSender) EncodeState(buf []byte) []byte { return buf }
+func (s *stragglerSender) DecodeState(data []byte) error {
+	if len(data) != 0 {
+		return fmt.Errorf("state of %d bytes, want 0", len(data))
+	}
+	return nil
+}
 
 func TestRollbacksProduceDeterministicState(t *testing.T) {
 	run := func() (int64, RunStats) {
@@ -231,6 +260,182 @@ func TestLazyCancellationKernel(t *testing.T) {
 		t.Errorf("lazy: processed-rolledback=%d != committed=%d",
 			stats.EventsProcessed-stats.EventsRolledBack, stats.EventsCommitted)
 	}
+}
+
+// trailLP is a stragglerVictim whose encoded state changes length from
+// bundle to bundle: besides the running sum it keeps the sums after its last
+// now%5 bundles. The encoding counts the trail, so DecodeState rejects a
+// slice of the states log cut at the wrong offsets. reached, when set,
+// publishes the latest time it executed.
+type trailLP struct {
+	stragglerVictim
+	trail   []int64
+	reached *atomic.Int64
+	// midRestores counts decodes of a state with a nonzero sum, i.e.
+	// rollbacks that kept some of the history before them.
+	midRestores int
+}
+
+func (l *trailLP) Execute(ctx *Context, now Time, events []Event) {
+	l.stragglerVictim.Execute(ctx, now, events)
+	l.trail = append(l.trail, l.sum)
+	if keep := int(now % 5); len(l.trail) > keep {
+		l.trail = append(l.trail[:0], l.trail[len(l.trail)-keep:]...)
+	}
+	if l.reached != nil {
+		l.reached.Store(now)
+	}
+}
+
+func (l *trailLP) EncodeState(buf []byte) []byte {
+	buf = appendI64(appendI64(buf, l.sum), int64(len(l.trail)))
+	for _, v := range l.trail {
+		buf = appendI64(buf, v)
+	}
+	return buf
+}
+
+func (l *trailLP) DecodeState(data []byte) error {
+	if len(data) < 16 || uint64(len(data)-16) != 8*binary.LittleEndian.Uint64(data[8:]) {
+		return fmt.Errorf("trailLP: state of %d bytes", len(data))
+	}
+	l.sum = int64(binary.LittleEndian.Uint64(data))
+	l.trail = l.trail[:0]
+	for data = data[16:]; len(data) > 0; data = data[8:] {
+		l.trail = append(l.trail, int64(binary.LittleEndian.Uint64(data)))
+	}
+	if l.sum != 0 {
+		l.midRestores++
+	}
+	return nil
+}
+
+// gatedSender is a stragglerSender that, before its first send (a straggler
+// for time 11), waits until victimAt reports a time past until.
+type gatedSender struct {
+	stragglerSender
+	victimAt *atomic.Int64
+	until    Time
+}
+
+func (s *gatedSender) Execute(ctx *Context, now Time, events []Event) {
+	for s.victimAt != nil && now == 10 && s.victimAt.Load() <= s.until {
+		runtime.Gosched()
+	}
+	s.stragglerSender.Execute(ctx, now, events)
+}
+
+// TestStatesLogMidHistoryRollback drives the per-LP states log, whose
+// entries differ in length, through rollbacks into the middle of the history
+// and the fossil collections around them. Each subtest compares the
+// committed state with a run that never rolls back and requires the log to
+// be empty once everything is committed.
+func TestStatesLogMidHistoryRollback(t *testing.T) {
+	// run: the victim races past time 50 while the sender, on another
+	// cluster, holds its straggler for time 11. GVT cannot pass the sender's
+	// time 10 meanwhile, so the bundle at 10 is still in the history and the
+	// rollback lands after it. The reference runs both LPs on one cluster.
+	t.Run("run", func(t *testing.T) {
+		run := func(clusters int, gated bool) (*trailLP, RunStats) {
+			v := &trailLP{stragglerVictim: stragglerVictim{limit: 400}}
+			s := &gatedSender{stragglerSender: stragglerSender{victim: 0, n: 390}, until: 50}
+			if gated {
+				v.reached = new(atomic.Int64)
+				s.victimAt = v.reached
+			}
+			k, err := New(Config{NumClusters: clusters, ClusterOf: []int{0, clusters - 1}, GVTPeriodEvents: 16}, []Handler{v, s})
+			if err != nil {
+				t.Fatal(err)
+			}
+			stats, err := k.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, lp := range k.lps {
+				if len(lp.states) != 0 {
+					t.Errorf("%d clusters: LP %d keeps %d bytes of saved state after Run", clusters, lp.id, len(lp.states))
+				}
+			}
+			return v, stats
+		}
+		want, wantStats := run(1, false)
+		if wantStats.Rollbacks != 0 {
+			t.Fatalf("one-cluster reference rolled back %d times", wantStats.Rollbacks)
+		}
+		got, stats := run(2, true)
+		if stats.Rollbacks == 0 || got.midRestores == 0 {
+			t.Fatalf("no rollback into the middle of the history: rollbacks=%d mid-history restores=%d", stats.Rollbacks, got.midRestores)
+		}
+		if got.sum != want.sum || !slices.Equal(got.trail, want.trail) || stats.EventsCommitted != wantStats.EventsCommitted {
+			t.Errorf("committed state sum=%d trail=%v events=%d, rollback-free run sum=%d trail=%v events=%d",
+				got.sum, got.trail, stats.EventsCommitted, want.sum, want.trail, wantStats.EventsCommitted)
+		}
+	})
+
+	// by-hand: when a running kernel fossil-collects is up to its GVT rounds,
+	// so the offsets a partial collection rebases are tested on one LP driven
+	// directly. It executes through time 40, commits below 20 and executes on
+	// through 50, appending over the log's vacated tail. A straggler for 25
+	// then rolls back into the rebased log, and one for 24 to the bundle the
+	// first rollback left last. The reference
+	// has both events queued before it executes anything.
+	t.Run("by-hand", func(t *testing.T) {
+		drive := func(rollback bool) *trailLP {
+			v := &trailLP{stragglerVictim: stragglerVictim{limit: 60}}
+			k, err := New(Config{NumClusters: 1, ClusterOf: []int{0}}, []Handler{v})
+			if err != nil {
+				t.Fatal(err)
+			}
+			lp, c := k.lps[0], k.clusters[0]
+			v.Init(&Context{lp: lp, cluster: c, now: -1, inInit: true})
+			c.drainLocal()
+			late := []Event{
+				{ID: k.nextEventID(), Sender: NoLP, RecvTime: 25, Kind: 1, Value: 7},
+				{ID: k.nextEventID(), Sender: NoLP, RecvTime: 24, Kind: 1, Value: 9},
+			}
+			execute := func(through Time) {
+				for lp.lvt < through && lp.executeNext() > 0 {
+					c.drainLocal()
+				}
+			}
+			if !rollback {
+				for _, ev := range late {
+					lp.enqueue(ev)
+				}
+			}
+			execute(40)
+			if rollback {
+				lp.fossilCollect(20)
+			}
+			execute(50)
+			if rollback {
+				for _, ev := range late {
+					lp.enqueue(ev)
+					c.drainLocal()
+				}
+			}
+			execute(TimeInfinity)
+			lp.fossilCollect(TimeInfinity)
+			if len(lp.states) != 0 {
+				t.Errorf("rollback=%v: %d bytes of saved state after committing everything", rollback, len(lp.states))
+			}
+			wantRollbacks := uint64(0)
+			if rollback {
+				wantRollbacks = 2
+			}
+			if c.stats.Rollbacks != wantRollbacks {
+				t.Errorf("rollback=%v: %d rollbacks, want %d", rollback, c.stats.Rollbacks, wantRollbacks)
+			}
+			return v
+		}
+		want, got := drive(false), drive(true)
+		if got.midRestores != 2 {
+			t.Errorf("%d mid-history restores, want 2", got.midRestores)
+		}
+		if got.sum != want.sum || !slices.Equal(got.trail, want.trail) {
+			t.Errorf("committed state sum=%d trail=%v, rollback-free sum=%d trail=%v", got.sum, got.trail, want.sum, want.trail)
+		}
+	})
 }
 
 func TestConfigErrors(t *testing.T) {

@@ -9,43 +9,25 @@ import (
 //
 // Execute receives every event sharing one receive time as a single bundle,
 // already sorted by (sender, ID). It may send events into the strict future
-// (recvTime > now) via the Context. The kernel snapshots state around every
-// bundle, so Execute must confine all mutable simulation state to what
-// SaveState captures. The events slice is owned by the kernel and recycled
-// after the bundle commits, and the Context is reused between bundles:
-// Execute must not retain either beyond the call.
+// (recvTime > now) via the Context. The kernel saves the LP's state with
+// EncodeState before every bundle and rolls it back with DecodeState, so
+// Execute must confine all mutable simulation state to what EncodeState
+// captures. The events slice is owned by the kernel and recycled after the
+// bundle commits, and the Context is reused between bundles: Execute must
+// not retain either beyond the call.
 type Handler interface {
 	// Init runs once before the simulation starts; it may send initial
 	// events (including to the LP itself) with any recvTime >= 0.
 	Init(ctx *Context)
 	// Execute processes the bundle of events at virtual time now.
 	Execute(ctx *Context, now Time, events []Event)
-	// SaveState returns an immutable snapshot of the LP state.
-	SaveState() interface{}
-	// RestoreState reinstates a snapshot previously returned by SaveState.
-	RestoreState(s interface{})
-}
-
-// StateRecycler is an optional Handler extension: when implemented, the
-// kernel hands back snapshots it has discarded (committed by fossil
-// collection or undone past by rollback), so handlers can pool them instead
-// of re-allocating one per bundle. A recycled snapshot is never referenced
-// by the kernel again.
-type StateRecycler interface {
-	RecycleState(s interface{})
-}
-
-// StateCodec is an optional Handler extension required for LP migration
-// across a multi-process transport: LP state is handler-owned, so the kernel
-// cannot serialize a migration payload without it. EncodeState appends the
-// handler's current simulation state to buf and returns the extended slice;
-// DecodeState replaces the handler's state with a previously encoded one.
-// The encoding is the handler's own (it only ever decodes what it encoded,
-// on a replica built from the same inputs). Kernels whose configuration
-// enables Rebalance on a transport spanning more than one process refuse to
-// build unless every handler implements this (ErrNeedStateCodec).
-type StateCodec interface {
-	EncodeState(buf []byte) ([]byte, error)
+	// EncodeState appends the LP's current simulation state to buf and
+	// returns the extended slice. The encoding is the handler's own.
+	EncodeState(buf []byte) []byte
+	// DecodeState replaces the LP's state with one EncodeState produced,
+	// here or on a replica built from the same inputs in another process.
+	// It must reject malformed data without changing the state, and must
+	// not retain data, which the kernel reuses.
 	DecodeState(data []byte) error
 }
 
@@ -110,6 +92,10 @@ type lpRuntime struct {
 
 	// processed bundles in chronological order.
 	processed []bundle //kernelvet:owner cluster
+	// states is the log of the processed bundles' pre-states: bundle i's
+	// state is the encoding from processed[i].stateAt up to the next
+	// bundle's stateAt (or the end of the log).
+	states []byte //kernelvet:owner cluster
 
 	// lvt is the receive time of the last processed bundle, or -1.
 	lvt Time //kernelvet:owner cluster
@@ -149,9 +135,6 @@ type lpRuntime struct {
 	// stagedSends collects sends of the bundle currently executing.
 	stagedSends []Event //kernelvet:owner cluster
 
-	// recycler is the handler's optional StateRecycler side, resolved once.
-	recycler StateRecycler
-
 	// matchScratch is the reusable matched-flags buffer of lazy dispatch.
 	matchScratch []bool //kernelvet:owner cluster
 
@@ -174,13 +157,14 @@ type lpRuntime struct {
 	ctx Context //kernelvet:owner cluster
 }
 
-// bundle is one processed timestamp: the events consumed, the state before
-// executing them, and the events sent while executing them.
+// bundle is one processed timestamp: the events consumed, the offset in
+// lpRuntime.states of the state before executing them, and the events sent
+// while executing them.
 type bundle struct {
-	time   Time
-	events []Event
-	state  interface{} // state before execution
-	sent   []Event
+	time    Time
+	events  []Event
+	stateAt int
+	sent    []Event
 }
 
 type oldSendEntry struct {
@@ -199,7 +183,6 @@ func newLPRuntime(id LPID, h Handler, c *cluster) *lpRuntime {
 		idNext:    uint64(id) << 32,
 		idEnd:     (uint64(id) + 1) << 32,
 	}
-	lp.recycler, _ = h.(StateRecycler)
 	return lp
 }
 
@@ -317,15 +300,19 @@ func (lp *lpRuntime) rollback(t Time) {
 		}
 		lp.oldScratch = lp.oldScratch[:0]
 	}
-	lp.handler.RestoreState(lp.processed[idx].state)
-	// Zero the truncated bundles so their state snapshots and recycled
-	// slices are not retained through the backing array; the states are
-	// handed back to a recycling handler (after RestoreState copied out of
-	// processed[idx]'s).
+	at, end := lp.processed[idx].stateAt, len(lp.states)
+	if idx+1 < len(lp.processed) {
+		end = lp.processed[idx+1].stateAt
+	}
+	if err := lp.handler.DecodeState(lp.states[at:end]); err != nil {
+		// The log holds only what this handler encoded, so this is a
+		// handler bug; continuing would execute from a wrong state.
+		panic(fmt.Sprintf("timewarp: LP %d cannot decode its own saved state: %v", lp.id, err))
+	}
+	lp.states = lp.states[:at]
+	// Zero the truncated bundles so their recycled slices are not retained
+	// through the backing array.
 	for i := idx; i < len(lp.processed); i++ {
-		if lp.recycler != nil {
-			lp.recycler.RecycleState(lp.processed[i].state)
-		}
 		lp.processed[i] = bundle{}
 	}
 	lp.processed = lp.processed[:idx]
@@ -367,7 +354,8 @@ func (lp *lpRuntime) executeNext() int {
 		return 0
 	}
 
-	state := lp.handler.SaveState()
+	stateAt := len(lp.states)
+	lp.states = lp.handler.EncodeState(lp.states)
 	lp.stagedSends = lp.stagedSends[:0]
 	lp.ctx = Context{lp: lp, cluster: lp.cluster, now: t}
 	lp.handler.Execute(&lp.ctx, t, events)
@@ -378,7 +366,7 @@ func (lp *lpRuntime) executeNext() int {
 	}
 	lp.dispatchSends(t, sent)
 
-	lp.processed = append(lp.processed, bundle{time: t, events: events, state: state, sent: sent})
+	lp.processed = append(lp.processed, bundle{time: t, events: events, stateAt: stateAt, sent: sent})
 	lp.lvt = t
 	lp.cluster.stats.EventsProcessed += uint64(len(events))
 	return len(events)
@@ -558,8 +546,9 @@ func (lp *lpRuntime) minPendingCancel() Time {
 // lies below gvt can never be regenerated (no execution happens below GVT),
 // so their sends are annihilated now — without this, an unregenerable entry
 // would hold the GVT floor at its send times forever and wedge the run.
-// Freed bundles return their event slices to the cluster pool and the
-// processed history is compacted in place, so steady-state fossil
+// Freed bundles return their event slices to the cluster pool, and the
+// processed history and the states log are compacted in place (the
+// surviving bundles' offsets rebased), so steady-state fossil
 // collection allocates nothing.
 //
 //kernelvet:deterministic
@@ -580,15 +569,20 @@ func (lp *lpRuntime) fossilCollect(gvt Time) uint64 {
 		}
 		pool.put(b.events)
 		pool.put(b.sent)
-		if lp.recycler != nil {
-			lp.recycler.RecycleState(b.state)
-		}
 	}
 	n := copy(lp.processed, lp.processed[idx:])
 	for i := n; i < len(lp.processed); i++ {
 		lp.processed[i] = bundle{}
 	}
 	lp.processed = lp.processed[:n]
+	base := len(lp.states)
+	if n > 0 {
+		base = lp.processed[0].stateAt
+	}
+	lp.states = lp.states[:copy(lp.states, lp.states[base:])]
+	for i := range lp.processed {
+		lp.processed[i].stateAt -= base
+	}
 	lp.loadCommitted += committed
 	return committed
 }

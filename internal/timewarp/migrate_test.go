@@ -438,5 +438,5 @@ func (r *relayLP) Execute(ctx *Context, now Time, events []Event) {
 	}
 }
 
-func (r *relayLP) SaveState() interface{}     { return r.seen }
-func (r *relayLP) RestoreState(s interface{}) { r.seen = s.(int32) }
+func (r *relayLP) EncodeState(buf []byte) []byte { return appendI32(buf, r.seen) }
+func (r *relayLP) DecodeState(data []byte) error { return decodeI32(data, &r.seen) }

@@ -10,14 +10,14 @@ import "fmt"
 // definition, and rollback emits the anti-messages that retract its sends
 // through the ordinary transport — and then encodes what remains: the pending
 // event set, the lazily-annihilated ID set, the load profile, and the handler
-// state via the StateCodec extension. The destination decodes into the
-// lpRuntime shell it built at construction time (every node builds all LPs;
-// non-local ones stay empty), so adoption needs no allocation decisions at
-// decode time.
+// state through Handler.EncodeState, the same codec rollback restores from.
+// The destination decodes into the lpRuntime shell it built at construction
+// time (every node builds all LPs; non-local ones stay empty), so adoption
+// needs no allocation decisions at decode time.
 //
 // The rollback-first design trades re-execution of the optimistic suffix for
-// a payload with no aliasing hazards and no state-snapshot encoding (only the
-// *current* handler state travels, not the snapshot stack). Migration is a
+// a payload with no aliasing hazards and no saved-state log (only the
+// *current* handler state travels, not the per-bundle states). Migration is a
 // cold path triggered a handful of times per run; the suffix it discards is
 // exactly the work a straggler could have discarded anyway, so committed
 // results are unaffected.
@@ -40,17 +40,7 @@ func (c *cluster) packPayload(lp *lpRuntime) []byte {
 	// transport and are GVT-covered like any other send of this cluster.
 	lp.flushOldSends(TimeInfinity)
 
-	sc, ok := lp.handler.(StateCodec)
-	if !ok {
-		// New refuses Rebalance on a multi-process transport without full
-		// StateCodec coverage, so this is unreachable; fail loudly if a
-		// transport ever routes a wire migration around that check.
-		panic(fmt.Sprintf("timewarp: LP %d handler (%T) lacks StateCodec for wire migration", lp.id, lp.handler))
-	}
-	state, err := sc.EncodeState(nil)
-	if err != nil {
-		panic(fmt.Sprintf("timewarp: LP %d EncodeState failed: %v", lp.id, err))
-	}
+	state := lp.handler.EncodeState(nil)
 
 	hdr := wireLPHdr{
 		lp:               int32(lp.id),
@@ -128,7 +118,7 @@ func (c *cluster) unpackPayload(wire []byte) (*lpRuntime, error) {
 	if err := r.done(); err != nil {
 		return nil, err
 	}
-	if err := lp.handler.(StateCodec).DecodeState(state); err != nil {
+	if err := lp.handler.DecodeState(state); err != nil {
 		return nil, fmt.Errorf("timewarp: LP %d DecodeState: %w", hdr.lp, err)
 	}
 	return lp, nil

@@ -4,6 +4,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/minheap"
 )
 
 // Batched inter-cluster transport.
@@ -272,11 +274,11 @@ type delayedBatch struct {
 // delayedHeap orders on-the-wire batches by wall-clock due time.
 type delayedHeap []delayedBatch
 
-func (h *delayedHeap) push(b delayedBatch) { heapPush((*[]delayedBatch)(h), b, delayedLess) }
+func (h *delayedHeap) push(b delayedBatch) { minheap.Push((*[]delayedBatch)(h), b, delayedLess) }
 
-func (h *delayedHeap) pop() delayedBatch { return heapPop((*[]delayedBatch)(h), delayedLess) }
+func (h *delayedHeap) pop() delayedBatch { return minheap.Pop((*[]delayedBatch)(h), delayedLess) }
 
-func delayedLess(a, b delayedBatch) bool { return a.due < b.due }
+func delayedLess(a, b *delayedBatch) bool { return a.due < b.due }
 
 // deliverDue delivers every delayed batch whose wire time has elapsed (force
 // delivers everything; initialization only), releasing each batch's transit

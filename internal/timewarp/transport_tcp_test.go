@@ -199,7 +199,7 @@ func TestTCPLoopbackStress(t *testing.T) {
 }
 
 // TestTCPLoopbackMigration exercises wire migration: a rotating Rebalance
-// moves both StateCodec LPs between clusters hosted by different processes
+// moves both codecLP LPs between clusters hosted by different processes
 // every round, so packPayload/unpackPayload and the route-then-payload FIFO
 // run for real. Committed totals and handler state must match the in-memory
 // kernel running the identical rotation.
@@ -259,37 +259,6 @@ func TestTCPLoopbackMigration(t *testing.T) {
 	}
 	if stats.EventsCommitted != committed {
 		t.Errorf("distributed committed %d, in-memory %d", committed, stats.EventsCommitted)
-	}
-}
-
-// TestTCPNeedStateCodec: a multi-process transport plus dynamic rebalancing
-// demands StateCodec on every handler; New must refuse the combination with
-// the sentinel before any connection work happens.
-func TestTCPNeedStateCodec(t *testing.T) {
-	tr, err := NewTCPTransport(TCPOptions{Node: 0, Peers: []string{"127.0.0.1:1", "127.0.0.1:2"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = New(Config{
-		NumClusters: 2, ClusterOf: []int{0, 1},
-		Net:     NetConfig{Transport: tr},
-		Dynamic: DynamicConfig{Rebalance: func(*LoadSnapshot) []int { return nil }},
-	}, []Handler{&pingLP{peer: 1}, &pingLP{peer: 0}})
-	if !errors.Is(err, ErrNeedStateCodec) {
-		t.Fatalf("err = %v, want ErrNeedStateCodec", err)
-	}
-	// The same handlers with StateCodec are accepted.
-	tr2, err := NewTCPTransport(TCPOptions{Node: 0, Peers: []string{"127.0.0.1:1", "127.0.0.1:2"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = New(Config{
-		NumClusters: 2, ClusterOf: []int{0, 1},
-		Net:     NetConfig{Transport: tr2},
-		Dynamic: DynamicConfig{Rebalance: func(*LoadSnapshot) []int { return nil }},
-	}, []Handler{&codecLP{pingLP: pingLP{peer: 1}}, &codecLP{pingLP: pingLP{peer: 0}}})
-	if err != nil {
-		t.Fatalf("StateCodec handlers rejected: %v", err)
 	}
 }
 

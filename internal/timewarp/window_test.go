@@ -21,8 +21,8 @@ func (c *chainLP) Execute(ctx *Context, now Time, events []Event) {
 		ctx.Send(ctx.Self(), now+1, 0, 0)
 	}
 }
-func (c *chainLP) SaveState() interface{}     { return c.reached }
-func (c *chainLP) RestoreState(s interface{}) { c.reached = s.(Time) }
+func (c *chainLP) EncodeState(buf []byte) []byte { return appendI64(buf, c.reached) }
+func (c *chainLP) DecodeState(data []byte) error { return decodeI64(data, &c.reached) }
 
 // TestOptimismWindowCompletes: a bounded window must still drive the run to
 // completion (the throttle may stall clusters, never deadlock them).

@@ -450,7 +450,7 @@ func (r *wireReader) route() wireRoute {
 // wireLPHdr heads a migration payload: the fixed-size part of an LP's
 // runtime, followed by nPending encoded events, nCancelled event IDs,
 // nSendRows (dst, cnt) pairs, and stateLen bytes of handler state
-// (StateCodec).
+// (Handler.EncodeState).
 //
 //kernelvet:wire
 type wireLPHdr struct {

@@ -12,17 +12,16 @@ import (
 	"testing"
 )
 
-// codecLP is a pingLP whose handler state travels by wire: the StateCodec
-// extension logicsim's gateLP implements, in miniature for kernel tests.
+// codecLP is a pingLP with a tag in its state, so a migration test can tell
+// whose state arrived.
 type codecLP struct {
 	pingLP
 	tag [4]byte
 }
 
-func (c *codecLP) EncodeState(buf []byte) ([]byte, error) {
+func (c *codecLP) EncodeState(buf []byte) []byte {
 	buf = append(buf, c.tag[:]...)
-	buf = append(buf, byte(c.seen), byte(c.seen>>8), byte(c.seen>>16), byte(c.seen>>24))
-	return buf, nil
+	return append(buf, byte(c.seen), byte(c.seen>>8), byte(c.seen>>16), byte(c.seen>>24))
 }
 
 func (c *codecLP) DecodeState(data []byte) error {
