@@ -44,13 +44,15 @@
 //     rebalancing snapshots per-LP load (EWMA-smoothed across rounds) in
 //     an extra control wave and migrates LPs at observed-GVT advance, with
 //     stale-route forwarding and batch-like transit accounting of the
-//     migration payload keeping every cut sound. The communication seam
-//     is a pluggable Transport: the in-memory default wires mailboxes
-//     directly, while NewTCPTransport runs one simulation as N OS
-//     processes exchanging length-prefixed binary frames (events, GVT
-//     waves, load reports, routes, and migration state encoded by the
-//     handler's own state codec) over a loopback-or-LAN mesh, with
-//     the two-cut transit invariant held across the sockets. Events carry
+//     migration payload keeping every cut sound. Every control message
+//     has one decoder and one effect in the kernel, which delivers to its
+//     own clusters directly; the pluggable Transport is only the pipe to
+//     other nodes. The in-memory default has none, while NewTCPTransport
+//     runs one simulation as N OS processes exchanging length-prefixed
+//     binary frames (events, GVT waves, load reports, routes, and
+//     migration state encoded by the handler's own state codec) over a
+//     loopback-or-LAN mesh, with the two-cut transit invariant held
+//     across the sockets. Events carry
 //     an opaque fixed-size wide payload block (two uint64 planes; on the
 //     wire flag-selected and omitted when zero, so payload-free traffic is
 //     byte-identical to the pre-payload format) that the vectored logic

@@ -131,7 +131,10 @@ const idleWait = 50 * time.Microsecond
 type cluster struct {
 	kernel *Kernel
 	id     int
-	lps    []*lpRuntime //kernelvet:owner cluster
+	// here reports whether this process hosts the cluster (always, under
+	// the in-memory transport); only hosted clusters run goroutines.
+	here bool
+	lps  []*lpRuntime //kernelvet:owner cluster
 
 	// mail is the inbound side of the batched transport (its own internal
 	// synchronization); mailEv/mailHdr are the drained buffers handed back
@@ -215,6 +218,9 @@ type cluster struct {
 	migIn       []migPayload //kernelvet:guarded-by migMu
 	migScratchO []migOrder   //kernelvet:guarded-by migMu
 	migScratchP []migPayload //kernelvet:guarded-by migMu
+	// migHeld lists orders to another process that wait until their LP
+	// has no processed history left (migrateOut).
+	migHeld []migOrder //kernelvet:owner cluster
 }
 
 // route delivers an event to its destination LP's current home cluster (per
@@ -321,7 +327,11 @@ func (c *cluster) checkGVT() {
 		// white count the coordinator reads.
 		c.color = r
 		c.redMin = TimeInfinity
-		k.tr.ackCut(c)
+		k.sendCtrl(coordCluster, ctrlMsg{typ: frameAckCut, ack: wireAckCut{
+			cluster: int32(c.id),
+			sent0:   atomic.LoadInt64(&c.sentCum[0].n),
+			sent1:   atomic.LoadInt64(&c.sentCum[1].n),
+		}})
 	}
 	if r := atomic.LoadInt64(&k.reportRound); r == c.color && c.reportedRound < r {
 		// Wave 2: every pre-cut batch is accounted for (the white transit
@@ -336,7 +346,7 @@ func (c *cluster) checkGVT() {
 		if c.redMin < m {
 			m = c.redMin
 		}
-		k.tr.report(c, m)
+		k.sendCtrl(coordCluster, ctrlMsg{typ: frameReport, rep: wireReport{cluster: int32(c.id), min: m}})
 		// Participating in a round resets the request period, preserving
 		// the one-round-per-GVTPeriodEvents cadence across the fleet.
 		c.eventsSinceGVT = 0
@@ -347,7 +357,7 @@ func (c *cluster) checkGVT() {
 		// reads the buffer only after every cluster acked.
 		c.loadSeen = r
 		c.captureLoad()
-		k.tr.ackLoad(c)
+		k.sendCtrl(coordCluster, ctrlMsg{typ: frameAckLoad, cluster: int32(c.id), load: &k.loadBufs[c.id]})
 	}
 }
 
@@ -389,6 +399,9 @@ func (c *cluster) executeOne() (n int, windowStalled bool) {
 		if e.t == lp.schedT {
 			// This was the LP's tracked entry; it is no longer in the heap.
 			lp.schedT = TimeInfinity
+		}
+		if lp.held {
+			continue // waiting to migrate to another process (migrateOut)
 		}
 		t := lp.nextTime()
 		if t == TimeInfinity {
@@ -444,6 +457,9 @@ func (c *cluster) run() {
 		n, windowStalled := c.executeOne()
 		c.drainLocal()
 		c.maybeFossil()
+		if len(c.migHeld) > 0 {
+			c.retryHeld()
+		}
 		c.eventsSinceGVT += n
 		if c.eventsSinceGVT >= k.cfg.GVTPeriodEvents {
 			c.eventsSinceGVT = 0
@@ -456,7 +472,7 @@ func (c *cluster) run() {
 		// fresh. One atomic store, plus the wake scan of publishProgress
 		// while some cluster is window-stalled.
 		next := c.nextWork()
-		k.tr.publish(c, next)
+		k.publish(c, next)
 		switch {
 		case n > 0 || moved > 0:
 			c.idleLoops = 0

@@ -17,22 +17,23 @@
 // queue on the owning goroutine. See transport.go for the full policy and
 // its GVT-soundness argument.
 //
-// The communication seam between clusters is an explicit Transport. The
-// default in-memory transport wires mailboxes and GVT atomics directly and
-// is what a single-process run uses; NewTCPTransport instead splits one
-// simulation across several OS processes. Every process runs the same
-// kernel over the same configuration, hosts the contiguous share of
-// clusters assigned to its node index, and exchanges length-prefixed binary
-// frames (wire.go) carrying event batches, GVT control waves, load reports,
-// route announcements and migration payloads over a full mesh of TCP
-// connections. The two-cut transit invariant spans the sockets: a batch's
-// in-transit charge is released only when its frame has been decoded into
-// the receiver's mailbox, and the cut waves carry pinned per-color
-// sent/received counters so a cut closes only after every frame under it
-// has landed. Migrating LPs cross in the same frames, their handler state
-// encoded by the Handler.EncodeState the kernel saves state with before
-// every bundle. See transport_api.go for the seam and transport_tcp.go for
-// the mesh.
+// The communication seam between processes is an explicit Transport: the
+// kernel delivers to the clusters of its own process directly and hands the
+// transport only traffic for other nodes. The default in-memory transport
+// has no other node and is what a single-process run uses; NewTCPTransport
+// instead splits one simulation across several OS processes. Every process
+// runs the same kernel over the same configuration, hosts the contiguous
+// share of clusters assigned to its node index, and exchanges
+// length-prefixed binary frames (wire.go) carrying event batches, GVT
+// control waves, load reports, route announcements and migration payloads
+// over a full mesh of TCP connections. The two-cut transit invariant spans
+// the sockets: a batch's in-transit charge is released only when its frame
+// has been decoded into the receiver's mailbox, and the cut waves carry
+// pinned per-color sent/received counters so a cut closes only after every
+// frame under it has landed. Migrating LPs cross in the same frames, their
+// handler state encoded by the Handler.EncodeState the kernel saves state
+// with before every bundle. See transport_api.go for the seam, ctrl.go for
+// the control messages and transport_tcp.go for the mesh.
 //
 // Events carry, besides the int32 application value, a fixed-size wide
 // Payload block (two uint64 planes) the kernel never interprets: it is how

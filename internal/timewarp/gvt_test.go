@@ -1,6 +1,8 @@
 package timewarp
 
 import (
+	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -135,5 +137,82 @@ func TestIdleTerminationIsPrompt(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > time.Second {
 		t.Errorf("termination took %v, want well under a second", elapsed)
+	}
+}
+
+// horizonLP drives one stragglerVictim LP by hand on a one-cluster kernel
+// (no goroutines): deliver queues an event for it at time at (Kind 1, so
+// the handler sends nothing), and execute runs every bundle that is due.
+func horizonLP(t *testing.T) (k *Kernel, lp *lpRuntime, v *stragglerVictim, deliver func(at Time, anti bool) Event, execute func()) {
+	t.Helper()
+	v = &stragglerVictim{}
+	k, err := New(Config{NumClusters: 1, ClusterOf: []int{0}}, []Handler{v})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lp = k.lps[0]
+	deliver = func(at Time, anti bool) Event {
+		ev := Event{ID: k.nextEventID(), Sender: NoLP, Receiver: 0, RecvTime: at, Kind: 1, Value: 1, Anti: anti}
+		if anti {
+			lp.annihilate(ev)
+		} else {
+			lp.enqueue(ev)
+		}
+		return ev
+	}
+	execute = func() {
+		for lp.executeNext() > 0 {
+		}
+	}
+	return k, lp, v, deliver, execute
+}
+
+// TestHorizonTimeZeroRollback: before anything is committed, a rollback to
+// a time-0 bundle is legal (a straggler at time 0, such as an init-time
+// event from another process that lands after the LP ran), and it must not
+// read the unset horizon as "committed through 0".
+func TestHorizonTimeZeroRollback(t *testing.T) {
+	_, lp, v, deliver, execute := horizonLP(t)
+	deliver(0, false)
+	execute()
+	if v.sum != 0 || lp.lvt != 0 || len(lp.processed) != 1 {
+		t.Fatalf("after the time-0 bundle: sum=%d lvt=%d processed=%d", v.sum, lp.lvt, len(lp.processed))
+	}
+	if n := lp.fossilCollect(0); n != 0 {
+		t.Fatalf("fossilCollect(0) committed %d events of the time-0 bundle", n)
+	}
+	lp.rollback(0)
+	if len(lp.processed) != 0 || lp.nextTime() != 0 || lp.lvt != -1 {
+		t.Errorf("after rollback to 0: processed=%d next=%d lvt=%d, want 0, 0, -1",
+			len(lp.processed), lp.nextTime(), lp.lvt)
+	}
+}
+
+// TestHorizonArrivalAfterFullRollback: once a rollback has undone every
+// bundle the LP still holds, lvt stands at the committed horizon, so a
+// message at the horizon fails at its arrival instead of being queued and
+// executed below GVT.
+func TestHorizonArrivalAfterFullRollback(t *testing.T) {
+	for _, anti := range []bool{false, true} {
+		t.Run(fmt.Sprintf("anti=%v", anti), func(t *testing.T) {
+			_, lp, _, deliver, execute := horizonLP(t)
+			deliver(1, false)
+			deliver(2, false)
+			execute()
+			lp.fossilCollect(2) // commits the bundle at 1
+			deliver(2, false)   // straggler: rolls back the only bundle left
+			if len(lp.processed) != 0 || lp.committedThrough != 1 || lp.lvt != 1 {
+				t.Errorf("after the full rollback: processed=%d committedThrough=%d lvt=%d, want 0, 1, 1",
+					len(lp.processed), lp.committedThrough, lp.lvt)
+			}
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "LP 0 received a message at 1, at or below its committed horizon 1 (lvt 1, GVT view -1)") {
+					t.Errorf("arrival at the horizon: recovered %q, want the horizon panic", msg)
+				}
+			}()
+			deliver(1, anti)
+			t.Errorf("arrival at the horizon was accepted; pending=%d", len(lp.pending))
+		})
 	}
 }

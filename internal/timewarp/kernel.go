@@ -68,12 +68,15 @@ const (
 //     been flushed (see transport.go). When all reports are in,
 //     GVT = min(reports).
 //
-// Every cross-cluster interaction above goes through the Transport seam
-// (transport_api.go). Under the in-memory transport the kernel below is the
+// Every control message above (requests, acks, reports, the round state)
+// is a ctrlMsg (ctrl.go): applied in place when its destination cluster
+// lives in this process, and otherwise encoded and sent through the
+// Transport seam (transport_api.go), whose receiving node applies it with
+// the same code. Under the in-memory transport the kernel below is the
 // whole story; under TCPTransport the same state machine runs with the
-// round/report atomics replicated onto every node by frame traffic, and the
-// wave-1 drain condition evaluated over cumulative per-cluster counters
-// (cluster.sentCum/recvCum) instead of the shared transit deltas.
+// round state replicated onto every node, and the wave-1 drain condition
+// evaluated over cumulative per-cluster counters (cluster.sentCum/recvCum)
+// instead of the shared transit deltas.
 //
 // Fossil collection is not a round step: each cluster commits history on
 // its own schedule whenever it observes the published GVT advance.
@@ -115,14 +118,16 @@ type Kernel struct {
 
 	// Round broadcast state: round and reportRound open the two waves;
 	// cutAcks/reportAcks count cluster responses; reports holds each
-	// cluster's wave-2 minimum. Under TCPTransport these atomics are
-	// mirrored on every node (coordinator → coord frames; cluster acks →
-	// ack/report frames applied by node 0's receive goroutines).
+	// cluster's wave-2 minimum and cutSent the cumulative sent counters its
+	// cut ack pinned (by color). Under TCPTransport the round state is
+	// replicated onto every node by coord frames, and the acks and reports
+	// reach the coordinator's node as frames (ctrl.go).
 	round       int64
 	reportRound int64
 	cutAcks     int32
 	reportAcks  int32
 	reports     []paddedTime
+	cutSent     [][2]int64
 
 	// Load-round broadcast state (dynamic rebalancing): loadRound opens a
 	// round, loadAcks counts captures, loadBufs holds each cluster's
@@ -180,6 +185,7 @@ func New(cfg Config, handlers []Handler) (*Kernel, error) {
 		tr:        tr,
 		routes:    newRouteTable(cfg.ClusterOf),
 		reports:   make([]paddedTime, cfg.NumClusters),
+		cutSent:   make([][2]int64, cfg.NumClusters),
 		eventID:   1 << 63,
 		gvt:       -1,
 		prevGVT:   -2,
@@ -215,7 +221,8 @@ func New(cfg Config, handlers []Handler) (*Kernel, error) {
 	}
 	k.remote = tr.nodes() > 1
 	for _, c := range k.clusters {
-		if tr.localCluster(c.id) {
+		c.here = tr.localCluster(c.id)
+		if c.here {
 			k.local = append(k.local, c)
 		}
 	}
@@ -230,7 +237,7 @@ func New(cfg Config, handlers []Handler) (*Kernel, error) {
 		// Only the hosting process materializes the LP into a cluster's
 		// owned set; on other nodes the runtime exists as the (empty)
 		// adoption target a future migration payload decodes into.
-		if tr.localCluster(c.id) {
+		if c.here {
 			c.lps = append(c.lps, lp)
 			c.owned[i] = true
 		}
@@ -246,7 +253,7 @@ func (k *Kernel) nextEventID() uint64 {
 }
 
 func (k *Kernel) requestGVT() {
-	k.tr.requestGVT()
+	k.sendCtrl(coordCluster, ctrlMsg{typ: frameReqGVT})
 }
 
 // requestGVTAfter requests a round only if none completed within the given
@@ -287,7 +294,7 @@ func (k *Kernel) Nodes() int { return k.tr.nodes() }
 // LocalLP reports whether the LP's current home cluster is hosted by this
 // process. Callers aggregating results across nodes use it to pick exactly
 // one owner per LP after Run returned (routing has converged by then).
-func (k *Kernel) LocalLP(lp LPID) bool { return k.tr.localCluster(k.RouteOf(lp)) }
+func (k *Kernel) LocalLP(lp LPID) bool { return k.clusters[k.RouteOf(lp)].here }
 
 // paddedTime is a cache-line padded atomic virtual time.
 type paddedTime struct {
@@ -299,6 +306,15 @@ type paddedTime struct {
 type paddedCount struct {
 	n int64
 	_ [7]int64
+}
+
+// publish records local cluster c's next work time and, under a
+// multi-process transport, has it mirrored to the other nodes.
+func (k *Kernel) publish(c *cluster, t Time) {
+	k.publishProgress(c.id, t)
+	if k.remote {
+		k.tr.publish(c, t)
+	}
 }
 
 // publishProgress records cluster id's next work time for the optimism
@@ -367,7 +383,7 @@ func (k *Kernel) Run() (RunStats, error) {
 	// initial events to any LP; they are routed directly into pending
 	// queues (local) or onto the wire (remote).
 	for _, lp := range k.lps {
-		if !k.tr.localCluster(lp.cluster.id) {
+		if !lp.cluster.here {
 			continue
 		}
 		ctx := &Context{lp: lp, cluster: lp.cluster, now: -1, inInit: true}
@@ -405,7 +421,7 @@ func (k *Kernel) Run() (RunStats, error) {
 		for _, lp := range c.lps {
 			c.schedule(lp)
 		}
-		k.tr.publish(c, c.nextWork())
+		k.publish(c, c.nextWork())
 	}
 
 	start := time.Now()
@@ -474,7 +490,7 @@ func (k *Kernel) coordinate() {
 		atomic.StoreInt32(&k.reportAcks, 0)
 		atomic.AddInt64(&k.round, 1)
 		k.phase = phaseCut
-		k.tr.broadcastCtrl(ctrlCut)
+		k.broadcastRound(ctrlCut, false)
 	case phaseCut:
 		if atomic.LoadInt32(&k.cutAcks) != int32(len(k.clusters)) {
 			return
@@ -487,7 +503,7 @@ func (k *Kernel) coordinate() {
 		}
 		atomic.StoreInt64(&k.reportRound, atomic.LoadInt64(&k.round))
 		k.phase = phaseCollect
-		k.tr.broadcastCtrl(ctrlReport)
+		k.broadcastRound(ctrlReport, false)
 	case phaseCollect:
 		if atomic.LoadInt32(&k.reportAcks) != int32(len(k.clusters)) {
 			return
@@ -514,10 +530,10 @@ func (k *Kernel) coordinate() {
 		k.phase = phaseIdle
 		if gvt == TimeInfinity {
 			atomic.StoreInt32(&k.done, 1)
-			k.tr.noteGVT(true)
+			k.broadcastRound(0, true)
 			return
 		}
-		k.tr.noteGVT(false)
+		k.broadcastRound(0, false)
 		// Dynamic rebalancing piggybacks on GVT advance: that is the one
 		// point where every LP's committed prefix is unique and fossil
 		// collection has already pruned what a migration would carry.

@@ -97,7 +97,10 @@ type lpRuntime struct {
 	// bundle's stateAt (or the end of the log).
 	states []byte //kernelvet:owner cluster
 
-	// lvt is the receive time of the last processed bundle, or -1.
+	// lvt is the receive time of the last processed bundle, or, with no
+	// processed bundle left, the committed horizon (-1 before any commit).
+	// It is never below committedThrough, so every arrival at or below the
+	// horizon goes through rollback's check.
 	lvt Time //kernelvet:owner cluster
 
 	// schedT is the timestamp of this LP's tracked scheduler entry in its
@@ -118,8 +121,12 @@ type lpRuntime struct {
 	// lives above 2^63, outside every LP's space.
 	idNext, idEnd uint64 //kernelvet:owner cluster
 
-	// committedThrough is the latest fossil-collected bundle time; it only
-	// backs the rollback invariant check.
+	// held marks an LP ordered to another process: it executes nothing
+	// until it has no processed history left (migrateOut).
+	held bool //kernelvet:owner cluster
+
+	// committedThrough is the latest fossil-collected bundle time, or -1
+	// before the first commit; it only backs the rollback invariant check.
 	committedThrough Time //kernelvet:owner cluster
 
 	// oldSends holds, under lazy cancellation, the sends of rolled-back
@@ -179,9 +186,12 @@ func newLPRuntime(id LPID, h Handler, c *cluster) *lpRuntime {
 		cluster:   c,
 		cancelled: make(map[uint64]struct{}),
 		lvt:       -1,
-		schedT:    TimeInfinity,
-		idNext:    uint64(id) << 32,
-		idEnd:     (uint64(id) + 1) << 32,
+		// Nothing is committed yet. A zero value would read as "committed
+		// through time 0" and reject a legal rollback to a time-0 bundle.
+		committedThrough: -1,
+		schedT:           TimeInfinity,
+		idNext:           uint64(id) << 32,
+		idEnd:            (uint64(id) + 1) << 32,
 	}
 	return lp
 }
@@ -250,10 +260,13 @@ func (lp *lpRuntime) rollback(t Time) {
 		// GVT guarantees no message (positive or anti) arrives at or below
 		// the committed horizon — under the asynchronous protocol every
 		// in-transit message is bounded by a transit count or a redMin
-		// report. Reaching this line means the kernel's GVT or cancellation
+		// report. Because lvt never drops below the horizon, enqueue and
+		// annihilate send every such arrival here, at the arrival itself.
+		// Reaching this line means the kernel's GVT or cancellation
 		// protocol is broken, which would silently corrupt results, so fail
 		// loudly.
-		panic("timewarp: rollback below committed horizon")
+		panic(fmt.Sprintf("timewarp: LP %d received a message at %d, at or below its committed horizon %d (lvt %d, GVT view %d)",
+			lp.id, t, lp.committedThrough, lp.lvt, lp.cluster.kernel.GVT()))
 	}
 	idx := sort.Search(len(lp.processed), func(i int) bool { return lp.processed[i].time >= t })
 	if idx == len(lp.processed) {
@@ -319,7 +332,7 @@ func (lp *lpRuntime) rollback(t Time) {
 	if idx > 0 {
 		lp.lvt = lp.processed[idx-1].time
 	} else {
-		lp.lvt = -1
+		lp.lvt = lp.committedThrough
 	}
 }
 

@@ -14,7 +14,10 @@ import "sync/atomic"
 //     it fossil-collects the LP to observed GVT — GVT advance is the one
 //     point where the committed prefix is unique, so only the optimistic
 //     suffix travels — then rewrites the routing table, drops ownership, and
-//     hands the whole lpRuntime to the destination's payload queue.
+//     hands the whole lpRuntime to the destination's payload queue. An LP
+//     bound for another process is held first, until GVT has committed its
+//     processed history (or a straggler rolled it back), and travels as
+//     committed state plus pending events.
 //   - The payload is accounted exactly like a message in flight: it is
 //     counted in transit under the sender's current color and its earliest
 //     pending work time is folded into the sender's redMin, so no GVT cut
@@ -42,8 +45,8 @@ type migOrder struct {
 // migPayload is one LP in flight between clusters. color is the transit
 // color the source charged the payload under; the destination releases it.
 // Exactly one of lp (same-process handoff: the live runtime moves by
-// pointer) and wire (multi-process: the runtime's encoded suffix, decoded
-// into the destination's pre-built lpRuntime shell) is set.
+// pointer) and wire (multi-process: the runtime's encoded state and pending
+// events, decoded into the destination's pre-built lpRuntime shell) is set.
 type migPayload struct {
 	lp    *lpRuntime
 	wire  []byte
@@ -90,8 +93,9 @@ func (c *cluster) checkMigrate() {
 
 // migrateOut packs one LP and hands it to its new home cluster. A
 // destination hosted by this process receives the live runtime by pointer;
-// a remote destination receives the runtime's encoded suffix (see
-// packPayload) via the transport's payload frame.
+// a remote destination receives the runtime's committed state and pending
+// events (see packPayload) in a payload frame, once the LP has no processed
+// history left.
 func (c *cluster) migrateOut(o migOrder) {
 	k := c.kernel
 	lp := k.lps[o.lp]
@@ -102,17 +106,27 @@ func (c *cluster) migrateOut(o migOrder) {
 	// the committed counter stays with the collecting cluster.
 	c.stats.EventsCommitted += lp.fossilCollect(k.GVT())
 	p := migPayload{lp: lp}
-	if !k.tr.localCluster(o.to) {
-		// Crossing a process boundary: roll the LP back to its committed
-		// horizon (the optimistic suffix is regenerable by definition) and
-		// encode what remains. The local runtime shell stays behind, empty,
-		// as the adoption target should the LP ever migrate back.
+	if !k.clusters[o.to].here {
+		// Crossing a process boundary: only committed state and pending
+		// events can travel, so hold the LP (it executes nothing) until GVT
+		// has committed its processed history or a straggler has rolled it
+		// back. Rolling that history back here instead would move the LP
+		// below the GVT reports this cluster has already filed, and a GVT
+		// computed from them could pass the re-queued events and the
+		// anti-messages of their sends. The local runtime shell stays
+		// behind, empty, as the adoption target should the LP ever migrate
+		// back.
+		if len(lp.processed) > 0 {
+			lp.held = true
+			c.migHeld = append(c.migHeld, o)
+			return
+		}
 		p = migPayload{wire: c.packPayload(lp)}
 	}
+	lp.held = false
 	// Account the payload like a message in flight: charge transit under the
 	// current color and bound its earliest work by redMin, so the GVT cuts
-	// that race the handoff stay sound. The fold happens after any wire
-	// rollback so it covers exactly the pending set that travels.
+	// that race the handoff stay sound.
 	color := uint8(c.color & 1)
 	p.color = color
 	min := lp.nextTime()
@@ -133,14 +147,27 @@ func (c *cluster) migrateOut(o migOrder) {
 	// announcement precedes the payload send on the same ordered lane, so
 	// the destination always learns the route before it can adopt.
 	k.routes.set(o.lp, o.to)
-	k.tr.announceRoute(o.lp, o.to)
+	k.sendCtrl(otherNodes, ctrlMsg{typ: frameRoute, route: wireRoute{lp: int32(o.lp), to: int32(o.to)}})
 	c.owned[o.lp] = false
 	if p.wire != nil {
 		lp.resetAfterPack()
 	}
 	c.removeLP(lp)
 	c.stats.Migrations++
-	k.tr.sendPayload(o.to, p) //kernelvet:carrier transit
+	k.sendCtrl(o.to, ctrlMsg{typ: framePayload, cluster: int32(o.to), pay: p}) //kernelvet:carrier transit
+}
+
+// retryHeld retries the orders migrateOut held. The main loop calls it on
+// every iteration, not only when GVT advances: a straggler's rollback can
+// empty a held LP's history while the LP's own pending events hold GVT
+// still. migrateOut holds at most the one order it is given, so the list is
+// rebuilt in place behind the reading position.
+func (c *cluster) retryHeld() {
+	held := c.migHeld
+	c.migHeld = held[:0]
+	for _, o := range held {
+		c.migrateOut(o)
+	}
 }
 
 // migrateIn adopts one LP handed to this cluster.
@@ -255,7 +282,7 @@ func (k *Kernel) startLoadRound() {
 	atomic.StoreInt32(&k.loadAcks, 0)
 	atomic.AddInt64(&k.loadRound, 1)
 	k.phase = phaseLoad
-	k.tr.broadcastCtrl(ctrlLoad)
+	k.broadcastRound(ctrlLoad, false)
 }
 
 // finishLoadRound runs after every cluster acked a load round: build the
@@ -284,7 +311,7 @@ func (k *Kernel) finishLoadRound() {
 			continue
 		}
 		moved++
-		k.tr.sendOrder(from, migOrder{lp: LPID(lp), to: to})
+		k.sendCtrl(from, ctrlMsg{typ: frameOrder, order: wireOrder{cluster: int32(from), lp: int32(lp), to: int32(to)}})
 	}
 	if moved > 0 {
 		k.routes.bump()

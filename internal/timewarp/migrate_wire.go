@@ -5,35 +5,28 @@ import "fmt"
 // Wire migration: moving an LP between OS processes.
 //
 // A live lpRuntime is full of pointers (heap slices, pooled arrays, handler
-// state), so it cannot travel by copy. Instead the source rolls the LP back
-// to its committed horizon first — the optimistic suffix is regenerable by
-// definition, and rollback emits the anti-messages that retract its sends
-// through the ordinary transport — and then encodes what remains: the pending
-// event set, the lazily-annihilated ID set, the load profile, and the handler
-// state through Handler.EncodeState, the same codec rollback restores from.
-// The destination decodes into the lpRuntime shell it built at construction
+// state), so it cannot travel by copy. Instead the source holds the LP —
+// it executes nothing — until GVT has committed its processed history
+// (migrateOut), and then encodes what remains: the pending event set, the
+// lazily-annihilated ID set, the load profile, and the handler state through
+// Handler.EncodeState, the same codec rollback restores from. The
+// destination decodes into the lpRuntime shell it built at construction
 // time (every node builds all LPs; non-local ones stay empty), so adoption
 // needs no allocation decisions at decode time.
 //
-// The rollback-first design trades re-execution of the optimistic suffix for
-// a payload with no aliasing hazards and no saved-state log (only the
-// *current* handler state travels, not the per-bundle states). Migration is a
-// cold path triggered a handful of times per run; the suffix it discards is
-// exactly the work a straggler could have discarded anyway, so committed
-// results are unaffected.
+// Waiting for the commit trades a pause of the migrating LP for a payload
+// with no aliasing hazards and no saved-state log (only the *current*
+// handler state travels, not the per-bundle states). It cannot be replaced
+// by rolling the history back at the source: the LP's processed bundles lie
+// below the GVT reports its cluster already filed, so a GVT computed from
+// them could pass the re-queued events and the anti-messages of their
+// sends.
 
 // packPayload encodes lp for a cross-process migration. Runs on the source
-// cluster's goroutine, after migrateOut fossil-collected the LP to observed
-// GVT. The caller resets the leftover shell (resetAfterPack) once the
-// payload's transit charge and redMin fold are in place.
+// cluster's goroutine, once migrateOut's fossil collection left the LP no
+// processed history. The caller resets the leftover shell (resetAfterPack)
+// once the payload's transit charge and redMin fold are in place.
 func (c *cluster) packPayload(lp *lpRuntime) []byte {
-	if len(lp.processed) > 0 {
-		// Roll back to the earliest uncommitted bundle: legal by the rollback
-		// invariant (fossil collection left only bundles at or above GVT >
-		// committedThrough), and it returns every processed input event to
-		// pending while retracting the suffix's sends.
-		lp.rollback(lp.processed[0].time)
-	}
 	// Rolled-back sends awaiting lazy regeneration cannot travel (they alias
 	// pooled slices) and can never be regenerated here (the LP is leaving):
 	// cancel them all now. The anti-messages flow through the ordinary

@@ -204,7 +204,7 @@ func (c *cluster) flushDst(dst int) bool {
 	if lat := k.cfg.Net.Latency; lat > 0 {
 		hdr.dueNano = time.Now().UnixNano() + int64(lat)
 	}
-	if !k.tr.push(dst, ob.buf, hdr) {
+	if !k.push(dst, ob.buf, hdr) {
 		atomic.AddInt64(&k.transit[color].n, -int64(n)) //kernelvet:discharge transit
 		ob.wantFlush = true
 		return false
@@ -223,6 +223,16 @@ func (c *cluster) flushDst(dst int) bool {
 	ob.min = TimeInfinity
 	ob.wantFlush = false
 	return true
+}
+
+// push hands one flushed batch to cluster dst: into its mailbox when dst
+// lives in this process, otherwise to the transport. False means
+// backpressure (see flushDst).
+func (k *Kernel) push(dst int, events []Event, hdr batchHdr) bool {
+	if d := k.clusters[dst]; d.here {
+		return d.mail.push(events, hdr, k.cfg.Net.InboxSize)
+	}
+	return k.tr.push(dst, events, hdr)
 }
 
 // maybeFlush applies the urgency trigger to every non-empty outbox and

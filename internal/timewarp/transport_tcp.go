@@ -20,12 +20,13 @@ import (
 // Every node runs the same New(cfg, handlers) with the same configuration —
 // the kernel is replicated, but only the clusters mapped to this node (a
 // contiguous block: cluster c lives on node c*N/NumClusters) get goroutines
-// and own their LPs. Everything the kernel shares through memory under the
-// in-memory transport is either mirrored here by frame traffic (round/report
-// atomics, published progress, the routing table) or replaced by a
-// distributed equivalent (the wave-1 transit drain runs over cumulative
-// per-cluster sent/received counters instead of the shared delta — see
-// cluster.sentCum for the soundness argument).
+// and own their LPs. The kernel sends this transport only traffic for
+// clusters on other nodes: event batches, and control messages it already
+// encoded (ctrl.go), which the receiving node hands back to its kernel
+// (decodeCtrl, applyCtrl). The transport itself mirrors published progress
+// and cumulative received counters, and runs the distributed wave-1 drain
+// over cumulative per-cluster sent/received counters instead of the shared
+// delta — see cluster.sentCum for the soundness argument.
 //
 // Per peer there is one connection and one outbound lane: a byte buffer of
 // already-encoded frames under a mutex, drained by a writer goroutine
@@ -63,12 +64,10 @@ type TCPTransport struct {
 	// progress or counters actually changed.
 	pubState []tcpPubState
 
-	// sentMirror/recvMirror hold the last received cumulative transit
+	// recvMirror holds the last received cumulative received-event
 	// counters of remote clusters ([cluster][color], atomics). Only the
-	// coordinator's node reads them; sent values are pinned by the cut ack
-	// that carried them, recv values are monotone, so staleness only delays
-	// the drain verdict, never falsifies it.
-	sentMirror [][2]int64
+	// coordinator's node reads them; they are monotone, so staleness only
+	// delays the drain verdict, never falsifies it.
 	recvMirror [][2]int64
 
 	closing  int32
@@ -263,7 +262,6 @@ func (t *TCPTransport) bind(k *Kernel) error {
 	for i := range t.pubState {
 		t.pubState[i].lastNext = TimeInfinity
 	}
-	t.sentMirror = make([][2]int64, k.cfg.NumClusters)
 	t.recvMirror = make([][2]int64, k.cfg.NumClusters)
 	t.finSeen = make([]bool, n)
 	t.finSeen[t.opt.Node] = true
@@ -879,7 +877,7 @@ func (t *TCPTransport) finFrom(node int) bool {
 
 // apply dispatches one decoded frame. It runs on the peer's read goroutine;
 // everything it touches is either an atomic mirror, a mutex-protected queue,
-// or the mailbox API — the same synchronization the in-memory transport's
+// or the mailbox API — the same synchronization the kernel's in-process
 // producers use.
 func (t *TCPTransport) apply(p *tcpPeer, typ uint8, body []byte) error {
 	k := t.k
@@ -909,17 +907,6 @@ func (t *TCPTransport) apply(p *tcpPeer, typ uint8, body []byte) error {
 		}
 		t.deliverBatch(k.clusters[dst], evs, hdr)
 		return nil
-	case frameCtrl:
-		dst := int(r.i32())
-		bits := r.u8()
-		if err := r.done(); err != nil {
-			return err
-		}
-		if dst < 0 || dst >= len(k.clusters) || !t.localCluster(dst) {
-			return fmt.Errorf("ctrl for cluster %d (not hosted here)", dst)
-		}
-		k.clusters[dst].mail.postCtrl(bits)
-		return nil
 	case frameProgress:
 		cid := int(r.i32())
 		next := r.i64()
@@ -941,87 +928,6 @@ func (t *TCPTransport) apply(p *tcpPeer, typ uint8, body []byte) error {
 		}
 		atomic.StoreInt64(&t.recvMirror[c.cluster][0], c.recv0)
 		atomic.StoreInt64(&t.recvMirror[c.cluster][1], c.recv1)
-		return nil
-	case frameCoord:
-		c := r.coord()
-		if err := r.done(); err != nil {
-			return err
-		}
-		t.applyCoord(c)
-		return nil
-	case frameReqGVT:
-		if err := r.done(); err != nil {
-			return err
-		}
-		atomic.CompareAndSwapInt32(&k.gvtFlag, 0, 1)
-		return nil
-	case frameAckCut:
-		a := r.ackCut()
-		if err := r.done(); err != nil {
-			return err
-		}
-		if a.cluster < 0 || int(a.cluster) >= len(k.clusters) {
-			return fmt.Errorf("ackCut for cluster %d", a.cluster)
-		}
-		atomic.StoreInt64(&t.sentMirror[a.cluster][0], a.sent0)
-		atomic.StoreInt64(&t.sentMirror[a.cluster][1], a.sent1)
-		atomic.AddInt32(&k.cutAcks, 1)
-		return nil
-	case frameReport:
-		w := r.report()
-		if err := r.done(); err != nil {
-			return err
-		}
-		if w.cluster < 0 || int(w.cluster) >= len(k.reports) {
-			return fmt.Errorf("report for cluster %d", w.cluster)
-		}
-		atomic.StoreInt64(&k.reports[w.cluster].t, w.min)
-		atomic.AddInt32(&k.reportAcks, 1)
-		return nil
-	case frameAckLoad:
-		cid := int(r.i32())
-		if cid < 0 || cid >= len(k.loadBufs) {
-			return fmt.Errorf("ackLoad for cluster %d", cid)
-		}
-		r.loadBuf(&k.loadBufs[cid])
-		if err := r.done(); err != nil {
-			return err
-		}
-		atomic.AddInt32(&k.loadAcks, 1)
-		return nil
-	case frameOrder:
-		o := r.order()
-		if err := r.done(); err != nil {
-			return err
-		}
-		if o.cluster < 0 || int(o.cluster) >= len(k.clusters) || !t.localCluster(int(o.cluster)) {
-			return fmt.Errorf("order for cluster %d (not hosted here)", o.cluster)
-		}
-		k.clusters[o.cluster].enqueueOrder(migOrder{lp: LPID(o.lp), to: int(o.to)})
-		return nil
-	case framePayload:
-		dst := int(r.i32())
-		color := r.u8()
-		if r.err != nil {
-			return r.err
-		}
-		if dst < 0 || dst >= len(k.clusters) || !t.localCluster(dst) {
-			return fmt.Errorf("payload for cluster %d (not hosted here)", dst)
-		}
-		// The frame buffer is reused; the payload is retained until adopted.
-		wire := append([]byte(nil), r.b...)
-		t.enqueuePayload(k.clusters[dst], migPayload{wire: wire, color: color})
-		return nil
-	case frameRoute:
-		w := r.route()
-		if err := r.done(); err != nil {
-			return err
-		}
-		if w.lp < 0 || int(w.lp) >= len(k.lps) {
-			return fmt.Errorf("route for LP %d", w.lp)
-		}
-		k.routes.set(LPID(w.lp), int(w.to))
-		k.routes.bump()
 		return nil
 	case frameFin:
 		if err := r.done(); err != nil {
@@ -1075,7 +981,14 @@ func (t *TCPTransport) apply(p *tcpPeer, typ uint8, body []byte) error {
 		}
 		return &abortError{origin: int(hdr.origin), code: hdr.code, reason: string(reason)}
 	default:
-		return fmt.Errorf("unknown frame type %d", typ)
+		// Control frames: the kernel decodes and applies them exactly as it
+		// applies a message between two clusters of one process.
+		m, err := k.decodeCtrl(typ, body)
+		if err != nil {
+			return err
+		}
+		k.applyCtrl(m)
+		return nil
 	}
 }
 
@@ -1096,49 +1009,9 @@ func (t *TCPTransport) deliverBatch(c *cluster, evs []Event, hdr batchHdr) {
 	}
 }
 
-func (t *TCPTransport) enqueuePayload(c *cluster, p migPayload) {
-	c.migMu.Lock()
-	// The queued payload keeps the sender's transit charge; migrateIn (or
-	// adoptFinalPayloads) releases it.
-	//kernelvet:carrier transit
-	c.migIn = append(c.migIn, p)
-	atomic.StoreInt32(&c.migFlag, 1)
-	c.migMu.Unlock()
-	c.mail.postCtrl(ctrlWake)
-}
-
-// applyCoord installs node 0's replicated round state. Frames arrive in
-// publication order (per-connection FIFO) and every field is monotone, so
-// plain stores suffice; control bits are posted into the local mailboxes
-// exactly as the coordinator's broadcastCtrl would post them locally.
-func (t *TCPTransport) applyCoord(c wireCoord) {
-	k := t.k
-	atomic.StoreInt64(&k.round, c.round)
-	atomic.StoreInt64(&k.reportRound, c.reportRound)
-	atomic.StoreInt64(&k.loadRound, c.loadRound)
-	if c.gvt > atomic.LoadInt64(&k.gvt) {
-		atomic.StoreInt64(&k.gvt, c.gvt)
-		atomic.StoreInt64(&k.lastGVTNano, time.Now().UnixNano())
-	}
-	done := c.done != 0
-	if done {
-		atomic.StoreInt32(&k.done, 1)
-	}
-	for _, lc := range k.local {
-		if c.bits != 0 {
-			lc.mail.postCtrl(c.bits)
-		} else if done {
-			lc.mail.wake()
-		}
-	}
-}
-
 // --- Transport interface: data plane ---
 
 func (t *TCPTransport) push(dst int, events []Event, hdr batchHdr) bool {
-	if t.localCluster(dst) {
-		return t.k.clusters[dst].mail.push(events, hdr, t.k.cfg.Net.InboxSize)
-	}
 	p := t.peers[t.nodeOf[dst]]
 	n := len(events)
 	p.mu.Lock()
@@ -1161,22 +1034,24 @@ func (t *TCPTransport) push(dst int, events []Event, hdr batchHdr) bool {
 	return true
 }
 
-func (t *TCPTransport) postCtrl(dst int, bits uint8) {
-	if t.localCluster(dst) {
-		t.k.clusters[dst].mail.postCtrl(bits)
+// ctrl enqueues an encoded control frame. Control frames share the lane's
+// FIFO with the data but skip its backpressure refusal, which preserves the
+// orderings the protocol relies on: a route announcement precedes its
+// payload, and an ackCut precedes any red flush's counter effects. A payload
+// frame was already charged to transit, so refusing it would gain nothing.
+func (t *TCPTransport) ctrl(dst int, frame []byte) {
+	if dst != otherNodes {
+		t.peers[t.nodeOf[dst]].enqueue(frame, 0, 0)
 		return
 	}
-	var b []byte
-	var off int
-	b, off = beginFrame(b, frameCtrl)
-	b = appendI32(b, int32(dst))
-	b = appendU8(b, bits)
-	b = endFrame(b, off)
-	t.peers[t.nodeOf[dst]].enqueue(b, 0, 0)
+	for _, p := range t.peers {
+		if p != nil {
+			p.enqueue(frame, 0, 0)
+		}
+	}
 }
 
 func (t *TCPTransport) publish(c *cluster, next Time) {
-	t.k.publishProgress(c.id, next)
 	ps := &t.pubState[c.id]
 	r0 := atomic.LoadInt64(&c.recvCum[0].n)
 	r1 := atomic.LoadInt64(&c.recvCum[1].n)
@@ -1193,110 +1068,12 @@ func (t *TCPTransport) publish(c *cluster, next Time) {
 	}
 }
 
-// --- Transport interface: GVT protocol ---
-
-func (t *TCPTransport) requestGVT() {
-	if t.opt.Node == 0 {
-		atomic.CompareAndSwapInt32(&t.k.gvtFlag, 0, 1)
-		return
-	}
-	var b []byte
-	var off int
-	b, off = beginFrame(b, frameReqGVT)
-	b = endFrame(b, off)
-	t.peers[0].enqueue(b, 0, 0)
-}
-
-func (t *TCPTransport) ackCut(c *cluster) {
-	// Encoded on the cluster's own goroutine after its color flip, so the
-	// white sent counter in this frame is final — the coordinator's drain
-	// probe compares received counters against exactly this value.
-	a := wireAckCut{
-		cluster: int32(c.id),
-		sent0:   atomic.LoadInt64(&c.sentCum[0].n),
-		sent1:   atomic.LoadInt64(&c.sentCum[1].n),
-	}
-	if t.opt.Node == 0 {
-		atomic.StoreInt64(&t.sentMirror[c.id][0], a.sent0)
-		atomic.StoreInt64(&t.sentMirror[c.id][1], a.sent1)
-		atomic.AddInt32(&t.k.cutAcks, 1)
-		return
-	}
-	t.peers[0].enqueue(appendAckCut(nil, a), 0, 0)
-}
-
-func (t *TCPTransport) report(c *cluster, m Time) {
-	if t.opt.Node == 0 {
-		atomic.StoreInt64(&t.k.reports[c.id].t, m)
-		atomic.AddInt32(&t.k.reportAcks, 1)
-		return
-	}
-	t.peers[0].enqueue(appendReport(nil, wireReport{cluster: int32(c.id), min: m}), 0, 0)
-}
-
-func (t *TCPTransport) ackLoad(c *cluster) {
-	if t.opt.Node == 0 {
-		atomic.AddInt32(&t.k.loadAcks, 1)
-		return
-	}
-	var b []byte
-	var off int
-	b, off = beginFrame(b, frameAckLoad)
-	b = appendI32(b, int32(c.id))
-	b = appendLoadBuf(b, &t.k.loadBufs[c.id])
-	b = endFrame(b, off)
-	t.peers[0].enqueue(b, 0, 0)
-}
-
-func (t *TCPTransport) broadcastCtrl(bits uint8) {
-	t.replicateCoord(bits, false)
-	for _, c := range t.k.local {
-		if c.id != 0 {
-			c.mail.postCtrl(bits)
-		}
-	}
-}
-
-func (t *TCPTransport) noteGVT(done bool) {
-	t.replicateCoord(0, done)
-	if done {
-		for _, c := range t.k.local {
-			if c.id != 0 {
-				c.mail.wake()
-			}
-		}
-	}
-}
-
-// replicateCoord sends the coordinator's current round state to every peer.
-// Coordinator-goroutine only (cluster 0 lives on node 0 by the contiguous
-// mapping), so the loads here are the values just stored.
-func (t *TCPTransport) replicateCoord(bits uint8, done bool) {
-	k := t.k
-	c := wireCoord{
-		round:       atomic.LoadInt64(&k.round),
-		reportRound: atomic.LoadInt64(&k.reportRound),
-		loadRound:   atomic.LoadInt64(&k.loadRound),
-		gvt:         atomic.LoadInt64(&k.gvt),
-		bits:        bits,
-	}
-	if done {
-		c.done = 1
-	}
-	for _, p := range t.peers {
-		if p == nil {
-			continue
-		}
-		p.enqueue(appendCoord(nil, c), 0, 0)
-	}
-}
-
 // whiteDrained evaluates the wave-1 drain over the cumulative counters:
 // every white event ever sent (final once all clusters acked the cut) has
-// been received. Local clusters are read directly; remote ones through their
-// last mirrored values — sent mirrors were pinned by the acks themselves,
-// recv mirrors are monotone and only undercount, so a stale mirror delays
-// the verdict but never falsifies it.
+// been received. Local clusters are read directly; remote ones through the
+// sent counters their cut acks pinned (Kernel.cutSent) and their last
+// mirrored recv counters, which are monotone and only undercount, so a
+// stale mirror delays the verdict but never falsifies it.
 func (t *TCPTransport) whiteDrained(white int64) bool {
 	var sent, recv int64
 	for _, c := range t.k.clusters {
@@ -1304,51 +1081,11 @@ func (t *TCPTransport) whiteDrained(white int64) bool {
 			sent += atomic.LoadInt64(&c.sentCum[white].n)
 			recv += atomic.LoadInt64(&c.recvCum[white].n)
 		} else {
-			sent += atomic.LoadInt64(&t.sentMirror[c.id][white])
+			sent += atomic.LoadInt64(&t.k.cutSent[c.id][white])
 			recv += atomic.LoadInt64(&t.recvMirror[c.id][white])
 		}
 	}
 	return recv >= sent
-}
-
-// --- Transport interface: migration ---
-
-func (t *TCPTransport) sendOrder(dst int, o migOrder) {
-	if t.localCluster(dst) {
-		t.k.clusters[dst].enqueueOrder(o)
-		return
-	}
-	t.peers[t.nodeOf[dst]].enqueue(appendOrder(nil, wireOrder{cluster: int32(dst), lp: int32(o.lp), to: int32(o.to)}), 0, 0)
-}
-
-func (t *TCPTransport) sendPayload(dst int, p migPayload) {
-	if t.localCluster(dst) {
-		t.enqueuePayload(t.k.clusters[dst], p)
-		return
-	}
-	if p.wire == nil {
-		panic("timewarp: live lpRuntime payload addressed to a remote cluster")
-	}
-	var b []byte
-	var off int
-	b, off = beginFrame(b, framePayload)
-	b = appendI32(b, int32(dst))
-	b = appendU8(b, p.color)
-	b = append(b, p.wire...)
-	b = endFrame(b, off)
-	// Payload frames ride the control lane (no backpressure refusal): the
-	// migration was already charged to transit, and the route announcement
-	// that precedes it on this same FIFO must not be separated from it.
-	t.peers[t.nodeOf[dst]].enqueue(b, 0, 0)
-}
-
-func (t *TCPTransport) announceRoute(lp LPID, to int) {
-	for _, p := range t.peers {
-		if p == nil {
-			continue
-		}
-		p.enqueue(appendRoute(nil, wireRoute{lp: int32(lp), to: int32(to)}), 0, 0)
-	}
 }
 
 // --- Transport interface: lifecycle ---

@@ -28,9 +28,10 @@ import (
 // see wireHello); fin is the last frame a node sends for the run proper
 // (GatherSum frames may follow). Heartbeat frames keep idle lanes visibly
 // alive for the peer-failure detector; an abort frame is a node's dying
-// breath, telling the mesh why it is tearing down. New types are appended —
-// renumbering existing ones is a wire-protocol break and must bump
-// protoVersion.
+// breath, telling the mesh why it is tearing down. frameCtrl is retired: no
+// node sends it and receivers reject it, but its number stays taken. New
+// types are appended — renumbering existing ones is a wire-protocol break
+// and must bump protoVersion.
 const (
 	frameHello uint8 = 1 + iota
 	frameBatch
@@ -54,8 +55,9 @@ const (
 
 // maxFrameLen caps a frame body. The largest legitimate frames are event
 // batches (bounded by InboxSize events) and migration payloads (an LP's
-// optimistic suffix); 64 MiB is orders of magnitude above both, so anything
-// larger is a corrupt length prefix, rejected before any allocation.
+// state and pending events); 64 MiB is orders of magnitude above both, so
+// anything larger is a corrupt length prefix, rejected before any
+// allocation.
 const maxFrameLen = 64 << 20
 
 // helloMagic opens every wireHello. A connection whose first frame does not
@@ -115,7 +117,7 @@ func appendI64(b []byte, v int64) []byte { return appendU64(b, uint64(v)) }
 // beginFrame reserves a frame's length prefix and writes its type; endFrame
 // patches the prefix once the body is appended. Usage:
 //
-//	b, off := beginFrame(b, frameCtrl)
+//	b, off := beginFrame(b, frameReport)
 //	b = append...(b, ...)
 //	b = endFrame(b, off)
 func beginFrame(b []byte, typ uint8) ([]byte, int) {
@@ -308,7 +310,7 @@ type wireCoord struct {
 	gvt         int64
 	done        uint8
 	// bits is the control bitmask to post into the receiving node's local
-	// mailboxes (the remote half of broadcastCtrl).
+	// mailboxes (Kernel.applyCoord).
 	bits uint8
 }
 

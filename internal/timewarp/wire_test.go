@@ -497,12 +497,18 @@ func TestWirePayloadRoundTrip(t *testing.T) {
 }
 
 // fuzzFrameStream decodes a byte stream exactly as readLoop does — framing
-// layer, then the per-type decoder — asserting only that nothing panics and
-// every accepted frame's body is fully consumed.
+// layer, then the per-type decoder — asserting that nothing panics and that
+// every accepted control frame re-encodes to the identical body. Control
+// frames go through the kernel's own decodeCtrl; the transport-only frames
+// mirror apply.
 func fuzzFrameStream(t *testing.T, data []byte) {
+	k, err := New(Config{NumClusters: 2, ClusterOf: []int{0, 1}},
+		[]Handler{&pingLP{peer: 1}, &pingLP{peer: 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	br := bufio.NewReader(bytes.NewReader(data))
 	var scratch []byte
-	var buf loadSnapBuf
 	for {
 		typ, body, s, err := readFrame(br, scratch)
 		scratch = s
@@ -513,7 +519,7 @@ func fuzzFrameStream(t *testing.T, data []byte) {
 		switch typ {
 		case frameHello:
 			r.hello()
-		case frameHeartbeat:
+		case frameHeartbeat, frameFin:
 			// No body.
 		case frameAbort:
 			hdr := r.abortHdr()
@@ -529,32 +535,11 @@ func fuzzFrameStream(t *testing.T, data []byte) {
 			for i := int32(0); i < hdr.n; i++ {
 				r.event()
 			}
-		case frameCtrl:
-			r.i32()
-			r.u8()
 		case frameProgress:
 			r.i32()
 			r.i64()
 		case frameCounts:
 			r.counts()
-		case frameCoord:
-			r.coord()
-		case frameReqGVT, frameFin:
-		case frameAckCut:
-			r.ackCut()
-		case frameReport:
-			r.report()
-		case frameAckLoad:
-			r.i32()
-			r.loadBuf(&buf)
-		case frameOrder:
-			r.order()
-		case framePayload:
-			r.i32()
-			r.u8()
-			r.bytes(len(r.b))
-		case frameRoute:
-			r.route()
 		case frameSum:
 			r.i32()
 			cnt := r.i32()
@@ -573,23 +558,21 @@ func fuzzFrameStream(t *testing.T, data []byte) {
 				r.u64()
 			}
 		default:
-			continue
-		}
-		if err := r.done(); err == nil && typ == frameCoord {
-			// Accepted coord frames must re-encode to the identical body:
-			// encode∘decode is the identity on well-formed frames.
-			r2 := &wireReader{b: body}
-			re := appendCoord(nil, r2.coord())
-			if !bytes.Equal(re[5:], body) {
-				t.Fatalf("coord re-encode mismatch: % x vs % x", re[5:], body)
+			m, err := k.decodeCtrl(typ, body)
+			if err != nil {
+				continue
+			}
+			// encode∘decode is the identity on accepted control frames.
+			if re := m.appendFrame(nil); !bytes.Equal(re[5:], body) {
+				t.Fatalf("frame type %d re-encodes to % x, received % x", typ, re[5:], body)
 			}
 		}
 	}
 }
 
 // FuzzWireFrame feeds arbitrary byte streams through the full inbound decode
-// path. The properties: no panic, no out-of-bounds access, and accepted coord
-// frames re-encode byte-identically.
+// path. The properties: no panic, no out-of-bounds access, and accepted
+// control frames re-encode byte-identically.
 func FuzzWireFrame(f *testing.F) {
 	var seed []byte
 	seed = appendCoord(seed, wireCoord{round: 1, reportRound: 1, gvt: 5, bits: ctrlCut})
@@ -597,6 +580,15 @@ func FuzzWireFrame(f *testing.F) {
 	seed = appendAckCut(seed, wireAckCut{cluster: 0, sent0: 3, sent1: 4})
 	seed = appendReport(seed, wireReport{cluster: 1, min: 77})
 	seed = appendRoute(seed, wireRoute{lp: 1, to: 0})
+	for _, m := range []ctrlMsg{
+		{typ: frameReqGVT},
+		{typ: frameOrder, order: wireOrder{cluster: 1, lp: 1, to: 0}},
+		{typ: frameAckLoad, cluster: 1, load: &loadSnapBuf{lps: []LPID{1}, committed: []uint64{4}, rollbacks: []uint64{1},
+			remote: []uint64{2}, edgeOff: []int32{1}, edgeDst: []LPID{0}, edgeCnt: []uint64{3}}},
+		{typ: framePayload, cluster: 0, pay: migPayload{wire: []byte{1, 2, 3}, color: 1}},
+	} {
+		seed = m.appendFrame(seed)
+	}
 	f.Add(seed)
 	var batch []byte
 	var off int
