@@ -1,7 +1,8 @@
-// BenchmarkHotPaths guards the allocation behavior of the two inner loops
-// that dominate every other benchmark in this file's siblings: the k-way
-// refinement loop of the multilevel partitioner (internal/core) and the
-// event/rollback machinery of the Time Warp kernel (internal/timewarp).
+// BenchmarkHotPaths guards the allocation behavior of the inner loops that
+// dominate every other benchmark in this file's siblings: the k-way
+// refinement loop of the multilevel partitioner (internal/core), the event
+// loop of the sequential oracle (internal/seqsim) and the event/rollback
+// machinery of the Time Warp kernel (internal/timewarp).
 // Every sub-benchmark reports allocations; regressions show up as allocs/op
 // jumps, not just ns/op noise.
 package repro
@@ -15,6 +16,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/logicsim"
 	"repro/internal/partition"
+	"repro/internal/seqsim"
 	"repro/internal/timewarp"
 )
 
@@ -49,6 +51,31 @@ func BenchmarkHotPaths(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+		})
+	}
+
+	// seqsim: the sequential oracle, the denominator of every speedup. The
+	// bench ladder's allocs_per_event counts only the parallel run, so these
+	// rows are what guards the oracle's allocations.
+	seqCfg := seqsim.Config{Cycles: 20, StimulusSeed: 1}
+	for _, row := range []struct {
+		name string
+		run  func() (events uint64, err error)
+	}{
+		{"seqsim", func() (uint64, error) { r, err := seqsim.Run(c, seqCfg); return r.Events, err }},
+		{"seqsim-vec", func() (uint64, error) { r, err := seqsim.RunVec(c, seqCfg); return r.Events, err }},
+	} {
+		b.Run(row.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.ResetTimer()
+			var events uint64
+			for i := 0; i < b.N; i++ {
+				var err error
+				if events, err = row.run(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(events)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
 		})
 	}
 

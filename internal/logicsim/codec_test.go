@@ -44,9 +44,9 @@ func testGateStateCodec[V any](t *testing.T, ops wireLanes[V], random func(*rand
 
 	// replica builds the gate's LP as every node does, from the circuit.
 	sim := &shared[V]{c: c, lanes: ops}
-	pins, fanout := seqsim.GateWiring(c)
+	fanout := seqsim.GateFanout(c)
 	replica := func(g *circuit.Gate) *gateLP[V] {
-		lp := newGateLP(sim, g, pins[g.ID], fanout[g.ID])
+		lp := newGateLP(sim, g, fanout[g.ID])
 		if g == out {
 			lp.markOutput(0)
 		}

@@ -239,23 +239,23 @@ type gateState[V any] struct {
 type gateLP[V any] struct {
 	sim      *shared[V]
 	typ      circuit.GateType
-	inputIdx int           // index in c.Inputs for Input gates, else -1
-	outIdx   int           // index in c.Outputs for primary outputs, else -1
-	pins     map[int][]int // driver gate ID -> input pin indices
-	fanout   []int         // deduplicated fanout gate IDs
+	inputIdx int   // index in c.Inputs for Input gates, else -1
+	outIdx   int   // index in c.Outputs for primary outputs, else -1
+	fanin    []int // driver gate ID per input pin: the circuit's g.Fanin
+	fanout   []int // deduplicated fanout gate IDs
 	delay    int64
 	st       gateState[V]
 }
 
-// newGateLP builds the LP of gate g, whose pin map and fanout list come
-// from seqsim.GateWiring.
-func newGateLP[V any](sim *shared[V], g *circuit.Gate, pins map[int][]int, fanout []int) *gateLP[V] {
+// newGateLP builds the LP of gate g, whose deduplicated fanout list comes
+// from seqsim.GateFanout.
+func newGateLP[V any](sim *shared[V], g *circuit.Gate, fanout []int) *gateLP[V] {
 	lp := &gateLP[V]{
 		sim:      sim,
 		typ:      g.Type,
 		inputIdx: -1,
 		outIdx:   -1,
-		pins:     pins,
+		fanin:    g.Fanin,
 		fanout:   fanout,
 		delay:    seqsim.GateDelay(g),
 	}
@@ -300,6 +300,8 @@ func (lp *gateLP[V]) nextStimulusCycle(from int) int {
 // then evaluate once with final inputs. An event fires downstream when ANY
 // lane changed; a lane whose component is unchanged sees a no-op, which is
 // what keeps each lane bit-identical to its scalar run.
+//
+//kernelvet:noalloc
 func (lp *gateLP[V]) Execute(ctx *timewarp.Context, now timewarp.Time, events []timewarp.Event) {
 	cfg := &lp.sim.cfg
 	ops := &lp.sim.lanes
@@ -309,10 +311,7 @@ func (lp *gateLP[V]) Execute(ctx *timewarp.Context, now timewarp.Time, events []
 		ev := &events[i]
 		switch ev.Kind {
 		case kindSignal:
-			v := ops.fromEvent(ev)
-			for _, pin := range lp.pins[int(ev.Sender)] {
-				lp.st.inputs[pin] = v
-			}
+			seqsim.SetPins(lp.st.inputs, lp.fanin, int(ev.Sender), ops.fromEvent(ev))
 		case kindStimulus:
 			stimulus = true
 		case kindClock:
@@ -518,14 +517,14 @@ func Run(c *circuit.Circuit, a partition.Assignment, cfg Config) (Result, error)
 // gate; the others stay X.
 func run[V any](c *circuit.Circuit, a partition.Assignment, cfg Config, ops wireLanes[V]) (Result, []V, []uint64, error) {
 	sim := &shared[V]{c: c, cfg: cfg, lanes: ops}
-	pins, fanout := seqsim.GateWiring(c)
+	fanout := seqsim.GateFanout(c)
 	handlers := make([]timewarp.Handler, c.NumGates())
 	lps := make([]*gateLP[V], c.NumGates())
 	for id, g := range c.Gates {
 		if len(g.Fanin) > maxPins {
 			return Result{}, nil, nil, fmt.Errorf("logicsim: gate %d has %d pins, state encoding limit %d", id, len(g.Fanin), maxPins)
 		}
-		lps[id] = newGateLP(sim, g, pins[id], fanout[id])
+		lps[id] = newGateLP(sim, g, fanout[id])
 		handlers[id] = lps[id]
 	}
 	for i, id := range c.Inputs {

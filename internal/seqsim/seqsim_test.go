@@ -235,29 +235,52 @@ func TestGateDelayNormalized(t *testing.T) {
 	}
 }
 
-// TestGateWiring: a reader with two pins on one driver gets both pins under
-// that driver and appears once in the driver's fanout, readers in
-// first-seen order.
+// TestGateWiring: a driver feeding pins 0 and 2 of a reader sets both and
+// leaves pin 1 alone, the reader appears once in the driver's fanout (readers
+// in first-seen order), and in a timestep where the clock edge ties with
+// signal arrivals a gate hit by two drivers and a clocked DFF are each
+// evaluated once, the DFF latching the value that arrived at its own edge.
 func TestGateWiring(t *testing.T) {
 	c := circuit.New("wiring")
 	a := c.MustAddGate("a", circuit.Input)
 	b := c.MustAddGate("b", circuit.Input)
 	and := c.MustAddGate("and", circuit.And)
-	not := c.MustAddGate("not", circuit.Not)
+	ff := c.MustAddGate("ff", circuit.DFF)
+	out := c.MustAddGate("out", circuit.Output)
 	c.MustConnect(a.ID, and.ID)
 	c.MustConnect(b.ID, and.ID)
-	c.MustConnect(a.ID, not.ID)
+	c.MustConnect(a.ID, ff.ID)
 	c.MustConnect(a.ID, and.ID)
-	pins, fanout := GateWiring(c)
-	want := map[int][]int{a.ID: {0, 2}, b.ID: {1}}
-	if !reflect.DeepEqual(pins[and.ID], want) {
-		t.Errorf("pins of and = %v, want %v", pins[and.ID], want)
+	c.MustConnect(and.ID, out.ID)
+
+	inputs := []circuit.Value{circuit.Zero, circuit.Zero, circuit.Zero}
+	SetPins(inputs, and.Fanin, a.ID, circuit.One)
+	if want := []circuit.Value{circuit.One, circuit.Zero, circuit.One}; !reflect.DeepEqual(inputs, want) {
+		t.Errorf("pins of and after a = %v, want %v", inputs, want)
 	}
-	if got := fanout[a.ID]; !reflect.DeepEqual(got, []int{and.ID, not.ID}) {
-		t.Errorf("fanout of a = %v, want [%d %d]", got, and.ID, not.ID)
+	fanout := GateFanout(c)
+	if got := fanout[a.ID]; !reflect.DeepEqual(got, []int{and.ID, ff.ID}) {
+		t.Errorf("fanout of a = %v, want [%d %d]", got, and.ID, ff.ID)
 	}
-	if got := fanout[and.ID]; len(got) != 0 {
-		t.Errorf("fanout of and = %v, want none", got)
+	if got := fanout[out.ID]; len(got) != 0 {
+		t.Errorf("fanout of out = %v, want none", got)
+	}
+
+	// Period 2 puts the clock edge at t=1, where and gets a's and b's
+	// stimulus and ff gets a's. t=0: stimulus a, b; t=1: a→and, b→and,
+	// a→ff, edge ff; t=2: and→out.
+	res, err := Run(c, Config{Cycles: 1, ClockPeriod: 2, StimulusSeed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Events != 7 || res.Evaluations != 5 {
+		t.Errorf("events, evaluations = %d, %d, want 7, 5", res.Events, res.Evaluations)
+	}
+	if want := []uint64{1, 1, 1, 1, 1}; !reflect.DeepEqual(res.Activity, want) {
+		t.Errorf("activity = %v, want %v", res.Activity, want)
+	}
+	if got, want := res.FinalValues[ff.ID], res.FinalValues[a.ID]; got != want {
+		t.Errorf("ff latched %v, want a's %v", got, want)
 	}
 }
 
@@ -298,5 +321,36 @@ func TestGrainBurn(t *testing.T) {
 	}
 	if res.Events != plain.Events || res.OutputHistory != plain.OutputHistory {
 		t.Error("grain changed simulation semantics")
+	}
+}
+
+// TestAllocsIndependentOfLength: once the event queue and the per-timestep
+// lists reach their peak size, the oracle allocates nothing per event or per
+// timestep, so running 16 times as many cycles costs only a few more
+// allocations (the queue's last doublings), not thousands.
+func TestAllocsIndependentOfLength(t *testing.T) {
+	c, err := circuit.NewBenchmark("s9234", 0.25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const slack = 32
+	for _, tc := range []struct {
+		name string
+		run  func(cycles int) error
+	}{
+		{"scalar", func(cycles int) error { _, err := Run(c, Config{Cycles: cycles, StimulusSeed: 1}); return err }},
+		{"vectored", func(cycles int) error { _, err := RunVec(c, Config{Cycles: cycles, StimulusSeed: 1}); return err }},
+	} {
+		allocs := func(cycles int) float64 {
+			return testing.AllocsPerRun(2, func() {
+				if err := tc.run(cycles); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		short, long := allocs(10), allocs(160)
+		if long-short > slack {
+			t.Errorf("%s: %v allocations at 10 cycles, %v at 160: more than %d apart", tc.name, short, long, slack)
+		}
 	}
 }
