@@ -1,19 +1,15 @@
-// Command experiments regenerates the paper's tables and figures, the
-// static-vs-dynamic partitioning study, and the machine-readable benchmark
-// trajectory.
+// Command experiments regenerates the paper's tables and figures and the
+// static-vs-dynamic partitioning study.
 //
 // Usage:
 //
 //	experiments -table1 -table2 -fig4 -fig5 -fig6 -quality -linear -ablation
-//	    -dynamic [-all] [-json BENCH.json]
+//	    -dynamic [-all]
 //	    [-scale 0.12] [-cycles 8] [-grain 1500] [-repeats 1] [-nodes 8]
 //	    [-out results]
 //
 // Each selected experiment writes markdown/CSV into the -out directory and a
-// summary to stdout. -paper selects the full-scale configuration. -json runs
-// the benchmark scenarios (partitioner hot paths, runtime rebalancing, Time
-// Warp throughput static and dynamic) and writes one BenchReport; CI uploads
-// the file per run, so the repository accumulates a perf trajectory.
+// summary to stdout. -paper selects the full-scale configuration.
 package main
 
 import (
@@ -39,7 +35,6 @@ func main() {
 		doDynamic = flag.Bool("dynamic", false, "static-vs-dynamic partitioning study (hotspot workload)")
 		doAll     = flag.Bool("all", false, "run every experiment")
 		paper     = flag.Bool("paper", false, "full-scale (paper-sized) configuration")
-		jsonOut   = flag.String("json", "", "write machine-readable benchmark results (ns/op, allocs/op, committed-event throughput) to this file")
 
 		scale   = flag.Float64("scale", 0, "circuit scale (0 = configuration default)")
 		cycles  = flag.Int("cycles", 0, "simulated clock cycles")
@@ -87,8 +82,8 @@ func main() {
 	if *doAll {
 		*doTable1, *doTable2, *doFig4, *doFig5, *doFig6, *doQuality, *doLinear, *doAblate, *doDynamic = true, true, true, true, true, true, true, true, true
 	}
-	if !*doTable1 && !*doTable2 && !*doFig4 && !*doFig5 && !*doFig6 && !*doQuality && !*doLinear && !*doAblate && !*doDynamic && *jsonOut == "" {
-		fmt.Fprintln(os.Stderr, "nothing selected; pass -all, -json <file>, or one of -table1 -table2 -fig4 -fig5 -fig6 -quality -linear -ablation -dynamic")
+	if !*doTable1 && !*doTable2 && !*doFig4 && !*doFig5 && !*doFig6 && !*doQuality && !*doLinear && !*doAblate && !*doDynamic {
+		fmt.Fprintln(os.Stderr, "nothing selected; pass -all or one of -table1 -table2 -fig4 -fig5 -fig6 -quality -linear -ablation -dynamic")
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -167,20 +162,6 @@ func main() {
 		writeBoth(*outDir, "dynamic", dyn.WriteMarkdown, dyn.WriteCSV)
 		fmt.Println("## Static vs dynamic partitioning (hotspot workload)")
 		dyn.WriteMarkdown(os.Stdout)
-	}
-	if *jsonOut != "" {
-		fh, err := os.Create(*jsonOut)
-		if err != nil {
-			fatal(err)
-		}
-		if err := experiments.RunBenchJSON(opts, fh); err != nil {
-			fh.Close()
-			fatal(err)
-		}
-		if err := fh.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("benchmark results written to %s\n", *jsonOut)
 	}
 	if *doLinear {
 		sizes := []int{500, 1000, 2000, 4000, 8000, 16000, 32000}

@@ -122,8 +122,10 @@
 //   - internal/experiments: harnesses regenerating every table and figure
 //     of the paper's evaluation.
 //
-// The benchmarks in bench_test.go regenerate the paper's Tables 1-2 and
-// Figures 4-6 plus the supporting linearity, quality, and ablation studies;
-// hotpaths_bench_test.go guards the allocation behavior of the refinement
-// and rollback inner loops.
+// cmd/experiments regenerates the paper's Tables 1-2 and Figures 4-6 plus
+// the supporting linearity, quality, and ablation studies. The benchmark of
+// record is bench/ (bash bench/run.sh): oracle-verified workloads on the
+// real kernel, compared against a parent commit. hotpaths_bench_test.go
+// guards the allocation behavior of the refinement, oracle and rollback
+// inner loops and the cost of the remote-message path.
 package repro

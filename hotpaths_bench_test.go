@@ -1,5 +1,5 @@
 // BenchmarkHotPaths guards the allocation behavior of the inner loops that
-// dominate every other benchmark in this file's siblings: the k-way
+// dominate the partitioner's and both simulators' run time: the k-way
 // refinement loop of the multilevel partitioner (internal/core), the event
 // loop of the sequential oracle (internal/seqsim) and the event/rollback
 // machinery of the Time Warp kernel (internal/timewarp).

@@ -10,9 +10,10 @@ import (
 	"repro/internal/seqsim"
 )
 
-// AblationStudy covers the design choices DESIGN.md calls out: the refiner
-// (greedy vs KL vs FM vs none), the coarsening scheme (fanout vs heavy-edge
-// vs profiled activity), and the cancellation policy (aggressive vs lazy).
+// AblationStudy covers the multilevel partitioner's and the kernel's main
+// design choices: the refiner (greedy vs KL vs FM vs none), the coarsening
+// scheme (fanout vs heavy-edge vs profiled activity), and the cancellation
+// policy (aggressive vs lazy).
 // Each variant is run end-to-end so both static cut and dynamic behaviour
 // (messages, rollbacks, time) are visible.
 type AblationStudy struct {

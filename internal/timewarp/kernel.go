@@ -1,9 +1,7 @@
 package timewarp
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -23,13 +21,6 @@ type RunStats struct {
 	RouteEpoch      int64         `json:"route_epoch"`
 	FinalGVT        Time          `json:"final_gvt"`
 	WallTime        time.Duration `json:"wall_time_ns"`
-}
-
-// WriteJSON writes the stats as indented JSON.
-func (s *RunStats) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
 }
 
 // Coordinator phases of the asynchronous GVT round (kernel.phase; owned by
