@@ -43,7 +43,7 @@ func TestParsimVectorsSmoke(t *testing.T) {
 		[]string{"-bench", "s5378", "-scale", "0.05", "-nodes", "2", "-cycles", "2", "-grain", "0", "-vectors"},
 		"parallel run:",
 		"vectored: 64 lanes,",
-		"scenario-events/ms",
+		"wall per scenario",
 		"verified all 64 lanes against the vectored sequential oracle",
 	)
 }

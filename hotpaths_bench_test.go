@@ -107,7 +107,7 @@ func BenchmarkHotPaths(b *testing.B) {
 			b.Run(name, func(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
-				var rollbacks, scenarios uint64
+				var rollbacks uint64
 				for i := 0; i < b.N; i++ {
 					res, err := logicsim.Run(small, a, logicsim.Config{
 						Cycles:           6,
@@ -119,11 +119,10 @@ func BenchmarkHotPaths(b *testing.B) {
 						b.Fatal(err)
 					}
 					rollbacks = res.Stats.Rollbacks
-					scenarios = res.ScenarioEvents
 				}
 				b.ReportMetric(float64(rollbacks), "rollbacks")
 				if vectors {
-					b.ReportMetric(float64(scenarios)*float64(b.N)/float64(b.Elapsed().Seconds()), "scenario-events/s")
+					b.ReportMetric(float64(circuit.W)*float64(b.N)/b.Elapsed().Seconds(), "scenarios/s")
 				}
 			})
 		}

@@ -151,11 +151,6 @@ type Result struct {
 	// run finished (always true on a single node). Callers merging
 	// multi-process results use it to pick exactly one owner per gate.
 	Local []bool
-	// ScenarioEvents is the number of scenario-events committed: equal to
-	// CommittedEvents in scalar mode, CommittedEvents × circuit.W in
-	// vectored mode (each committed event advances W scenarios). This is the
-	// numerator of the scenario-events/sec throughput metric.
-	ScenarioEvents uint64
 	// VecOutputValues, VecOutputHistory and VecFinalValues are the per-lane
 	// views of a vectored run (nil in scalar mode): VecOutputValues[i].Lane(s)
 	// and VecFinalValues[id].Lane(s) are lane s's final values, and
@@ -575,7 +570,6 @@ func run[V any](c *circuit.Circuit, a partition.Assignment, cfg Config, ops wire
 
 	res := Result{
 		CommittedEvents: stats.EventsCommitted,
-		ScenarioEvents:  stats.EventsCommitted * uint64(ops.N),
 		OutputValues:    make([]circuit.Value, len(c.Outputs)),
 		FinalValues:     make([]circuit.Value, c.NumGates()),
 		Local:           make([]bool, c.NumGates()),

@@ -3,8 +3,8 @@
 // elements in interface{} values, so a push allocates only when the slice
 // grows. less compares two elements in place, through pointers into the
 // slice, so wide elements are not copied per comparison. The Time Warp
-// kernel keeps its pending events, LP scheduler and delayed batches in it,
-// and the sequential oracle its event queue.
+// kernel keeps its pending events, the LP scheduler's timestamp buckets and
+// its delayed batches in it, and the sequential oracle its event queue.
 package minheap
 
 // Push adds x to the heap held in *s.

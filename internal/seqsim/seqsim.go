@@ -245,9 +245,8 @@ type Result struct {
 // StimulusSeed+s.
 type VecResult struct {
 	// Events counts application events processed; an event that changes any
-	// lane counts once (this is the committed-event denominator of the
-	// parallel vectored run). ScenarioEvents = Events × circuit.W is the
-	// scenario-event count the throughput studies report.
+	// lane counts once, so it equals the parallel vectored run's committed
+	// events and does not scale with circuit.W.
 	Events uint64
 	// Evaluations counts vectored gate evaluations (each advances all W
 	// lanes).

@@ -61,14 +61,124 @@ type schedEntry struct {
 	lp *lpRuntime
 }
 
-// schedHeap is a min-heap over schedEntry.
-type schedHeap []schedEntry
+// schedQueue is the LTSF scheduler: a min-heap of timestamp buckets, each a
+// stack of the LPs scheduled at its time. A cluster's entries crowd onto a
+// few distinct times (a gate-level circuit advances in small delay steps:
+// s9234 at k=1 queues about 390 entries over 3–4 times), so a push usually
+// lands on a live bucket found through the direct-mapped cache and a pop
+// takes from the top bucket, neither comparing keys. A cache miss opens a
+// new bucket; a second bucket for a time already live is harmless, so the
+// worst case stays the plain heap's O(log n). Buckets and entries live in
+// index-addressed arenas shared by all buckets, and emptied ones are
+// recycled, so the queue allocates only while its peak size grows.
+//
+// Links are 1 + an arena index, so 0 means none and the zero value is an
+// empty queue.
+type schedQueue struct {
+	heap    []schedSlot   // live buckets, a min-heap by time
+	buckets []schedBucket // bucket arena
+	nodes   []schedNode   // entry arena
+	freeB   []int32       // links to recycled buckets
+	freeN   int32         // link to the first recycled node
+	// cache[t&(schedCacheSize-1)] links to a live bucket of time t, or is
+	// 0. A bucket's slot is cleared when the bucket is recycled, so every
+	// non-zero slot names a live bucket and a hit only has to check the
+	// time.
+	cache [schedCacheSize]int32
+	n     int // entries queued across all buckets
+}
 
-func (h *schedHeap) push(e schedEntry) { minheap.Push((*[]schedEntry)(h), e, schedLess) }
+// schedCacheSize is the number of bucket-cache slots, a power of two. It
+// covers far more distinct times than a cluster keeps live on the
+// benchmark circuits; colliding times only cost a cache miss.
+const schedCacheSize = 64
 
-func (h *schedHeap) pop() schedEntry { return minheap.Pop((*[]schedEntry)(h), schedLess) }
+// schedSlot is a heap element: a live bucket and its time, copied so the
+// sift compares without reaching into the arena.
+type schedSlot struct {
+	t Time
+	b int32
+}
 
-func schedLess(a, b *schedEntry) bool { return a.t < b.t }
+func slotLess(a, b *schedSlot) bool { return a.t < b.t }
+
+// schedBucket is one timestamp's queued LPs, a stack linked through the
+// node arena from top. The order among equal times is immaterial to LTSF,
+// and last in, first out lets an entry a window-stalled cluster pops and
+// pushes back reuse its own node.
+type schedBucket struct {
+	t   Time
+	top int32
+}
+
+// schedNode is one queued LP; next links to the node below it in its
+// bucket, or, once recycled, to the next free node.
+type schedNode struct {
+	lp   *lpRuntime
+	next int32
+}
+
+func (q *schedQueue) len() int { return q.n }
+
+// min returns the earliest queued time; the queue must be non-empty.
+func (q *schedQueue) min() Time { return q.heap[0].t }
+
+// push queues e on the live bucket of time e.t when the cache names one,
+// and on a new bucket otherwise.
+//
+//kernelvet:noalloc
+func (q *schedQueue) push(e schedEntry) {
+	q.n++
+	var node int32
+	if node = q.freeN; node > 0 {
+		q.freeN = q.nodes[node-1].next
+	} else {
+		q.nodes = append(q.nodes, schedNode{})
+		node = int32(len(q.nodes))
+	}
+	slot := &q.cache[e.t&(schedCacheSize-1)]
+	if b := *slot; b > 0 && q.buckets[b-1].t == e.t {
+		q.nodes[node-1] = schedNode{lp: e.lp, next: q.buckets[b-1].top}
+		q.buckets[b-1].top = node
+		return
+	}
+	q.nodes[node-1] = schedNode{lp: e.lp}
+	var b int32
+	if n := len(q.freeB); n > 0 {
+		b = q.freeB[n-1]
+		q.freeB = q.freeB[:n-1]
+	} else {
+		q.buckets = append(q.buckets, schedBucket{})
+		b = int32(len(q.buckets))
+	}
+	q.buckets[b-1] = schedBucket{t: e.t, top: node}
+	*slot = b
+	minheap.Push(&q.heap, schedSlot{t: e.t, b: b}, slotLess)
+}
+
+// pop removes the top entry of the earliest bucket, recycling the bucket
+// once it is empty; the queue must be non-empty.
+//
+//kernelvet:noalloc
+func (q *schedQueue) pop() schedEntry {
+	q.n--
+	top := q.heap[0]
+	b := &q.buckets[top.b-1]
+	node := b.top
+	nd := &q.nodes[node-1]
+	lp := nd.lp
+	b.top = nd.next
+	*nd = schedNode{next: q.freeN}
+	q.freeN = node
+	if b.top == 0 {
+		minheap.Pop(&q.heap, slotLess)
+		if slot := &q.cache[top.t&(schedCacheSize-1)]; *slot == top.b {
+			*slot = 0
+		}
+		q.freeB = append(q.freeB, top.b)
+	}
+	return schedEntry{t: top.t, lp: lp}
+}
 
 // eventPool recycles event slices across bundles, rollbacks and fossil
 // collection, bounding the kernel's per-event GC pressure. Each cluster owns
@@ -174,9 +284,16 @@ type cluster struct {
 	// network latency; they stay in-flight for GVT accounting until
 	// delivered.
 	delayed delayedHeap  //kernelvet:owner cluster
-	sched   schedHeap    //kernelvet:owner cluster
+	sched   schedQueue   //kernelvet:owner cluster
 	evPool  eventPool    //kernelvet:owner cluster
 	stats   ClusterStats //kernelvet:owner cluster
+	// hist lists the LPs that may hold processed bundles or oldSends, so
+	// fossil collection visits only them (see lpRuntime.inHist). It may
+	// still name LPs that migrated away, which fossilCollect drops without
+	// touching, and an LP that left and came back before the next pass is
+	// listed twice until its history empties; collecting it twice is a
+	// no-op.
+	hist []*lpRuntime //kernelvet:owner cluster
 
 	eventsSinceGVT int //kernelvet:owner cluster
 	idleLoops      int //kernelvet:owner cluster
@@ -304,8 +421,8 @@ func (c *cluster) deliver(ev Event) {
 
 // schedule refreshes lp's scheduler entry if its earliest work moved below
 // the tracked entry (lp.schedT). The gate keeps batch delivery from pushing
-// one heap entry per event: only the first event of a batch that lowers the
-// LP's next work time touches the heap.
+// one scheduler entry per event: only the first event of a batch that
+// lowers the LP's next work time touches the scheduler.
 func (c *cluster) schedule(lp *lpRuntime) {
 	if t := lp.nextTime(); t < lp.schedT {
 		c.sched.push(schedEntry{t: t, lp: lp})
@@ -387,7 +504,7 @@ func (c *cluster) executeOne() (n int, windowStalled bool) {
 			horizon = floor + w
 		}
 	}
-	for len(c.sched) > 0 {
+	for c.sched.len() > 0 {
 		e := c.sched.pop()
 		lp := e.lp
 		if !c.owned[lp.id] {
@@ -397,7 +514,7 @@ func (c *cluster) executeOne() (n int, windowStalled bool) {
 			continue
 		}
 		if e.t == lp.schedT {
-			// This was the LP's tracked entry; it is no longer in the heap.
+			// This was the LP's tracked entry; it is no longer queued.
 			lp.schedT = TimeInfinity
 		}
 		if lp.held {
@@ -409,8 +526,8 @@ func (c *cluster) executeOne() (n int, windowStalled bool) {
 		}
 		if t > horizon {
 			// Beyond the window: put the entry back and wait for the floor
-			// to advance. The heap minimum is beyond the horizon, so every
-			// other entry is too.
+			// to advance. The scheduler minimum is beyond the horizon, so
+			// every other entry is too.
 			c.schedule(lp)
 			return 0, true
 		}
@@ -430,8 +547,8 @@ func (c *cluster) executeOne() (n int, windowStalled bool) {
 // nextWork returns the scheduler top, the time this cluster publishes as its
 // progress (TimeInfinity when it has nothing scheduled).
 func (c *cluster) nextWork() Time {
-	if len(c.sched) > 0 {
-		return c.sched[0].t
+	if c.sched.len() > 0 {
+		return c.sched.min()
 	}
 	return TimeInfinity
 }
@@ -560,9 +677,24 @@ func (c *cluster) localMin() Time {
 	return min
 }
 
-// fossilCollect commits history below gvt across the cluster's LPs.
+// fossilCollect commits history below gvt across the cluster's LPs. Only
+// LPs on the history list can hold any; the list keeps those still owned
+// with history left and drops the rest. An LP that migrated away belongs to
+// its new owner, which re-registered it on adoption, so it is dropped
+// without being read.
 func (c *cluster) fossilCollect(gvt Time) {
-	for _, lp := range c.lps {
+	keep := c.hist[:0]
+	for _, lp := range c.hist {
+		if !c.owned[lp.id] {
+			continue
+		}
 		c.stats.EventsCommitted += lp.fossilCollect(gvt)
+		if lp.hasHistory() {
+			keep = append(keep, lp)
+		} else {
+			lp.inHist = false
+		}
 	}
+	clear(c.hist[len(keep):])
+	c.hist = keep
 }

@@ -562,7 +562,7 @@ func (k *Kernel) dumpStuck(gvt Time) {
 		mail := len(c.mail.in)
 		c.mail.mu.Unlock()
 		add("cluster %d: sched=%d localQ=%d outboxed=%d mail=%d delayed=%d limbo=%d localMin=%d\n",
-			c.id, len(c.sched), len(c.localQ), c.outboxed(), mail, len(c.delayed), len(c.limbo), c.localMin())
+			c.id, c.sched.len(), len(c.localQ), c.outboxed(), mail, len(c.delayed), len(c.limbo), c.localMin())
 	}
 	for _, lp := range k.lps {
 		nt := lp.nextTime()

@@ -103,14 +103,20 @@ type lpRuntime struct {
 	// horizon goes through rollback's check.
 	lvt Time //kernelvet:owner cluster
 
-	// schedT is the timestamp of this LP's tracked scheduler entry in its
-	// owning cluster's heap, or TimeInfinity when none is tracked. It
+	// schedT is the timestamp of this LP's tracked entry in its owning
+	// cluster's scheduler, or TimeInfinity when none is tracked. It
 	// deduplicates scheduler pushes: delivering a whole batch of events to
 	// one LP refreshes the scheduler once, not once per event (see
 	// cluster.schedule). Invariant: when finite, an entry with exactly
-	// this timestamp is in the owning cluster's heap, so skipping a push
-	// because schedT <= nextTime can never strand work.
+	// this timestamp is queued in the owning cluster's scheduler, so
+	// skipping a push because schedT <= nextTime can never strand work.
 	schedT Time //kernelvet:owner cluster
+
+	// inHist reports whether the owning cluster's history list (cluster.hist)
+	// names this LP. Invariant: an owned LP with processed bundles or
+	// oldSends is on the list; executeNext registers it, and migrateIn
+	// re-registers it after a move.
+	inHist bool //kernelvet:owner cluster
 
 	// idNext/idEnd bound this LP's private event-ID space,
 	// [id<<32, (id+1)<<32): IDs are unique across LPs by construction (the
@@ -215,14 +221,31 @@ func (lp *lpRuntime) nextEventID() uint64 {
 func (lp *lpRuntime) nextTime() Time {
 	for len(lp.pending) > 0 {
 		top := lp.pending[0]
-		if _, dead := lp.cancelled[top.ID]; dead {
-			delete(lp.cancelled, top.ID)
-			lp.pending.pop()
-			continue
+		if len(lp.cancelled) > 0 {
+			if _, dead := lp.cancelled[top.ID]; dead {
+				delete(lp.cancelled, top.ID)
+				lp.pending.pop()
+				continue
+			}
 		}
 		return top.RecvTime
 	}
 	return TimeInfinity
+}
+
+// hasHistory reports whether the LP holds processed bundles or rolled-back
+// sends, the state fossil collection releases.
+func (lp *lpRuntime) hasHistory() bool {
+	return len(lp.processed) > 0 || len(lp.oldSends) > 0
+}
+
+// register puts the LP on its owning cluster's history list unless it is
+// already there.
+func (lp *lpRuntime) register() {
+	if !lp.inHist {
+		lp.inHist = true
+		lp.cluster.hist = append(lp.cluster.hist, lp)
+	}
 }
 
 // enqueue inserts a positive event, rolling back first if the event is a
@@ -356,9 +379,11 @@ func (lp *lpRuntime) executeNext() int {
 	events := pool.get()
 	for len(lp.pending) > 0 && lp.pending[0].RecvTime == t {
 		ev := lp.pending.pop()
-		if _, dead := lp.cancelled[ev.ID]; dead {
-			delete(lp.cancelled, ev.ID)
-			continue
+		if len(lp.cancelled) > 0 {
+			if _, dead := lp.cancelled[ev.ID]; dead {
+				delete(lp.cancelled, ev.ID)
+				continue
+			}
 		}
 		events = append(events, ev)
 	}
@@ -380,6 +405,7 @@ func (lp *lpRuntime) executeNext() int {
 	lp.dispatchSends(t, sent)
 
 	lp.processed = append(lp.processed, bundle{time: t, events: events, stateAt: stateAt, sent: sent})
+	lp.register()
 	lp.lvt = t
 	lp.cluster.stats.EventsProcessed += uint64(len(events))
 	return len(events)
@@ -568,20 +594,22 @@ func (lp *lpRuntime) minPendingCancel() Time {
 //kernelvet:noalloc
 func (lp *lpRuntime) fossilCollect(gvt Time) uint64 {
 	lp.flushOldSends(gvt)
-	idx := sort.Search(len(lp.processed), func(i int) bool { return lp.processed[i].time >= gvt })
-	if idx == 0 {
-		return 0
-	}
+	// processed is chronological: the collectable prefix ends at the first
+	// bundle at or after gvt, and the scan frees each bundle as it passes.
 	pool := &lp.cluster.evPool
 	var committed uint64
-	for i := 0; i < idx; i++ {
-		b := &lp.processed[i]
+	idx := 0
+	for ; idx < len(lp.processed) && lp.processed[idx].time < gvt; idx++ {
+		b := &lp.processed[idx]
 		committed += uint64(len(b.events))
 		if b.time > lp.committedThrough {
 			lp.committedThrough = b.time
 		}
 		pool.put(b.events)
 		pool.put(b.sent)
+	}
+	if idx == 0 {
+		return 0
 	}
 	n := copy(lp.processed, lp.processed[idx:])
 	for i := n; i < len(lp.processed); i++ {

@@ -188,11 +188,18 @@ func (c *cluster) migrateIn(p migPayload) {
 	if c.kernel.remote {
 		atomic.AddInt64(&c.recvCum[p.color].n, 1)
 	}
-	// schedT tracked an entry in the old home's heap (now unreachable
+	// schedT tracked an entry in the old home's scheduler (now unreachable
 	// garbage, skipped there by the owned check); reset it before
 	// scheduling here or the gate could suppress the adopting push.
 	lp.schedT = TimeInfinity
 	c.schedule(lp)
+	// inHist, likewise, described the old home's history list, which drops
+	// the LP unread; register it here while it still has history, or that
+	// history would never be committed.
+	lp.inHist = false
+	if lp.hasHistory() {
+		lp.register()
+	}
 }
 
 // adoptFinalPayloads adopts payloads still parked at termination. It runs

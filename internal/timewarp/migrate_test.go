@@ -207,6 +207,78 @@ func TestStaleRouteForwardAndLimbo(t *testing.T) {
 	}
 }
 
+// TestMigratedHistoryCommits: an LP migrates in-process with uncommitted
+// history (three bundles, two of them rolled back by a straggler and run
+// again) and executes nothing after adoption. Its new home must still commit
+// every event: the old home's history list drops the LP without reading it,
+// so only the re-registration on adoption (migrateIn, also reached through
+// adoptFinalPayloads at termination) can.
+func TestMigratedHistoryCommits(t *testing.T) {
+	for _, adopt := range []string{"checkMigrate", "adoptFinalPayloads"} {
+		t.Run(adopt, func(t *testing.T) {
+			// limit 0: the LPs send nothing, so LP 0's own events are all
+			// there is to commit.
+			k, err := New(Config{NumClusters: 2, ClusterOf: []int{0, 1}}, []Handler{&pingLP{peer: 1}, &pingLP{peer: 0}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, b := k.clusters[0], k.clusters[1]
+			lp := k.lps[0]
+			deliver := func(at Time) {
+				lp.enqueue(Event{ID: k.nextEventID(), Sender: NoLP, Receiver: 0, RecvTime: at})
+				a.schedule(lp)
+			}
+			runAll := func() {
+				for {
+					if n, _ := a.executeOne(); n == 0 {
+						return
+					}
+				}
+			}
+			deliver(1)
+			deliver(2)
+			deliver(3)
+			runAll()
+			deliver(2) // straggler: rolls back the bundles at 2 and 3
+			runAll()
+			if len(lp.processed) != 3 || a.stats.EventsRolledBack != 2 {
+				t.Fatalf("before migration: processed bundles %d, rolled back %d; want 3, 2", len(lp.processed), a.stats.EventsRolledBack)
+			}
+
+			a.migrateOut(migOrder{lp: 0, to: 1}) // GVT is -1: nothing commits here
+			if adopt == "checkMigrate" {
+				b.checkMigrate()
+			} else {
+				b.adoptFinalPayloads()
+			}
+			if !b.owned[0] {
+				t.Fatal("destination did not adopt LP 0")
+			}
+			a.fossilCollect(TimeInfinity)
+			if a.stats.EventsCommitted != 0 || len(a.hist) != 0 {
+				t.Fatalf("old home committed %d events and lists %d LPs after the LP left, want 0 and 0", a.stats.EventsCommitted, len(a.hist))
+			}
+			if n, _ := b.executeOne(); n != 0 {
+				t.Fatalf("adopted LP executed %d events, want none", n)
+			}
+			b.fossilCollect(TimeInfinity)
+
+			var s ClusterStats
+			s.add(a.stats)
+			s.add(b.stats)
+			if s.EventsCommitted != 4 {
+				t.Errorf("committed = %d, want 4", s.EventsCommitted)
+			}
+			if s.EventsProcessed-s.EventsRolledBack != s.EventsCommitted {
+				t.Errorf("processed %d - rolled back %d != committed %d", s.EventsProcessed, s.EventsRolledBack, s.EventsCommitted)
+			}
+			if len(lp.processed) != 0 || len(b.hist) != 0 || lp.inHist {
+				t.Errorf("after commit: processed %d, new home lists %d LPs, inHist %v; want 0, 0, false", len(lp.processed), len(b.hist), lp.inHist)
+			}
+		})
+	}
+}
+
 // TestMigrationWithWireLatency rotates both LPs of a cross-cluster
 // ping-pong every GVT round while every message spends wall-clock time on
 // the modeled wire, so messages routinely arrive at clusters their receiver
