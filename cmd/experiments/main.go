@@ -4,12 +4,16 @@
 // Usage:
 //
 //	experiments -table1 -table2 -fig4 -fig5 -fig6 -quality -linear -ablation
-//	    -dynamic [-all]
-//	    [-scale 0.12] [-cycles 8] [-grain 1500] [-repeats 1] [-nodes 8]
-//	    [-out results]
+//	    -dynamic [-all] [-paper]
+//	    [-scale 0.12] [-cycles 8] [-grain 1500] [-net 2000] [-window 0.12]
+//	    [-repeats 1] [-nodes 8] [-seed 1] [-out results] [-q]
 //
 // Each selected experiment writes markdown/CSV into the -out directory and a
-// summary to stdout. -paper selects the full-scale configuration.
+// summary to stdout. -paper selects the full-scale configuration (scale 1,
+// 20 cycles, 5 repeats). -net sets only the modeled LAN's per-message busy
+// cost, at both sender and receiver; it leaves the modeled 120 µs one-way
+// latency in place. -window is the optimism window in clock cycles, -seed
+// the random seed, and -q suppresses per-measurement progress.
 package main
 
 import (

@@ -36,6 +36,14 @@ type Options struct {
 	Activity []float64
 }
 
+// Refinement defaults, shared by Multilevel and Rebalance: a partition may
+// exceed its share of the total weight by 10%, and greedy refinement runs at
+// most 4 passes.
+const (
+	defaultTolerance = 0.10
+	defaultPasses    = 4
+)
+
 func (o *Options) setDefaults() {
 	if o.CoarsenTo == 0 {
 		o.CoarsenTo = 64
@@ -44,10 +52,10 @@ func (o *Options) setDefaults() {
 		o.MaxLevels = 24
 	}
 	if o.BalanceTolerance == 0 {
-		o.BalanceTolerance = 0.10
+		o.BalanceTolerance = defaultTolerance
 	}
 	if o.MaxPasses == 0 {
-		o.MaxPasses = 4
+		o.MaxPasses = defaultPasses
 	}
 }
 

@@ -8,27 +8,12 @@ import (
 	"repro/internal/partition"
 )
 
-// RebalanceOptions parameterize Rebalance. The zero value matches the
-// refinement defaults of the multilevel partitioner (10% tolerance, 4
-// passes).
+// RebalanceOptions parameterize Rebalance, which refines with the
+// multilevel partitioner's default tolerance and pass bound.
 type RebalanceOptions struct {
 	// Seed drives the refinement visit order; fixed seed, deterministic
 	// result.
 	Seed int64
-	// BalanceTolerance is the allowed relative overload of a partition's
-	// activity weight (0.1 = 10%). Default 0.1.
-	BalanceTolerance float64
-	// MaxPasses bounds the refinement passes. Default 4.
-	MaxPasses int
-}
-
-func (o *RebalanceOptions) setDefaults() {
-	if o.BalanceTolerance == 0 {
-		o.BalanceTolerance = 0.10
-	}
-	if o.MaxPasses == 0 {
-		o.MaxPasses = 4
-	}
 }
 
 // RebalanceStats reports what one Rebalance call did.
@@ -52,7 +37,6 @@ type RebalanceStats struct {
 // The input assignment is not modified.
 func Rebalance(current partition.Assignment, rg *partition.RuntimeGraph, o RebalanceOptions) (partition.Assignment, RebalanceStats, error) {
 	var st RebalanceStats
-	o.setDefaults()
 	if err := rg.Validate(); err != nil {
 		return partition.Assignment{}, st, err
 	}
@@ -78,8 +62,8 @@ func Rebalance(current partition.Assignment, rg *partition.RuntimeGraph, o Rebal
 	st.CutBefore = g.edgeCut(part)
 	rng := rand.New(rand.NewSource(o.Seed))
 	scratch := newRefineScratch(g.n, k)
-	rebalance(g, part, k, o.BalanceTolerance, rng, scratch)
-	st.Passes = greedyRefine(g, part, k, o.BalanceTolerance, o.MaxPasses, rng, scratch)
+	rebalance(g, part, k, defaultTolerance, rng, scratch)
+	st.Passes = greedyRefine(g, part, k, defaultTolerance, defaultPasses, rng, scratch)
 	st.CutAfter = g.edgeCut(part)
 	for lp := range part {
 		if part[lp] != current.Parts[lp] {

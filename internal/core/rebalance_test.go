@@ -138,7 +138,7 @@ func TestRebalanceReducesRuntimeCut(t *testing.T) {
 	for v := 0; v < n; v++ {
 		cur.Parts[v] = v % k // round-robin: near-maximal cut on a chain
 	}
-	_, st, err := Rebalance(cur, g, RebalanceOptions{Seed: 11, MaxPasses: 8})
+	_, st, err := Rebalance(cur, g, RebalanceOptions{Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}

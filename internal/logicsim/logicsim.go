@@ -67,10 +67,6 @@ type Config struct {
 	RebalanceImbalance float64
 	// RebalanceSeed drives the refinement visit order of each rebalance.
 	RebalanceSeed int64
-	// LoadSmoothing is the kernel's EWMA coefficient over per-LP load
-	// windows (timewarp.Config.LoadSmoothing): 0 defaults to 0.5, 1
-	// disables smoothing so each rebalance sees only its own window.
-	LoadSmoothing float64
 
 	// Grain burns this many iterations of CPU per gate evaluation, modeling
 	// the heavyweight VHDL processes of the paper's TYVIS kernel. Zero
@@ -84,15 +80,14 @@ type Config struct {
 	OptimismCycles float64
 
 	// GVTPeriodEvents, LazyCancellation, NetSendBusy, NetRecvBusy,
-	// NetLatency, InboxSize and FlushBatch pass through to the Time Warp
-	// kernel (the Net* fields land in timewarp.NetConfig).
+	// NetLatency and InboxSize pass through to the Time Warp kernel (the
+	// Net* fields and InboxSize land in timewarp.NetConfig).
 	GVTPeriodEvents  int
 	LazyCancellation bool
 	NetSendBusy      int
 	NetRecvBusy      int
 	NetLatency       time.Duration
 	InboxSize        int
-	FlushBatch       int
 
 	// Transport selects the kernel's communication fabric: nil runs every
 	// cluster in this process (the in-memory transport); a
@@ -434,14 +429,14 @@ type rebalancer struct {
 
 func (r *rebalancer) rebalance(s *timewarp.LoadSnapshot) []int {
 	r.cnt++
-	// Gate and weigh on the EWMA-smoothed load (Config.LoadSmoothing), not
-	// the raw window: one quiet or one frantic window should neither
-	// trigger nor mask a migration, and the refined weights should reflect
-	// the persistent hotspot, not the latest transient.
+	// Gate and weigh on the kernel's EWMA-smoothed load, not the raw
+	// window: one quiet or one frantic window should neither trigger nor
+	// mask a migration, and the refined weights should reflect the
+	// persistent hotspot, not the latest transient.
 	if s.SmoothedImbalance() < r.imbalance {
 		return nil
 	}
-	n := s.NumLPs()
+	n := len(s.ClusterOf)
 	r.g.N = n
 	r.g.VertexWeight = r.g.VertexWeight[:0]
 	r.g.EdgeOff = r.g.EdgeOff[:0]
@@ -542,12 +537,11 @@ func run[V any](c *circuit.Circuit, a partition.Assignment, cfg Config, ops wire
 		GVTPeriodEvents:  cfg.GVTPeriodEvents,
 		LazyCancellation: cfg.LazyCancellation,
 		Net: timewarp.NetConfig{
-			Transport:  cfg.Transport,
-			SendBusy:   cfg.NetSendBusy,
-			RecvBusy:   cfg.NetRecvBusy,
-			Latency:    cfg.NetLatency,
-			InboxSize:  cfg.InboxSize,
-			FlushBatch: cfg.FlushBatch,
+			Transport: cfg.Transport,
+			SendBusy:  cfg.NetSendBusy,
+			RecvBusy:  cfg.NetRecvBusy,
+			Latency:   cfg.NetLatency,
+			InboxSize: cfg.InboxSize,
 		},
 	}
 	if cfg.DynamicRebalance && a.K > 1 {
@@ -557,7 +551,6 @@ func run[V any](c *circuit.Circuit, a partition.Assignment, cfg Config, ops wire
 		}
 		twCfg.Dynamic.Rebalance = rb.rebalance
 		twCfg.Dynamic.PeriodRounds = cfg.RebalancePeriodRounds
-		twCfg.Dynamic.LoadSmoothing = cfg.LoadSmoothing
 	}
 	kernel, err := timewarp.New(twCfg, handlers)
 	if err != nil {

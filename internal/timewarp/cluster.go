@@ -255,10 +255,6 @@ type cluster struct {
 	// out holds the per-destination outboxes of not-yet-flushed remote
 	// events (out[c.id] stays empty; local messages use localQ).
 	out []outbox //kernelvet:owner cluster
-	// flushBatch caches NetConfig.FlushBatch for the per-event stageRemote
-	// path.
-	flushBatch int
-
 	// sentCum/recvCum are cumulative per-color transit counters, maintained
 	// only under a multi-process transport (kernel.remote): sentCum[p]
 	// counts every event this cluster ever flushed under parity p, recvCum
@@ -343,9 +339,7 @@ type cluster struct {
 // route delivers an event to its destination LP's current home cluster (per
 // the routing table): locally via localQ, or by staging it in the
 // destination's outbox for a batched flush (transport.go). positive
-// distinguishes application messages from anti-messages for accounting. It
-// reports whether the event left the cluster (the sender's load profile
-// counts remote sends).
+// distinguishes application messages from anti-messages for accounting.
 //
 // The local branch does no transit accounting at all. An intra-cluster
 // message can never be "in flight" across a GVT cut observation: it is
@@ -356,20 +350,19 @@ type cluster struct {
 // by localMin), or already delivered into an LP's queues (covered by the
 // LP's pending minimum) — there is no interleaving in which another
 // cluster's counter or report would have to account for it.
-func (c *cluster) route(ev Event, positive bool) (remote bool) {
+func (c *cluster) route(ev Event, positive bool) {
 	dst := c.kernel.RouteOf(ev.Receiver)
 	if dst == c.id {
 		if positive {
 			c.stats.LocalMessages++
 		}
 		c.localQ = append(c.localQ, ev)
-		return false
+		return
 	}
 	if positive {
 		c.stats.RemoteMessages++
 	}
 	c.stageRemote(dst, ev)
-	return true
 }
 
 // drainLocal delivers every queued intra-cluster message, including those

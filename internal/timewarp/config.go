@@ -15,10 +15,6 @@ var (
 	// ErrBadAssignment rejects a ClusterOf that is the wrong length or maps
 	// an LP outside [0, NumClusters).
 	ErrBadAssignment = errors.New("timewarp: bad LP assignment")
-	// ErrBadSmoothing rejects a LoadSmoothing outside (0, 1].
-	ErrBadSmoothing = errors.New("timewarp: LoadSmoothing outside (0, 1]")
-	// ErrBadFlushBatch rejects a FlushBatch below 1.
-	ErrBadFlushBatch = errors.New("timewarp: FlushBatch must be at least 1")
 	// ErrBadTransport rejects a transport that cannot host the configured
 	// cluster count (more nodes than clusters).
 	ErrBadTransport = errors.New("timewarp: transport cannot host this configuration")
@@ -38,8 +34,8 @@ var (
 )
 
 // NetConfig groups the communication knobs of a run: the transport the
-// clusters talk over and the batching/backpressure/wire-model parameters the
-// flush policy uses.
+// clusters talk over and the backpressure/wire-model parameters the flush
+// policy uses.
 type NetConfig struct {
 	// Transport is the communication fabric between clusters. Nil selects
 	// the in-memory transport (every cluster is a goroutine of this
@@ -67,19 +63,15 @@ type NetConfig struct {
 	// accepts any single batch so progress never deadlocks on a capacity
 	// smaller than one batch. Default 8192.
 	InboxSize int
-	// FlushBatch is the outbox size that forces a flush: it bounds both the
-	// sender-side buffer and the burst a single push dumps into a mailbox.
-	// Default 64; must be at least 1.
-	FlushBatch int
 }
 
 // DynamicConfig groups the dynamic load-balancing knobs of a run.
 type DynamicConfig struct {
 	// Rebalance, when non-nil, enables dynamic load balancing: every
 	// PeriodRounds GVT rounds in which GVT advanced, the kernel collects a
-	// LoadSnapshot (per-LP committed events, rollbacks, remote sends, and
-	// the observed send matrix since the previous snapshot) and calls this
-	// function from the coordinator's goroutine. A non-nil return is the new
+	// LoadSnapshot (per-LP committed events and the observed send matrix
+	// since the previous snapshot, plus the smoothed committed load) and
+	// calls this function from the coordinator's goroutine. A non-nil return is the new
 	// LP→cluster assignment; LPs whose entry changed are migrated via the
 	// GVT-synchronized protocol in migrate.go. Returning nil declines (e.g.
 	// the imbalance is below a caller threshold). The snapshot's slices are
@@ -88,14 +80,6 @@ type DynamicConfig struct {
 	// PeriodRounds is the number of GVT-advancing rounds between load
 	// snapshots when Rebalance is set. Default 4.
 	PeriodRounds int
-	// LoadSmoothing is the EWMA coefficient applied to the per-LP load
-	// counters across load rounds: the snapshot's smoothed view is
-	// s ← LoadSmoothing·window + (1−LoadSmoothing)·s, seeded with the
-	// first window. 1 disables smoothing (each round sees only its own
-	// window); smaller values remember more history, so the rebalancer
-	// tracks persistent hotspots instead of chasing one-window transients.
-	// Zero defaults to 0.5; values outside (0, 1] are rejected.
-	LoadSmoothing float64
 }
 
 // Config parameterizes a Time Warp run.
@@ -129,8 +113,8 @@ type Config struct {
 }
 
 // Validate checks the explicitly set fields of the configuration. Zero
-// values that have a default (GVTPeriodEvents, InboxSize, FlushBatch,
-// PeriodRounds, LoadSmoothing) are not errors; New fills them in. The
+// values that have a default (GVTPeriodEvents, InboxSize, PeriodRounds) are
+// not errors; New fills them in. The
 // ClusterOf length is checked against the handler count by New, which knows
 // it; Validate checks each entry's range. Errors wrap the sentinel Err*
 // values above.
@@ -142,12 +126,6 @@ func (cfg *Config) Validate() error {
 		if c < 0 || c >= cfg.NumClusters {
 			return fmt.Errorf("%w: LP %d assigned to cluster %d, want [0,%d)", ErrBadAssignment, lp, c, cfg.NumClusters)
 		}
-	}
-	if s := cfg.Dynamic.LoadSmoothing; s != 0 && (s < 0 || s > 1) {
-		return fmt.Errorf("%w: %v", ErrBadSmoothing, s)
-	}
-	if cfg.Net.FlushBatch < 0 {
-		return fmt.Errorf("%w: %d", ErrBadFlushBatch, cfg.Net.FlushBatch)
 	}
 	return nil
 }
@@ -166,14 +144,8 @@ func (cfg *Config) setDefaults(numLPs int) error {
 	if cfg.Net.InboxSize <= 0 {
 		cfg.Net.InboxSize = 8192
 	}
-	if cfg.Net.FlushBatch == 0 {
-		cfg.Net.FlushBatch = 64
-	}
 	if cfg.Dynamic.PeriodRounds <= 0 {
 		cfg.Dynamic.PeriodRounds = 4
-	}
-	if cfg.Dynamic.LoadSmoothing == 0 {
-		cfg.Dynamic.LoadSmoothing = 0.5
 	}
 	return nil
 }

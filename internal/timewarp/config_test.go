@@ -24,12 +24,6 @@ func TestSetDefaultsValidation(t *testing.T) {
 		{"nil ClusterOf", Config{NumClusters: 1}, 2, ErrBadAssignment, "covers 0 LPs"},
 		{"cluster id too large", Config{NumClusters: 2, ClusterOf: []int{0, 2}}, 2, ErrBadAssignment, "assigned to cluster 2"},
 		{"negative cluster id", Config{NumClusters: 2, ClusterOf: []int{-1, 0}}, 2, ErrBadAssignment, "assigned to cluster -1"},
-		{"negative FlushBatch", Config{NumClusters: 1, ClusterOf: []int{0},
-			Net: NetConfig{FlushBatch: -1}}, 1, ErrBadFlushBatch, "at least 1"},
-		{"smoothing above 1", Config{NumClusters: 1, ClusterOf: []int{0},
-			Dynamic: DynamicConfig{LoadSmoothing: 1.5}}, 1, ErrBadSmoothing, "1.5"},
-		{"negative smoothing", Config{NumClusters: 1, ClusterOf: []int{0},
-			Dynamic: DynamicConfig{LoadSmoothing: -0.25}}, 1, ErrBadSmoothing, "-0.25"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -60,7 +54,7 @@ func TestValidateExported(t *testing.T) {
 		t.Fatalf("out-of-range assignment: got %v, want ErrBadAssignment", err)
 	}
 	// Validate must not mutate: zero-valued tunables stay zero.
-	if good.Net.FlushBatch != 0 || good.Net.InboxSize != 0 {
+	if good.GVTPeriodEvents != 0 || good.Net.InboxSize != 0 {
 		t.Errorf("Validate mutated defaults: %+v", good.Net)
 	}
 }
@@ -78,9 +72,6 @@ func TestSetDefaultsApplied(t *testing.T) {
 	if cfg.Net.InboxSize != 8192 {
 		t.Errorf("InboxSize default = %d, want 8192", cfg.Net.InboxSize)
 	}
-	if cfg.Net.FlushBatch != 64 {
-		t.Errorf("FlushBatch default = %d, want 64", cfg.Net.FlushBatch)
-	}
 	if cfg.Dynamic.PeriodRounds != 4 {
 		t.Errorf("Dynamic.PeriodRounds default = %d, want 4", cfg.Dynamic.PeriodRounds)
 	}
@@ -88,18 +79,17 @@ func TestSetDefaultsApplied(t *testing.T) {
 	cfg = Config{
 		NumClusters: 1, ClusterOf: []int{0, 0},
 		GVTPeriodEvents: 7,
-		Net:             NetConfig{InboxSize: 3, FlushBatch: 2},
+		Net:             NetConfig{InboxSize: 3},
 		Dynamic:         DynamicConfig{PeriodRounds: 9},
 	}
 	if err := cfg.setDefaults(2); err != nil {
 		t.Fatal(err)
 	}
-	if cfg.GVTPeriodEvents != 7 || cfg.Net.InboxSize != 3 || cfg.Net.FlushBatch != 2 || cfg.Dynamic.PeriodRounds != 9 {
+	if cfg.GVTPeriodEvents != 7 || cfg.Net.InboxSize != 3 || cfg.Dynamic.PeriodRounds != 9 {
 		t.Errorf("explicit values overwritten: %+v", cfg)
 	}
 
-	// Negative tunables without a validation rule are treated as unset, like
-	// zero (FlushBatch instead has a hard floor of 1, tested above).
+	// Negative tunables are treated as unset, like zero.
 	cfg = Config{
 		NumClusters: 1, ClusterOf: []int{0},
 		GVTPeriodEvents: -1,

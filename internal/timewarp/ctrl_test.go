@@ -74,8 +74,8 @@ func TestCtrlLocalMatchesWire(t *testing.T) {
 		}},
 		{"ackLoad", func(k *Kernel) ctrlMsg {
 			// The acking cluster fills its buffer in place (captureLoad).
-			k.loadBufs[1] = loadSnapBuf{lps: []LPID{1}, committed: []uint64{9}, rollbacks: []uint64{2},
-				remote: []uint64{3}, edgeOff: []int32{1}, edgeDst: []LPID{0}, edgeCnt: []uint64{5}}
+			k.loadBufs[1] = loadSnapBuf{lps: []LPID{1}, committed: []uint64{9},
+				edgeOff: []int32{1}, edgeDst: []LPID{0}, edgeCnt: []uint64{5}}
 			return ctrlMsg{typ: frameAckLoad, cluster: 1, load: &k.loadBufs[1]}
 		}},
 		{"coord wave", func(*Kernel) ctrlMsg {

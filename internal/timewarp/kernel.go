@@ -130,7 +130,7 @@ type Kernel struct {
 	edgeFill  []int32      //kernelvet:owner coordinator
 	// ewma holds the smoothed per-LP committed-event load across load
 	// rounds (coordinator-only, allocated and seeded by the first load
-	// round; see DynamicConfig.LoadSmoothing).
+	// round; see smoothLoad).
 	ewma []float64 //kernelvet:owner coordinator
 
 	// Coordinator-only round bookkeeping (cluster 0's goroutine).
@@ -197,14 +197,13 @@ func New(cfg Config, handlers []Handler) (*Kernel, error) {
 	k.clusters = make([]*cluster, cfg.NumClusters)
 	for i := range k.clusters {
 		k.clusters[i] = &cluster{
-			kernel:     k,
-			id:         i,
-			mail:       mailbox{notify: make(chan struct{}, 1)},
-			out:        make([]outbox, cfg.NumClusters),
-			flushBatch: cfg.Net.FlushBatch,
-			redMin:     TimeInfinity,
-			fossilAt:   -1,
-			owned:      make([]bool, len(handlers)),
+			kernel:   k,
+			id:       i,
+			mail:     mailbox{notify: make(chan struct{}, 1)},
+			out:      make([]outbox, cfg.NumClusters),
+			redMin:   TimeInfinity,
+			fossilAt: -1,
+			owned:    make([]bool, len(handlers)),
 		}
 	}
 	if err := tr.bind(k); err != nil {

@@ -87,7 +87,8 @@ type lpRuntime struct {
 
 	pending eventHeap //kernelvet:owner cluster
 	// cancelled holds IDs of positive events annihilated before they were
-	// popped from pending (lazy annihilation).
+	// popped from pending (lazy annihilation). It is nil until the first
+	// such annihilation: most LPs never need it.
 	cancelled map[uint64]struct{} //kernelvet:owner cluster
 
 	// processed bundles in chronological order.
@@ -152,15 +153,13 @@ type lpRuntime struct {
 	matchScratch []bool //kernelvet:owner cluster
 
 	// Load profile for dynamic rebalancing, owner-goroutine only, reset at
-	// every load round (captureLoad). loadCommitted/loadRollbacks/loadRemote
-	// count activity since the last snapshot; sendDst/sendCnt accumulate
+	// every load round (captureLoad). loadCommitted counts the events
+	// committed since the last snapshot; sendDst/sendCnt accumulate
 	// the LP's row of the observed send matrix (destinations discovered on
 	// first send, so the steady state appends nothing). sendCur remembers
 	// the last matched slot: handlers emit to their fanout in a fixed
 	// order, so the cyclic probe in noteSend usually hits immediately.
 	loadCommitted uint64   //kernelvet:owner cluster
-	loadRollbacks uint64   //kernelvet:owner cluster
-	loadRemote    uint64   //kernelvet:owner cluster
 	sendDst       []LPID   //kernelvet:owner cluster
 	sendCnt       []uint64 //kernelvet:owner cluster
 	sendCur       int      //kernelvet:owner cluster
@@ -187,11 +186,10 @@ type oldSendEntry struct {
 
 func newLPRuntime(id LPID, h Handler, c *cluster) *lpRuntime {
 	lp := &lpRuntime{
-		id:        id,
-		handler:   h,
-		cluster:   c,
-		cancelled: make(map[uint64]struct{}),
-		lvt:       -1,
+		id:      id,
+		handler: h,
+		cluster: c,
+		lvt:     -1,
 		// Nothing is committed yet. A zero value would read as "committed
 		// through time 0" and reject a legal rollback to a time-0 bundle.
 		committedThrough: -1,
@@ -264,6 +262,9 @@ func (lp *lpRuntime) annihilate(anti Event) {
 	if anti.RecvTime <= lp.lvt {
 		lp.rollback(anti.RecvTime)
 	}
+	if lp.cancelled == nil {
+		lp.cancelled = make(map[uint64]struct{})
+	}
 	lp.cancelled[anti.ID] = struct{}{}
 	// If the LP went idle, sends staged for lazily-cancelled regeneration
 	// can never be regenerated; flush them now.
@@ -296,7 +297,6 @@ func (lp *lpRuntime) rollback(t Time) {
 		return
 	}
 	lp.cluster.stats.Rollbacks++
-	lp.loadRollbacks++
 	lazy := lp.cluster.kernel.cfg.LazyCancellation
 	// Every surviving oldSends entry has time > lvt, and every rolled-back
 	// bundle has time <= lvt, so the new entries (appended in chronological
@@ -420,8 +420,8 @@ func (lp *lpRuntime) stageSend(c *cluster, ev Event) {
 // send routes one positive event originated by this LP and records it in the
 // LP's load profile (the observed send matrix driving dynamic rebalancing).
 func (lp *lpRuntime) send(ev Event) {
-	remote := lp.cluster.route(ev, true)
-	lp.noteSend(ev.Receiver, remote)
+	lp.cluster.route(ev, true)
+	lp.noteSend(ev.Receiver)
 }
 
 // noteSend accumulates one send into the LP's row of the send matrix. The
@@ -429,10 +429,7 @@ func (lp *lpRuntime) send(ev Event) {
 // patterns hit on the first comparison; a new destination appends once.
 //
 //kernelvet:noalloc
-func (lp *lpRuntime) noteSend(dst LPID, remote bool) {
-	if remote {
-		lp.loadRemote++
-	}
+func (lp *lpRuntime) noteSend(dst LPID) {
 	n := len(lp.sendDst)
 	for i := 0; i < n; i++ {
 		j := lp.sendCur + i

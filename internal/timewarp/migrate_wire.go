@@ -41,8 +41,6 @@ func (c *cluster) packPayload(lp *lpRuntime) []byte {
 		committedThrough: lp.committedThrough,
 		idNext:           lp.idNext,
 		loadCommitted:    lp.loadCommitted,
-		loadRollbacks:    lp.loadRollbacks,
-		loadRemote:       lp.loadRemote,
 		nPending:         int32(len(lp.pending)),
 		nCancelled:       int32(len(lp.cancelled)),
 		nSendRows:        int32(len(lp.sendDst)),
@@ -92,10 +90,11 @@ func (c *cluster) unpackPayload(wire []byte) (*lpRuntime, error) {
 	lp.committedThrough = hdr.committedThrough
 	lp.idNext = hdr.idNext
 	lp.loadCommitted = hdr.loadCommitted
-	lp.loadRollbacks = hdr.loadRollbacks
-	lp.loadRemote = hdr.loadRemote
 	for i := int32(0); i < hdr.nPending; i++ {
 		lp.pending.push(r.event())
+	}
+	if hdr.nCancelled > 0 {
+		lp.cancelled = make(map[uint64]struct{})
 	}
 	for i := int32(0); i < hdr.nCancelled; i++ {
 		lp.cancelled[r.u64()] = struct{}{}
@@ -120,17 +119,15 @@ func (c *cluster) unpackPayload(wire []byte) (*lpRuntime, error) {
 // resetAfterPack clears the runtime shell packPayload left behind, so a later
 // migration back to this process decodes into a verifiably empty target. The
 // pending events were copied onto the wire (values, no aliases), so only the
-// lengths need clearing; the cancelled map is drained in place.
+// lengths need clearing; the cancelled map is dropped.
 func (lp *lpRuntime) resetAfterPack() {
 	lp.pending = lp.pending[:0]
-	for id := range lp.cancelled {
-		delete(lp.cancelled, id)
-	}
+	lp.cancelled = nil
 	lp.stagedSends = lp.stagedSends[:0]
 	lp.sendDst = lp.sendDst[:0]
 	lp.sendCnt = lp.sendCnt[:0]
 	lp.sendCur = 0
-	lp.loadCommitted, lp.loadRollbacks, lp.loadRemote = 0, 0, 0
+	lp.loadCommitted = 0
 	lp.lvt = -1
 	lp.schedT = TimeInfinity
 }

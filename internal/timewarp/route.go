@@ -69,12 +69,9 @@ type LoadSnapshot struct {
 	// ClusterOf is the current route of every LP (the assignment the
 	// rebalancer refines from).
 	ClusterOf []int
-	// Committed, Rollbacks and RemoteSends count per-LP activity since the
-	// previous load round: events committed by fossil collection, rollback
-	// episodes, and positive sends that crossed a cluster boundary.
-	Committed   []uint64
-	Rollbacks   []uint64
-	RemoteSends []uint64
+	// Committed counts, per LP, the events fossil collection committed since
+	// the previous load round.
+	Committed []uint64
 	// The observed send matrix in CSR form: LP i sent EdgeCnt[j] positive
 	// events to EdgeDst[j] for j in [EdgeOff[i], EdgeOff[i+1]). Local and
 	// remote sends both count — the matrix is the locality structure a
@@ -83,50 +80,19 @@ type LoadSnapshot struct {
 	EdgeDst []LPID
 	EdgeCnt []uint64
 	// SmoothedCommitted is the EWMA of Committed across load rounds
-	// (Config.LoadSmoothing), seeded with the first window: a decaying
+	// (coefficient loadSmoothing), seeded with the first window: a decaying
 	// view of per-LP load that damps one-window transients so a rebalancer
 	// chases persistent hotspots, not noise. Kernel-owned like every other
 	// slice here.
 	SmoothedCommitted []float64
 
-	clusterLoad  []uint64  // reused by ClusterLoad
 	clusterLoadF []float64 // reused by SmoothedImbalance
 }
 
-// NumLPs returns the number of LPs covered by the snapshot.
-func (s *LoadSnapshot) NumLPs() int { return len(s.Committed) }
-
-// ClusterLoad returns the committed-event total of each cluster over the
-// window. The slice is reused across calls.
-func (s *LoadSnapshot) ClusterLoad() []uint64 {
-	s.clusterLoad = zeroed(s.clusterLoad, s.NumClusters)
-	for lp, c := range s.ClusterOf {
-		s.clusterLoad[c] += s.Committed[lp]
-	}
-	return s.clusterLoad
-}
-
-// Imbalance returns max/mean of the per-cluster committed-event load over the
-// window — 1.0 is perfect balance. Returns 1.0 when nothing was committed.
-func (s *LoadSnapshot) Imbalance() float64 {
-	load := s.ClusterLoad()
-	var total, max uint64
-	for _, l := range load {
-		total += l
-		if l > max {
-			max = l
-		}
-	}
-	if total == 0 {
-		return 1.0
-	}
-	mean := float64(total) / float64(len(load))
-	return float64(max) / mean
-}
-
-// SmoothedImbalance is Imbalance over the EWMA-smoothed per-LP load: the
-// decayed view a rebalancer should gate on, so one quiet or one frantic
-// window does not trigger (or mask) a migration by itself.
+// SmoothedImbalance returns max/mean of the per-cluster EWMA-smoothed load —
+// 1.0 is perfect balance, and also the answer when nothing was committed. It
+// is the decayed view a rebalancer should gate on, so one quiet or one
+// frantic window does not trigger (or mask) a migration by itself.
 func (s *LoadSnapshot) SmoothedImbalance() float64 {
 	s.clusterLoadF = zeroed(s.clusterLoadF, s.NumClusters)
 	for lp, c := range s.ClusterOf {
@@ -145,6 +111,12 @@ func (s *LoadSnapshot) SmoothedImbalance() float64 {
 	return max / (total / float64(len(s.clusterLoadF)))
 }
 
+// loadSmoothing is the EWMA coefficient of the smoothed load view:
+// s ← loadSmoothing·window + (1−loadSmoothing)·s. Half the weight on the
+// latest window lets the rebalancer track a persistent hotspot within a few
+// rounds without chasing one-window transients.
+const loadSmoothing = 0.5
+
 // smoothLoad folds one load round's committed window into the kernel's EWMA
 // view and exposes it on the snapshot. Coordinator-only, once per load
 // round; the first round seeds the EWMA with its raw window so early
@@ -156,9 +128,8 @@ func (k *Kernel) smoothLoad(s *LoadSnapshot) {
 			k.ewma[lp] = float64(c)
 		}
 	} else {
-		alpha := k.cfg.Dynamic.LoadSmoothing
 		for lp, c := range s.Committed {
-			k.ewma[lp] = alpha*float64(c) + (1-alpha)*k.ewma[lp]
+			k.ewma[lp] = loadSmoothing*float64(c) + (1-loadSmoothing)*k.ewma[lp]
 		}
 	}
 	s.SmoothedCommitted = k.ewma
@@ -171,8 +142,6 @@ func (k *Kernel) smoothLoad(s *LoadSnapshot) {
 type loadSnapBuf struct {
 	lps       []LPID
 	committed []uint64
-	rollbacks []uint64
-	remote    []uint64
 	// edgeOff[i] is the end offset of lps[i]'s edges in edgeDst/edgeCnt.
 	edgeOff []int32
 	edgeDst []LPID
@@ -182,8 +151,6 @@ type loadSnapBuf struct {
 func (b *loadSnapBuf) reset() {
 	b.lps = b.lps[:0]
 	b.committed = b.committed[:0]
-	b.rollbacks = b.rollbacks[:0]
-	b.remote = b.remote[:0]
 	b.edgeOff = b.edgeOff[:0]
 	b.edgeDst = b.edgeDst[:0]
 	b.edgeCnt = b.edgeCnt[:0]
@@ -203,9 +170,7 @@ func (c *cluster) captureLoad() {
 	for _, lp := range c.lps {
 		b.lps = append(b.lps, lp.id)
 		b.committed = append(b.committed, lp.loadCommitted)
-		b.rollbacks = append(b.rollbacks, lp.loadRollbacks)
-		b.remote = append(b.remote, lp.loadRemote)
-		lp.loadCommitted, lp.loadRollbacks, lp.loadRemote = 0, 0, 0
+		lp.loadCommitted = 0
 		for i, dst := range lp.sendDst {
 			if n := lp.sendCnt[i]; n != 0 {
 				b.edgeDst = append(b.edgeDst, dst)
@@ -222,7 +187,7 @@ func (c *cluster) captureLoad() {
 // An LP can legitimately appear in two buffers — its old home captured it,
 // then executed a pending migration order, and the new home captured it
 // again in the same round — with disjoint activity windows (counters reset
-// at each capture), so scalar counters and CSR rows accumulate rather than
+// at each capture), so committed counts and CSR rows accumulate rather than
 // overwrite.
 func (k *Kernel) buildSnapshot() *LoadSnapshot {
 	s := &k.snap
@@ -230,8 +195,6 @@ func (k *Kernel) buildSnapshot() *LoadSnapshot {
 	s.NumClusters = len(k.clusters)
 	s.ClusterOf = sized(s.ClusterOf, n)
 	s.Committed = zeroed(s.Committed, n)
-	s.Rollbacks = zeroed(s.Rollbacks, n)
-	s.RemoteSends = zeroed(s.RemoteSends, n)
 	s.EdgeOff = zeroed(s.EdgeOff, n+1)
 	// The routing table is the authoritative placement: it also covers an
 	// LP whose payload is in flight during the round (in no buffer), whose
@@ -239,14 +202,12 @@ func (k *Kernel) buildSnapshot() *LoadSnapshot {
 	for lp := range s.ClusterOf {
 		s.ClusterOf[lp] = k.RouteOf(LPID(lp))
 	}
-	// Pass 1: accumulate scalar counters and row lengths → prefix offsets.
+	// Pass 1: accumulate committed counts and row lengths → prefix offsets.
 	for ci := range k.loadBufs {
 		b := &k.loadBufs[ci]
 		start := int32(0)
 		for i, lp := range b.lps {
 			s.Committed[lp] += b.committed[i]
-			s.Rollbacks[lp] += b.rollbacks[i]
-			s.RemoteSends[lp] += b.remote[i]
 			s.EdgeOff[lp+1] += b.edgeOff[i] - start
 			start = b.edgeOff[i]
 		}

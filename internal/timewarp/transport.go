@@ -35,7 +35,7 @@ import (
 //
 // The flush policy bounds how long optimism can be starved by batching:
 //
-//   - size: an outbox at NetConfig.FlushBatch events flushes immediately;
+//   - size: an outbox at flushBatch events flushes immediately;
 //   - urgency: an event below the destination's published progress is (or
 //     soon will be) a straggler there — the outbox flushes at once so the
 //     rollback it triggers is as shallow as possible. An idle destination
@@ -143,6 +143,10 @@ func (m *mailbox) wake() bool {
 	}
 }
 
+// flushBatch is the outbox size that forces a flush: it bounds both the
+// sender-side buffer and the burst a single push dumps into a mailbox.
+const flushBatch = 64
+
 // outbox buffers this cluster's not-yet-flushed events for one destination.
 // min tracks the buffered minimum receive time (the value localMin folds into
 // GVT reports and flushDst folds into redMin); wantFlush marks a batch whose
@@ -176,7 +180,7 @@ func (c *cluster) stageRemote(dst int, ev Event) {
 	// maybeFlush once per main-loop iteration, not per staged event —
 	// re-trying here would reintroduce per-event lock traffic against a
 	// full mailbox, exactly the cost batching removes.
-	if (urgent || len(ob.buf) >= c.flushBatch) && !ob.wantFlush {
+	if (urgent || len(ob.buf) >= flushBatch) && !ob.wantFlush {
 		c.flushDst(dst)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 	"net"
 	"runtime"
@@ -345,13 +344,11 @@ func (t *TCPTransport) configDigest() uint64 {
 	mix(uint64(cfg.GVTPeriodEvents))
 	mix(uint64(cfg.OptimismWindow))
 	mix(b01(cfg.LazyCancellation))
-	mix(uint64(cfg.Net.FlushBatch))
 	mix(uint64(cfg.Net.InboxSize))
 	mix(uint64(cfg.Net.SendBusy))
 	mix(uint64(cfg.Net.RecvBusy))
 	mix(uint64(cfg.Net.Latency))
 	mix(uint64(cfg.Dynamic.PeriodRounds))
-	mix(math.Float64bits(cfg.Dynamic.LoadSmoothing))
 	mix(t.opt.ConfigTag)
 	return h
 }

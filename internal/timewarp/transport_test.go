@@ -92,8 +92,7 @@ func TestFlushPolicy(t *testing.T) {
 	if got := c0.localMin(); got != 60 {
 		t.Fatalf("localMin = %d with an outboxed event at 60", got)
 	}
-	// Size: filling the outbox to the FlushBatch default flushes it.
-	const flushBatch = 64
+	// Size: filling the outbox to flushBatch events flushes it.
 	for i := 0; i < flushBatch-1; i++ {
 		c0.route(Event{ID: uint64(3 + i), Receiver: 1, RecvTime: Time(61 + i)}, true)
 	}
@@ -299,27 +298,5 @@ func TestLoadSmoothingDecays(t *testing.T) {
 	k.smoothLoad(s)
 	if s.SmoothedCommitted[0] != 25 || s.SmoothedCommitted[1] != 75 {
 		t.Fatalf("round 3: smoothed = %v, want [25 75]", s.SmoothedCommitted)
-	}
-}
-
-// TestLoadSmoothingConfig: validation bounds and the pass-through of an
-// explicit coefficient.
-func TestLoadSmoothingConfig(t *testing.T) {
-	cfg := Config{NumClusters: 1, ClusterOf: []int{0}}
-	if err := cfg.setDefaults(1); err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Dynamic.LoadSmoothing != 0.5 {
-		t.Errorf("LoadSmoothing default = %v, want 0.5", cfg.Dynamic.LoadSmoothing)
-	}
-	cfg = Config{NumClusters: 1, ClusterOf: []int{0}, Dynamic: DynamicConfig{LoadSmoothing: 1}}
-	if err := cfg.setDefaults(1); err != nil || cfg.Dynamic.LoadSmoothing != 1 {
-		t.Errorf("explicit LoadSmoothing=1 rejected: %v %v", err, cfg.Dynamic.LoadSmoothing)
-	}
-	for _, bad := range []float64{-0.25, 1.5} {
-		cfg = Config{NumClusters: 1, ClusterOf: []int{0}, Dynamic: DynamicConfig{LoadSmoothing: bad}}
-		if err := cfg.setDefaults(1); err == nil {
-			t.Errorf("LoadSmoothing=%v accepted", bad)
-		}
 	}
 }

@@ -69,9 +69,11 @@ const helloMagic uint32 = 0x54574d50
 // protoVersion is the wire-protocol version carried in every hello. Bump it
 // on any frame-layout or frame-numbering change; peers with different
 // versions refuse to mesh (ErrProtoMismatch) instead of misparsing each
-// other. Version 1 was the bare node-id hello of PR 8; version 2 added the
-// versioned handshake itself plus heartbeat and abort frames.
-const protoVersion uint16 = 2
+// other. Version 1 was the bare node-id hello; version 2 added the
+// versioned handshake itself plus heartbeat and abort frames; version 3
+// dropped the per-LP rollback and remote-send counters from migration
+// payloads and load acks.
+const protoVersion uint16 = 3
 
 // maxAbortReason caps the reason string carried by a frameAbort. Reasons are
 // human-readable error text; anything longer is truncated at encode time,
@@ -461,8 +463,6 @@ type wireLPHdr struct {
 	committedThrough Time
 	idNext           uint64
 	loadCommitted    uint64
-	loadRollbacks    uint64
-	loadRemote       uint64
 	nPending         int32
 	nCancelled       int32
 	nSendRows        int32
@@ -475,8 +475,6 @@ func appendLPHdr(b []byte, h wireLPHdr) []byte {
 	b = appendI64(b, h.committedThrough)
 	b = appendU64(b, h.idNext)
 	b = appendU64(b, h.loadCommitted)
-	b = appendU64(b, h.loadRollbacks)
-	b = appendU64(b, h.loadRemote)
 	b = appendI32(b, h.nPending)
 	b = appendI32(b, h.nCancelled)
 	b = appendI32(b, h.nSendRows)
@@ -490,8 +488,6 @@ func (r *wireReader) lpHdr() wireLPHdr {
 		committedThrough: r.i64(),
 		idNext:           r.u64(),
 		loadCommitted:    r.u64(),
-		loadRollbacks:    r.u64(),
-		loadRemote:       r.u64(),
 		nPending:         r.i32(),
 		nCancelled:       r.i32(),
 		nSendRows:        r.i32(),
@@ -506,8 +502,6 @@ func appendLoadBuf(b []byte, buf *loadSnapBuf) []byte {
 	for i, lp := range buf.lps {
 		b = appendI32(b, int32(lp))
 		b = appendU64(b, buf.committed[i])
-		b = appendU64(b, buf.rollbacks[i])
-		b = appendU64(b, buf.remote[i])
 		b = appendI32(b, buf.edgeOff[i])
 	}
 	b = appendI32(b, int32(len(buf.edgeDst)))
@@ -529,8 +523,6 @@ func (r *wireReader) loadBuf(buf *loadSnapBuf) {
 	for i := 0; i < n; i++ {
 		buf.lps = append(buf.lps, LPID(r.i32()))
 		buf.committed = append(buf.committed, r.u64())
-		buf.rollbacks = append(buf.rollbacks, r.u64())
-		buf.remote = append(buf.remote, r.u64())
 		buf.edgeOff = append(buf.edgeOff, r.i32())
 	}
 	e := int(r.i32())

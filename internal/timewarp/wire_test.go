@@ -204,8 +204,7 @@ func TestWireRoundTrip(t *testing.T) {
 	})
 	t.Run("lpHdr", func(t *testing.T) {
 		in := wireLPHdr{
-			lp: 9, lvt: -1, committedThrough: 1 << 40, idNext: 1<<63 + 3,
-			loadCommitted: 10, loadRollbacks: 2, loadRemote: 5,
+			lp: 9, lvt: -1, committedThrough: 1 << 40, idNext: 1<<63 + 3, loadCommitted: 10,
 			nPending: 3, nCancelled: 1, nSendRows: 2, stateLen: 8,
 		}
 		b := appendLPHdr(nil, in)
@@ -222,8 +221,6 @@ func TestWireRoundTrip(t *testing.T) {
 		in := loadSnapBuf{
 			lps:       []LPID{2, 5},
 			committed: []uint64{10, 20},
-			rollbacks: []uint64{1, 0},
-			remote:    []uint64{3, 4},
 			edgeOff:   []int32{1, 3},
 			edgeDst:   []LPID{5, 2, 7},
 			edgeCnt:   []uint64{9, 8, 7},
@@ -436,10 +433,10 @@ func TestWirePayloadRoundTrip(t *testing.T) {
 	lp.lvt = 77
 	lp.committedThrough = 50
 	lp.idNext = uint64(0)<<32 + 99
-	lp.loadCommitted, lp.loadRollbacks, lp.loadRemote = 8, 2, 3
+	lp.loadCommitted = 8
 	lp.pending.push(Event{ID: 5, Sender: 1, Receiver: 0, SendTime: 60, RecvTime: 80, Value: 9})
 	lp.pending.push(Event{ID: 6, Sender: 1, Receiver: 0, SendTime: 61, RecvTime: 90, Anti: true})
-	lp.cancelled[31] = struct{}{}
+	lp.cancelled = map[uint64]struct{}{31: {}}
 	lp.sendDst = append(lp.sendDst, 1)
 	lp.sendCnt = append(lp.sendCnt, 12)
 
@@ -463,8 +460,8 @@ func TestWirePayloadRoundTrip(t *testing.T) {
 	if got.lvt != 77 || got.committedThrough != 50 || got.idNext != 99 {
 		t.Errorf("scalars: lvt=%d committedThrough=%d idNext=%d", got.lvt, got.committedThrough, got.idNext)
 	}
-	if got.loadCommitted != 8 || got.loadRollbacks != 2 || got.loadRemote != 3 {
-		t.Errorf("load counters: %d %d %d", got.loadCommitted, got.loadRollbacks, got.loadRemote)
+	if got.loadCommitted != 8 {
+		t.Errorf("committed load counter: %d", got.loadCommitted)
 	}
 	if len(got.pending) != 2 || got.nextTime() != 80 {
 		t.Errorf("pending: len=%d next=%d, want 2 events from time 80", len(got.pending), got.nextTime())
@@ -500,12 +497,19 @@ func TestWirePayloadRoundTrip(t *testing.T) {
 // layer, then the per-type decoder — asserting that nothing panics and that
 // every accepted control frame re-encodes to the identical body. Control
 // frames go through the kernel's own decodeCtrl; the transport-only frames
-// mirror apply.
-func fuzzFrameStream(t *testing.T, data []byte) {
+// mirror apply. It returns the first framing or decode error, or nil when
+// every frame decoded and the stream ended cleanly.
+func fuzzFrameStream(t *testing.T, data []byte) error {
 	k, err := New(Config{NumClusters: 2, ClusterOf: []int{0, 1}},
 		[]Handler{&pingLP{peer: 1}, &pingLP{peer: 0}})
 	if err != nil {
 		t.Fatal(err)
+	}
+	var first error
+	note := func(err error) {
+		if first == nil {
+			first = err
+		}
 	}
 	br := bufio.NewReader(bytes.NewReader(data))
 	var scratch []byte
@@ -513,7 +517,10 @@ func fuzzFrameStream(t *testing.T, data []byte) {
 		typ, body, s, err := readFrame(br, scratch)
 		scratch = s
 		if err != nil {
-			return
+			if err != io.EOF {
+				note(err)
+			}
+			return first
 		}
 		r := &wireReader{b: body}
 		switch typ {
@@ -530,6 +537,7 @@ func fuzzFrameStream(t *testing.T, data []byte) {
 			// Mirror apply(): events are variable-size, so the count check is
 			// a lower bound and the decode loop + done() do the real check.
 			if r.err != nil || hdr.n < 0 || int(hdr.n)*eventWireSize > len(r.b) {
+				note(fmt.Errorf("batch of %d events in a %d-byte body", hdr.n, len(r.b)))
 				continue
 			}
 			for i := int32(0); i < hdr.n; i++ {
@@ -544,6 +552,7 @@ func fuzzFrameStream(t *testing.T, data []byte) {
 			r.i32()
 			cnt := r.i32()
 			if r.err != nil || cnt < 0 || int(cnt)*8 != len(r.b) {
+				note(fmt.Errorf("sum of %d words in a %d-byte body", cnt, len(r.b)))
 				continue
 			}
 			for i := int32(0); i < cnt; i++ {
@@ -552,6 +561,7 @@ func fuzzFrameStream(t *testing.T, data []byte) {
 		case frameSumReply:
 			cnt := r.i32()
 			if r.err != nil || cnt < 0 || int(cnt)*8 != len(r.b) {
+				note(fmt.Errorf("sum reply of %d words in a %d-byte body", cnt, len(r.b)))
 				continue
 			}
 			for i := int32(0); i < cnt; i++ {
@@ -560,12 +570,17 @@ func fuzzFrameStream(t *testing.T, data []byte) {
 		default:
 			m, err := k.decodeCtrl(typ, body)
 			if err != nil {
+				note(err)
 				continue
 			}
 			// encode∘decode is the identity on accepted control frames.
 			if re := m.appendFrame(nil); !bytes.Equal(re[5:], body) {
 				t.Fatalf("frame type %d re-encodes to % x, received % x", typ, re[5:], body)
 			}
+			continue
+		}
+		if err := r.done(); err != nil {
+			note(err)
 		}
 	}
 }
@@ -583,8 +598,8 @@ func FuzzWireFrame(f *testing.F) {
 	for _, m := range []ctrlMsg{
 		{typ: frameReqGVT},
 		{typ: frameOrder, order: wireOrder{cluster: 1, lp: 1, to: 0}},
-		{typ: frameAckLoad, cluster: 1, load: &loadSnapBuf{lps: []LPID{1}, committed: []uint64{4}, rollbacks: []uint64{1},
-			remote: []uint64{2}, edgeOff: []int32{1}, edgeDst: []LPID{0}, edgeCnt: []uint64{3}}},
+		{typ: frameAckLoad, cluster: 1, load: &loadSnapBuf{lps: []LPID{1}, committed: []uint64{4},
+			edgeOff: []int32{1}, edgeDst: []LPID{0}, edgeCnt: []uint64{3}}},
 		{typ: framePayload, cluster: 0, pay: migPayload{wire: []byte{1, 2, 3}, color: 1}},
 	} {
 		seed = m.appendFrame(seed)
@@ -605,7 +620,7 @@ func FuzzWireFrame(f *testing.F) {
 	hs = endFrame(hs, off)
 	f.Add(hs)
 	f.Add([]byte{0, 0, 0, 0})
-	f.Fuzz(fuzzFrameStream)
+	f.Fuzz(func(t *testing.T, data []byte) { fuzzFrameStream(t, data) })
 }
 
 // fuzzEventRoundTrip: any prefix that decodes as one (variable-size) event
@@ -613,12 +628,13 @@ func FuzzWireFrame(f *testing.F) {
 // bytes need not round-trip — the flags byte has dead bits, and an encoded
 // all-zero payload decodes to the same Event as an absent one.) A body too
 // short for the fields it promises — including a set payload flag with
-// truncated planes — must fail the decode, never misparse.
-func fuzzEventRoundTrip(t *testing.T, data []byte) {
+// truncated planes — must fail the decode, never misparse; that decode
+// error is returned.
+func fuzzEventRoundTrip(t *testing.T, data []byte) error {
 	r := &wireReader{b: data}
 	ev := r.event()
 	if r.err != nil {
-		return // truncated input: rejection is the correct outcome
+		return r.err // truncated input: rejection is the correct outcome
 	}
 	b := appendEvent(nil, &ev)
 	r2 := &wireReader{b: b}
@@ -626,6 +642,7 @@ func fuzzEventRoundTrip(t *testing.T, data []byte) {
 	if r2.done() != nil || ev2 != ev {
 		t.Fatalf("event round trip: %+v vs %+v", ev, ev2)
 	}
+	return nil
 }
 
 // FuzzWireEvent fuzzes the event codec through decode → encode → decode.
@@ -633,12 +650,13 @@ func FuzzWireEvent(f *testing.F) {
 	f.Add(appendEvent(nil, &Event{ID: 1, Sender: 0, Receiver: 1, SendTime: 2, RecvTime: 3, Kind: 4, Value: 5}))
 	f.Add(appendEvent(nil, &Event{ID: 1 << 62, Sender: -1, Receiver: 0, RecvTime: TimeInfinity, Anti: true}))
 	f.Add(appendEvent(nil, &Event{ID: 2, Sender: 1, Receiver: 0, RecvTime: 8, Pay: Payload{P0: 0xABCD, P1: 0x1234}}))
-	f.Fuzz(fuzzEventRoundTrip)
+	f.Fuzz(func(t *testing.T, data []byte) { fuzzEventRoundTrip(t, data) })
 }
 
 // fuzzPayload: arbitrary bytes through unpackPayload on a fresh kernel must
-// error or adopt cleanly — never panic or corrupt an unrelated shell.
-func fuzzPayload(t *testing.T, data []byte) {
+// error or adopt cleanly — never panic or corrupt an unrelated shell. It
+// returns the decode error.
+func fuzzPayload(t *testing.T, data []byte) error {
 	k, err := New(Config{NumClusters: 2, ClusterOf: []int{0, 1}},
 		[]Handler{&codecLP{pingLP: pingLP{peer: 1}}, &codecLP{pingLP: pingLP{peer: 0}}})
 	if err != nil {
@@ -646,11 +664,12 @@ func fuzzPayload(t *testing.T, data []byte) {
 	}
 	lp, err := k.clusters[0].unpackPayload(data)
 	if err != nil {
-		return
+		return err
 	}
 	if lp == nil {
 		t.Fatal("unpackPayload returned nil without an error")
 	}
+	return nil
 }
 
 // FuzzWirePayload fuzzes the migration payload decoder.
@@ -664,13 +683,26 @@ func FuzzWirePayload(f *testing.F) {
 	lp.pending.push(Event{ID: 9, Sender: 0, Receiver: 1, SendTime: 1, RecvTime: 2})
 	f.Add(k.clusters[1].packPayload(lp))
 	f.Add([]byte{})
-	f.Fuzz(fuzzPayload)
+	f.Fuzz(func(t *testing.T, data []byte) { fuzzPayload(t, data) })
+}
+
+// corpusRejects names the corpus entries that are malformed on purpose.
+// TestWireFuzzCorpus requires exactly these to fail decoding: every other
+// entry must decode, so a wire-format change that leaves the committed
+// corpus stale fails the test instead of quietly fuzzing from rejected
+// inputs.
+var corpusRejects = map[string]bool{
+	"FuzzWireFrame/seed_abort_overrun":           true,
+	"FuzzWireFrame/seed_batch_truncated_payload": true,
+	"FuzzWireFrame/seed_hello_truncated":         true,
+	"FuzzWireFrame/seed_truncated":               true,
+	"FuzzWirePayload/seed_truncated":             true,
 }
 
 // TestWireFuzzCorpus replays the checked-in fuzz corpus under plain `go test`,
 // so CI exercises every regression input without the -fuzz flag.
 func TestWireFuzzCorpus(t *testing.T) {
-	for name, fn := range map[string]func(*testing.T, []byte){
+	for name, fn := range map[string]func(*testing.T, []byte) error{
 		"FuzzWireFrame":   fuzzFrameStream,
 		"FuzzWireEvent":   fuzzEventRoundTrip,
 		"FuzzWirePayload": fuzzPayload,
@@ -696,7 +728,16 @@ func TestWireFuzzCorpus(t *testing.T) {
 			if _, err := fmt.Sscanf(strings.TrimSpace(lines[1]), "[]byte(%q)", &data); err != nil {
 				t.Fatalf("%s/%s: %v", dir, e.Name(), err)
 			}
-			t.Run(name+"/"+e.Name(), func(t *testing.T) { fn(t, data) })
+			entry := name + "/" + e.Name()
+			t.Run(entry, func(t *testing.T) {
+				err := fn(t, data)
+				switch {
+				case corpusRejects[entry] && err == nil:
+					t.Fatal("malformed entry decoded without error")
+				case !corpusRejects[entry] && err != nil:
+					t.Fatalf("entry no longer decodes (regenerate with WIRE_CORPUS=1): %v", err)
+				}
+			})
 		}
 	}
 }
@@ -727,6 +768,12 @@ func TestGenerateWireCorpus(t *testing.T) {
 	stream = appendOrder(stream, wireOrder{cluster: 1, lp: 1, to: 0})
 	stream = appendRoute(stream, wireRoute{lp: 1, to: 0})
 	write("FuzzWireFrame", "seed_control", stream)
+
+	// A load-round ack: one cluster's committed counts and send-matrix rows.
+	ack := ctrlMsg{typ: frameAckLoad, cluster: 1, load: &loadSnapBuf{
+		lps: []LPID{0, 1}, committed: []uint64{12, 7}, edgeOff: []int32{1, 3},
+		edgeDst: []LPID{1, 0, 1}, edgeCnt: []uint64{12, 6, 1}}}
+	write("FuzzWireFrame", "seed_ack_load", ack.appendFrame(nil))
 
 	var batch []byte
 	var off int
@@ -807,7 +854,9 @@ func TestGenerateWireCorpus(t *testing.T) {
 	lp.lvt = 30
 	lp.committedThrough = 25
 	lp.pending.push(Event{ID: 9, Sender: 0, Receiver: 1, SendTime: 20, RecvTime: 35, Value: 2})
-	lp.cancelled[4] = struct{}{}
+	// One cancelled ID only: packPayload writes the set in map order, and
+	// the committed corpus must regenerate byte-identically.
+	lp.cancelled = map[uint64]struct{}{4: {}}
 	payload := k.clusters[1].packPayload(lp)
 	write("FuzzWirePayload", "seed_valid", payload)
 	write("FuzzWirePayload", "seed_truncated", payload[:len(payload)-3])
