@@ -58,8 +58,9 @@
 //     byte-identical to the pre-payload format) that the vectored logic
 //     simulator fills with 64 packed scenarios per message. Event queues
 //     use non-boxing heaps, scheduler pushes are deduplicated per LP, and
-//     bundle/event slices — payloads inline — are pooled across rollback
-//     and fossil collection.
+//     each LP keeps its history — input events (payloads inline), sends
+//     and saved states — in three flat logs that rollback truncates and
+//     fossil collection compacts.
 //
 //     Failure semantics of the TCP mesh: connections open with a versioned
 //     hello (magic, wire-protocol version, topology counts, and an FNV-1a

@@ -100,7 +100,7 @@ func BenchmarkHotPaths(b *testing.B) {
 			if vectors {
 				// The vectored rows roll back 128 packed planes per gate
 				// instead of a handful of bytes; the alloc guard holds the
-				// states log and payload recycling to the same steady-state
+				// history logs, payloads inline, to the same steady state
 				// as the scalar rows.
 				name = "vec-" + name
 			}

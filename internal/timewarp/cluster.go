@@ -180,55 +180,6 @@ func (q *schedQueue) pop() schedEntry {
 	return schedEntry{t: top.t, lp: lp}
 }
 
-// eventPool recycles event slices across bundles, rollbacks and fossil
-// collection, bounding the kernel's per-event GC pressure. Each cluster owns
-// one pool and every LP operation runs on its owning cluster's goroutine
-// (initialization is single-threaded), so no locking is needed. held is the
-// total capacity, in events, of the slices currently pooled.
-type eventPool struct {
-	free [][]Event
-	held int
-}
-
-// maxPooledEventCap bounds the backing-array size the pool will retain. One
-// rollback burst with huge bundles would otherwise park arbitrarily large
-// arrays in the pool forever.
-const maxPooledEventCap = 1024
-
-// maxPooledEvents bounds the pool's retained capacity (1<<16 events, 4 MiB
-// at 64 bytes per event). The bound is on capacity, not slice count: the
-// live set of small bundles between GVT rounds holds thousands of slices,
-// and a pool that refuses them sends nearly every execution to the
-// allocator.
-const maxPooledEvents = 1 << 16
-
-// get returns a recycled zero-length slice, or nil (callers append).
-//
-//kernelvet:pool-get
-func (p *eventPool) get() []Event {
-	if n := len(p.free); n > 0 {
-		s := p.free[n-1]
-		p.free[n-1] = nil
-		p.free = p.free[:n-1]
-		p.held -= cap(s)
-		return s
-	}
-	return nil
-}
-
-// put recycles a slice's backing array. The pool is bounded in retained
-// capacity and in per-slice capacity so a rollback burst cannot pin memory
-// forever.
-//
-//kernelvet:pool-put
-func (p *eventPool) put(s []Event) {
-	if cap(s) == 0 || cap(s) > maxPooledEventCap || p.held+cap(s) > maxPooledEvents {
-		return
-	}
-	p.held += cap(s)
-	p.free = append(p.free, s[:0])
-}
-
 // idleWait bounds how long an idle or window-stalled cluster blocks on its
 // mailbox before re-checking scheduler, GVT and optimism-window state. It is
 // a liveness backstop: mail, control bits and (for a window-stalled cluster)
@@ -281,7 +232,6 @@ type cluster struct {
 	// delivered.
 	delayed delayedHeap  //kernelvet:owner cluster
 	sched   schedQueue   //kernelvet:owner cluster
-	evPool  eventPool    //kernelvet:owner cluster
 	stats   ClusterStats //kernelvet:owner cluster
 	// hist lists the LPs that may hold processed bundles or oldSends, so
 	// fossil collection visits only them (see lpRuntime.inHist). It may

@@ -177,9 +177,10 @@ func (m *ctrlMsg) appendFrame(b []byte) []byte {
 }
 
 // decodeCtrl decodes the body of a control frame received from a peer. It
-// rejects truncated or overlong bodies, unknown frame types, and messages
+// rejects truncated or overlong bodies, unknown frame types, messages
 // naming a cluster or LP out of range or, for orders and payloads, a
-// cluster this process does not host.
+// cluster this process does not host, and load acks whose edge offsets
+// do not partition their edge rows.
 func (k *Kernel) decodeCtrl(typ uint8, body []byte) (ctrlMsg, error) {
 	m := ctrlMsg{typ: typ}
 	r := wireReader{b: body}
@@ -222,6 +223,8 @@ func (k *Kernel) decodeCtrl(typ uint8, body []byte) (ctrlMsg, error) {
 		return m, fmt.Errorf("report for cluster %d", m.rep.cluster)
 	case typ == frameAckLoad && (m.cluster < 0 || m.cluster >= n):
 		return m, fmt.Errorf("ackLoad for cluster %d", m.cluster)
+	case typ == frameAckLoad && !m.load.valid(len(k.lps)):
+		return m, fmt.Errorf("ackLoad for cluster %d names an LP out of range or has edge offsets out of order", m.cluster)
 	case typ == frameOrder && !k.hosts(m.order.cluster):
 		return m, fmt.Errorf("order for cluster %d (not hosted here)", m.order.cluster)
 	case typ == frameOrder && (m.order.lp < 0 || int(m.order.lp) >= len(k.lps) || m.order.to < 0 || m.order.to >= n):

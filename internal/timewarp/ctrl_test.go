@@ -126,3 +126,46 @@ func TestCtrlLocalMatchesWire(t *testing.T) {
 		})
 	}
 }
+
+// TestDecodeCtrlRejectsBadAckLoad: a load ack whose rows name an LP the
+// kernel does not have, or whose edge offsets do not partition its edge
+// rows, is a decode error, not an index panic in buildSnapshot later.
+func TestDecodeCtrlRejectsBadAckLoad(t *testing.T) {
+	k, err := New(Config{NumClusters: 2, ClusterOf: []int{0, 1}},
+		[]Handler{&pingLP{peer: 1}, &pingLP{peer: 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		buf  loadSnapBuf
+		ok   bool
+	}{
+		{"valid", loadSnapBuf{lps: []LPID{0, 1}, committed: []uint64{12, 7}, edgeOff: []int32{1, 3},
+			edgeDst: []LPID{1, 0, 1}, edgeCnt: []uint64{12, 6, 1}}, true},
+		{"row LP 99", loadSnapBuf{lps: []LPID{99}, committed: []uint64{1}, edgeOff: []int32{0}}, false},
+		{"row LP -1", loadSnapBuf{lps: []LPID{-1}, committed: []uint64{1}, edgeOff: []int32{0}}, false},
+		{"edge to LP 2", loadSnapBuf{lps: []LPID{0}, committed: []uint64{1}, edgeOff: []int32{1},
+			edgeDst: []LPID{2}, edgeCnt: []uint64{1}}, false},
+		{"decreasing edgeOff", loadSnapBuf{lps: []LPID{0, 1}, committed: []uint64{1, 1}, edgeOff: []int32{2, 1},
+			edgeDst: []LPID{1, 0}, edgeCnt: []uint64{1, 1}}, false},
+		{"negative edgeOff", loadSnapBuf{lps: []LPID{0, 1}, committed: []uint64{1, 1}, edgeOff: []int32{-1, 2},
+			edgeDst: []LPID{1, 0}, edgeCnt: []uint64{1, 1}}, false},
+		{"edgeOff short of the rows", loadSnapBuf{lps: []LPID{0}, committed: []uint64{1}, edgeOff: []int32{1},
+			edgeDst: []LPID{1, 0}, edgeCnt: []uint64{1, 1}}, false},
+		{"edges without rows", loadSnapBuf{edgeDst: []LPID{1}, edgeCnt: []uint64{1}}, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			m := ctrlMsg{typ: frameAckLoad, cluster: 1, load: &tc.buf}
+			typ, body := decodeOneFrame(t, m.appendFrame(nil))
+			_, err := k.decodeCtrl(typ, body)
+			if tc.ok && err != nil {
+				t.Fatalf("valid ack rejected: %v", err)
+			}
+			if !tc.ok && err == nil {
+				t.Fatal("malformed ack decoded without error")
+			}
+		})
+	}
+}

@@ -111,10 +111,10 @@ const (
 // other applications are free to use it as 16 opaque bytes. A zero Payload
 // means "no payload": the wire codec omits it entirely (one flag bit selects
 // the wide frame), so scalar-mode traffic stays byte-identical to the
-// pre-payload format. Payloads live inline in events — they are recycled
-// through rollback and fossil collection with the pooled event slices that
-// carry them, and transit accounting is unchanged because the unit in flight
-// is still the event.
+// pre-payload format. Payloads live inline in events — the LP's input and
+// send logs keep them through rollback and fossil collection like any other
+// field, and transit accounting is unchanged because the unit in flight is
+// still the event.
 //
 //kernelvet:wire
 type Payload struct {

@@ -376,7 +376,7 @@ func (k *Kernel) Run() (RunStats, error) {
 		if !lp.cluster.here {
 			continue
 		}
-		ctx := &Context{lp: lp, cluster: lp.cluster, now: -1, inInit: true}
+		ctx := &Context{lp: lp, now: -1, inInit: true}
 		lp.handler.Init(ctx)
 	}
 	// Initial events must land in LP queues before the clusters start:
@@ -568,12 +568,8 @@ func (k *Kernel) dumpStuck(gvt Time) {
 		if nt == TimeInfinity && len(lp.oldSends) == 0 {
 			continue
 		}
-		add("  lp %d (cluster %d): next=%d lvt=%d pending=%d cancelled=%d processed=%d oldSends=%d",
+		add("  lp %d (cluster %d): next=%d lvt=%d pending=%d cancelled=%d processed=%d oldSends=%d\n",
 			lp.id, k.RouteOf(lp.id), nt, lp.lvt, len(lp.pending), len(lp.cancelled), len(lp.processed), len(lp.oldSends))
-		for _, e := range lp.oldSends {
-			add(" [t=%d sends=%d]", e.time, len(e.sent))
-		}
-		add("\n")
 	}
 	panic(string(sb))
 }

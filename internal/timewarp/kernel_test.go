@@ -375,67 +375,162 @@ func TestStatesLogMidHistoryRollback(t *testing.T) {
 	// by-hand: when a running kernel fossil-collects is up to its GVT rounds,
 	// so the offsets a partial collection rebases are tested on one LP driven
 	// directly. It executes through time 40, commits below 20 and executes on
-	// through 50, appending over the log's vacated tail. A straggler for 25
-	// then rolls back into the rebased log, and one for 24 to the bundle the
-	// first rollback left last. The reference
-	// has both events queued before it executes anything.
+	// through 50, appending over the logs' vacated tails. A straggler for 25
+	// then rolls back into the rebased logs, and one for 24, queued before
+	// anything re-executes, to the bundle the first rollback left last. The
+	// reference has both events queued before it executes anything. Every
+	// rolled-back bundle sent one event, and re-execution sends the same
+	// ones: aggressive cancellation sends 26 + 1 anti-messages, lazy
+	// cancellation keeps the sends sorted through both rollbacks and
+	// regenerates every one of them.
 	t.Run("by-hand", func(t *testing.T) {
-		drive := func(rollback bool) *trailLP {
-			v := &trailLP{stragglerVictim: stragglerVictim{limit: 60}}
-			k, err := New(Config{NumClusters: 1, ClusterOf: []int{0}}, []Handler{v})
-			if err != nil {
-				t.Fatal(err)
-			}
-			lp, c := k.lps[0], k.clusters[0]
-			v.Init(&Context{lp: lp, cluster: c, now: -1, inInit: true})
-			c.drainLocal()
-			late := []Event{
-				{ID: k.nextEventID(), Sender: NoLP, RecvTime: 25, Kind: 1, Value: 7},
-				{ID: k.nextEventID(), Sender: NoLP, RecvTime: 24, Kind: 1, Value: 9},
-			}
-			execute := func(through Time) {
-				for lp.lvt < through && lp.executeNext() > 0 {
+		for _, lazy := range []bool{false, true} {
+			t.Run(map[bool]string{false: "aggressive", true: "lazy"}[lazy], func(t *testing.T) {
+				drive := func(rollback bool) *trailLP {
+					v := &trailLP{stragglerVictim: stragglerVictim{limit: 60}}
+					k, err := New(Config{NumClusters: 1, ClusterOf: []int{0}, LazyCancellation: lazy}, []Handler{v})
+					if err != nil {
+						t.Fatal(err)
+					}
+					lp, c := k.lps[0], k.clusters[0]
+					v.Init(&Context{lp: lp, now: -1, inInit: true})
 					c.drainLocal()
+					late := []Event{
+						{ID: k.nextEventID(), Sender: NoLP, RecvTime: 25, Kind: 1, Value: 7},
+						{ID: k.nextEventID(), Sender: NoLP, RecvTime: 24, Kind: 1, Value: 9},
+					}
+					execute := func(through Time) {
+						for lp.lvt < through && lp.executeNext() > 0 {
+							c.drainLocal()
+						}
+						checkLogs(t, lp)
+					}
+					if !rollback {
+						for _, ev := range late {
+							lp.enqueue(ev)
+						}
+					}
+					execute(40)
+					if rollback {
+						lp.fossilCollect(20)
+						// Bundles 20..40 are left, one event in and one sent
+						// each, rebased to the start of every log.
+						if len(lp.processed) != 21 || len(lp.inLog) != 21 || len(lp.outLog) != 21 {
+							t.Fatalf("after committing below 20: %d bundles, %d input events, %d sends; want 21 each",
+								len(lp.processed), len(lp.inLog), len(lp.outLog))
+						}
+						for i, b := range lp.processed {
+							if b.time != Time(20+i) || b.evAt != i || b.sentAt != i {
+								t.Fatalf("bundle %d after the rebase: %+v, want time %d at offsets %d", i, b, 20+i, i)
+							}
+						}
+					}
+					execute(50)
+					if rollback {
+						for i, ev := range late {
+							lp.enqueue(ev)
+							c.drainLocal()
+							want := 0
+							if lazy {
+								want = 26 + i // the sends of bundles 25..50, then 24
+							}
+							if len(lp.oldSends) != want || !slices.IsSortedFunc(lp.oldSends, func(a, b Event) int { return int(a.SendTime - b.SendTime) }) {
+								t.Fatalf("after rollback %d: %d old sends, want %d, sorted by SendTime", i+1, len(lp.oldSends), want)
+							}
+						}
+					}
+					execute(TimeInfinity)
+					lp.fossilCollect(TimeInfinity)
+					if len(lp.states) != 0 || len(lp.inLog) != 0 || len(lp.outLog) != 0 || len(lp.oldSends) != 0 {
+						t.Errorf("rollback=%v: %d bytes of saved state, %d input events, %d sends, %d old sends after committing everything",
+							rollback, len(lp.states), len(lp.inLog), len(lp.outLog), len(lp.oldSends))
+					}
+					var wantRollbacks, wantAnti uint64
+					if rollback {
+						wantRollbacks = 2
+						if !lazy {
+							wantAnti = 27
+						}
+					}
+					if c.stats.Rollbacks != wantRollbacks || c.stats.AntiMessages != wantAnti {
+						t.Errorf("rollback=%v: %d rollbacks, %d anti-messages, want %d, %d",
+							rollback, c.stats.Rollbacks, c.stats.AntiMessages, wantRollbacks, wantAnti)
+					}
+					return v
 				}
-			}
-			if !rollback {
-				for _, ev := range late {
-					lp.enqueue(ev)
+				want, got := drive(false), drive(true)
+				if got.midRestores != 2 {
+					t.Errorf("%d mid-history restores, want 2", got.midRestores)
 				}
-			}
-			execute(40)
-			if rollback {
-				lp.fossilCollect(20)
-			}
-			execute(50)
-			if rollback {
-				for _, ev := range late {
-					lp.enqueue(ev)
-					c.drainLocal()
+				if got.sum != want.sum || !slices.Equal(got.trail, want.trail) {
+					t.Errorf("committed state sum=%d trail=%v, rollback-free sum=%d trail=%v", got.sum, got.trail, want.sum, want.trail)
 				}
-			}
-			execute(TimeInfinity)
-			lp.fossilCollect(TimeInfinity)
-			if len(lp.states) != 0 {
-				t.Errorf("rollback=%v: %d bytes of saved state after committing everything", rollback, len(lp.states))
-			}
-			wantRollbacks := uint64(0)
-			if rollback {
-				wantRollbacks = 2
-			}
-			if c.stats.Rollbacks != wantRollbacks {
-				t.Errorf("rollback=%v: %d rollbacks, want %d", rollback, c.stats.Rollbacks, wantRollbacks)
-			}
-			return v
-		}
-		want, got := drive(false), drive(true)
-		if got.midRestores != 2 {
-			t.Errorf("%d mid-history restores, want 2", got.midRestores)
-		}
-		if got.sum != want.sum || !slices.Equal(got.trail, want.trail) {
-			t.Errorf("committed state sum=%d trail=%v, rollback-free sum=%d trail=%v", got.sum, got.trail, want.sum, want.trail)
+			})
 		}
 	})
+}
+
+// checkLogs asserts the shape every LP history keeps: the first bundle's
+// shares start each log, the offsets never decrease, and each bundle's
+// input events and sends carry its time.
+func checkLogs(t *testing.T, lp *lpRuntime) {
+	t.Helper()
+	for i, b := range lp.processed {
+		evEnd, sentEnd := len(lp.inLog), len(lp.outLog)
+		if i+1 < len(lp.processed) {
+			evEnd, sentEnd = lp.processed[i+1].evAt, lp.processed[i+1].sentAt
+		}
+		if i == 0 && (b.evAt != 0 || b.sentAt != 0 || b.stateAt != 0) {
+			t.Fatalf("first bundle %+v does not start the logs", b)
+		}
+		if b.evAt >= evEnd || b.sentAt > sentEnd {
+			t.Fatalf("bundle %d %+v: offsets out of order (input ends %d, sends end %d)", i, b, evEnd, sentEnd)
+		}
+		for _, ev := range lp.inLog[b.evAt:evEnd] {
+			if ev.RecvTime != b.time {
+				t.Fatalf("bundle %d at %d holds an input event for %d", i, b.time, ev.RecvTime)
+			}
+		}
+		for _, ev := range lp.outLog[b.sentAt:sentEnd] {
+			if ev.SendTime != b.time {
+				t.Fatalf("bundle %d at %d holds a send from %d", i, b.time, ev.SendTime)
+			}
+		}
+	}
+}
+
+// TestHistoryCycleAllocatesNothing: once an LP's logs and the cluster's
+// queues have grown to their working size, executing a bundle and
+// committing the one before it allocates nothing.
+func TestHistoryCycleAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	v := &stragglerVictim{limit: TimeInfinity - 1}
+	k, err := New(Config{NumClusters: 1, ClusterOf: []int{0}}, []Handler{v})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lp, c := k.lps[0], k.clusters[0]
+	v.Init(&Context{lp: lp, now: -1, inInit: true})
+	c.drainLocal()
+	c.schedule(lp)
+	cycle := func() {
+		if n, _ := c.executeOne(); n != 1 {
+			t.Fatalf("executed %d events, want 1", n)
+		}
+		c.drainLocal()
+		c.fossilCollect(lp.lvt)
+	}
+	for i := 0; i < 100; i++ {
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
+		t.Errorf("execute → fossil-collect cycle allocates %.2f times, want 0", allocs)
+	}
+	if len(lp.processed) != 1 || c.stats.EventsCommitted != uint64(lp.lvt-1) {
+		t.Errorf("after the cycles: %d bundles held, %d events committed through %d", len(lp.processed), c.stats.EventsCommitted, lp.lvt)
+	}
 }
 
 func TestConfigErrors(t *testing.T) {

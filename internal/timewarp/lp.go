@@ -12,8 +12,8 @@ import (
 // (recvTime > now) via the Context. The kernel saves the LP's state with
 // EncodeState before every bundle and rolls it back with DecodeState, so
 // Execute must confine all mutable simulation state to what EncodeState
-// captures. The events slice is owned by the kernel and recycled after the
-// bundle commits, and the Context is reused between bundles: Execute must
+// captures. The events slice is a window on the LP's input log, valid only
+// during the call, and the Context is reused between bundles: Execute must
 // not retain either beyond the call.
 type Handler interface {
 	// Init runs once before the simulation starts; it may send initial
@@ -33,10 +33,9 @@ type Handler interface {
 
 // Context is the kernel interface handed to Handler methods.
 type Context struct {
-	lp      *lpRuntime
-	cluster *cluster
-	now     Time
-	inInit  bool
+	lp     *lpRuntime
+	now    Time
+	inInit bool
 }
 
 // Self returns the LP's id.
@@ -74,7 +73,9 @@ func (ctx *Context) SendP(to LPID, recvTime Time, kind, value int32, pay Payload
 		ctx.lp.send(ev)
 		return
 	}
-	ctx.lp.stageSend(ctx.cluster, ev)
+	// Dispatch waits until the handler returns, so lazy cancellation can
+	// compare the complete regenerated set (dispatchSends).
+	ctx.lp.outLog = append(ctx.lp.outLog, ev)
 }
 
 // lpRuntime is the kernel-side record of one LP. Its mutable state is owned
@@ -91,12 +92,16 @@ type lpRuntime struct {
 	// such annihilation: most LPs never need it.
 	cancelled map[uint64]struct{} //kernelvet:owner cluster
 
-	// processed bundles in chronological order.
+	// processed bundles in chronological order. Each indexes its share of
+	// three flat logs: bundle i's input events are inLog from
+	// processed[i].evAt up to the next bundle's evAt (or the end of the log),
+	// its sends are outLog from sentAt, and its pre-state is states from
+	// stateAt, likewise. The first bundle's offsets are 0: fossil collection
+	// compacts the logs and rebases the rest.
 	processed []bundle //kernelvet:owner cluster
-	// states is the log of the processed bundles' pre-states: bundle i's
-	// state is the encoding from processed[i].stateAt up to the next
-	// bundle's stateAt (or the end of the log).
-	states []byte //kernelvet:owner cluster
+	inLog     []Event  //kernelvet:owner cluster
+	outLog    []Event  //kernelvet:owner cluster
+	states    []byte   //kernelvet:owner cluster
 
 	// lvt is the receive time of the last processed bundle, or, with no
 	// processed bundle left, the committed horizon (-1 before any commit).
@@ -137,20 +142,12 @@ type lpRuntime struct {
 	committedThrough Time //kernelvet:owner cluster
 
 	// oldSends holds, under lazy cancellation, the sends of rolled-back
-	// bundles keyed by bundle time, awaiting regeneration or cancellation.
-	// Entries are kept sorted by time; every entry's time is strictly above
-	// lvt (entries at or below it are taken or flushed as execution passes
-	// them), which rollback exploits to merge without sorting.
-	oldSends []oldSendEntry //kernelvet:owner cluster
-
-	// oldScratch is the reusable merge buffer of rollback.
-	oldScratch []oldSendEntry //kernelvet:owner cluster
-
-	// stagedSends collects sends of the bundle currently executing.
-	stagedSends []Event //kernelvet:owner cluster
-
-	// matchScratch is the reusable matched-flags buffer of lazy dispatch.
-	matchScratch []bool //kernelvet:owner cluster
+	// bundles awaiting regeneration or cancellation, sorted by SendTime (a
+	// send's SendTime is its bundle's time). Every entry's SendTime is
+	// strictly above lvt (entries at or below it are taken or flushed as
+	// execution passes them), so the sends of one bundle time are a run at
+	// the head and rollback prepends without sorting.
+	oldSends []Event //kernelvet:owner cluster
 
 	// Load profile for dynamic rebalancing, owner-goroutine only, reset at
 	// every load round (captureLoad). loadCommitted counts the events
@@ -169,19 +166,11 @@ type lpRuntime struct {
 	ctx Context //kernelvet:owner cluster
 }
 
-// bundle is one processed timestamp: the events consumed, the offset in
-// lpRuntime.states of the state before executing them, and the events sent
-// while executing them.
+// bundle is one processed timestamp: its time and where its input events,
+// sends and pre-state start in the LP's logs.
 type bundle struct {
-	time    Time
-	events  []Event
-	stateAt int
-	sent    []Event
-}
-
-type oldSendEntry struct {
-	time Time
-	sent []Event
+	time                  Time
+	evAt, sentAt, stateAt int
 }
 
 func newLPRuntime(id LPID, h Handler, c *cluster) *lpRuntime {
@@ -274,9 +263,9 @@ func (lp *lpRuntime) annihilate(anti Event) {
 // rollback undoes every processed bundle with time >= t: the LP state is
 // restored to just before the earliest such bundle, the bundles' input
 // events return to the pending queue, and their sends are cancelled
-// (immediately under aggressive cancellation, lazily otherwise). Rollback
-// must replay identically on every run, or diverged replicas commit
-// different states.
+// (immediately under aggressive cancellation, lazily otherwise). The three
+// logs are truncated where that bundle's share begins. Rollback must replay
+// identically on every run, or diverged replicas commit different states.
 //
 //kernelvet:deterministic
 func (lp *lpRuntime) rollback(t Time) {
@@ -296,61 +285,39 @@ func (lp *lpRuntime) rollback(t Time) {
 	if idx == len(lp.processed) {
 		return
 	}
-	lp.cluster.stats.Rollbacks++
-	lazy := lp.cluster.kernel.cfg.LazyCancellation
-	// Every surviving oldSends entry has time > lvt, and every rolled-back
-	// bundle has time <= lvt, so the new entries (appended in chronological
-	// bundle order) sort strictly before the existing ones: stash the
-	// existing tail and re-append it after the loop — a sorted merge with
-	// no comparison sort.
-	stashed := false
-	if lazy && len(lp.oldSends) > 0 {
-		lp.oldScratch = append(lp.oldScratch[:0], lp.oldSends...)
-		lp.oldSends = lp.oldSends[:0]
-		stashed = true
+	c := lp.cluster
+	c.stats.Rollbacks++
+	b := lp.processed[idx]
+	events, sent := lp.inLog[b.evAt:], lp.outLog[b.sentAt:]
+	c.stats.EventsRolledBack += uint64(len(events))
+	for _, ev := range events {
+		lp.pending.push(ev)
 	}
-	pool := &lp.cluster.evPool
-	for i := idx; i < len(lp.processed); i++ {
-		b := &lp.processed[i]
-		lp.cluster.stats.EventsRolledBack += uint64(len(b.events))
-		for _, ev := range b.events {
-			lp.pending.push(ev)
-		}
-		pool.put(b.events)
-		if len(b.sent) > 0 {
-			if lazy {
-				lp.oldSends = append(lp.oldSends, oldSendEntry{time: b.time, sent: b.sent})
-			} else {
-				for _, s := range b.sent {
-					lp.cluster.sendAnti(s)
-				}
-				pool.put(b.sent)
-			}
+	if c.kernel.cfg.LazyCancellation {
+		// The rolled-back sends are at or below lvt and every surviving
+		// oldSends entry is above it, so prepending keeps the order: grow
+		// by len(sent), shift the survivors up, copy the sends in front.
+		m := len(lp.oldSends)
+		lp.oldSends = append(lp.oldSends, sent...)
+		copy(lp.oldSends[len(sent):], lp.oldSends[:m])
+		copy(lp.oldSends, sent)
+	} else {
+		for _, s := range sent {
+			c.sendAnti(s)
 		}
 	}
-	if stashed {
-		lp.oldSends = append(lp.oldSends, lp.oldScratch...)
-		// Drop the scratch's aliases of the transferred entries.
-		for i := range lp.oldScratch {
-			lp.oldScratch[i] = oldSendEntry{}
-		}
-		lp.oldScratch = lp.oldScratch[:0]
-	}
-	at, end := lp.processed[idx].stateAt, len(lp.states)
+	end := len(lp.states)
 	if idx+1 < len(lp.processed) {
 		end = lp.processed[idx+1].stateAt
 	}
-	if err := lp.handler.DecodeState(lp.states[at:end]); err != nil {
+	if err := lp.handler.DecodeState(lp.states[b.stateAt:end]); err != nil {
 		// The log holds only what this handler encoded, so this is a
 		// handler bug; continuing would execute from a wrong state.
 		panic(fmt.Sprintf("timewarp: LP %d cannot decode its own saved state: %v", lp.id, err))
 	}
-	lp.states = lp.states[:at]
-	// Zero the truncated bundles so their recycled slices are not retained
-	// through the backing array.
-	for i := idx; i < len(lp.processed); i++ {
-		lp.processed[i] = bundle{}
-	}
+	lp.inLog = lp.inLog[:b.evAt]
+	lp.outLog = lp.outLog[:b.sentAt]
+	lp.states = lp.states[:b.stateAt]
 	lp.processed = lp.processed[:idx]
 	if idx > 0 {
 		lp.lvt = lp.processed[idx-1].time
@@ -359,10 +326,11 @@ func (lp *lpRuntime) rollback(t Time) {
 	}
 }
 
-// executeNext pops the earliest bundle and runs the handler. It returns the
-// number of events consumed (0 when the LP had no live work). The bundle
-// order (recvTime, sender, ID) is the kernel's determinism contract, so
-// nothing on this path may consult wall clocks or unordered iteration.
+// executeNext pops the earliest bundle onto the input log and runs the
+// handler. It returns the number of events consumed (0 when the LP had no
+// live work). The bundle order (recvTime, sender, ID) is the kernel's
+// determinism contract, so nothing on this path may consult wall clocks or
+// unordered iteration.
 //
 //kernelvet:deterministic
 func (lp *lpRuntime) executeNext() int {
@@ -375,8 +343,7 @@ func (lp *lpRuntime) executeNext() int {
 	// them.
 	lp.flushOldSends(t)
 
-	pool := &lp.cluster.evPool
-	events := pool.get()
+	evAt := len(lp.inLog)
 	for len(lp.pending) > 0 && lp.pending[0].RecvTime == t {
 		ev := lp.pending.pop()
 		if len(lp.cancelled) > 0 {
@@ -385,36 +352,25 @@ func (lp *lpRuntime) executeNext() int {
 				continue
 			}
 		}
-		events = append(events, ev)
+		lp.inLog = append(lp.inLog, ev)
 	}
-	if len(events) == 0 {
-		pool.put(events)
+	n := len(lp.inLog) - evAt
+	if n == 0 {
 		return 0
 	}
 
-	stateAt := len(lp.states)
+	b := bundle{time: t, evAt: evAt, sentAt: len(lp.outLog), stateAt: len(lp.states)}
 	lp.states = lp.handler.EncodeState(lp.states)
-	lp.stagedSends = lp.stagedSends[:0]
-	lp.ctx = Context{lp: lp, cluster: lp.cluster, now: t}
-	lp.handler.Execute(&lp.ctx, t, events)
+	lp.ctx = Context{lp: lp, now: t}
+	end := len(lp.inLog)
+	lp.handler.Execute(&lp.ctx, t, lp.inLog[evAt:end:end])
+	lp.dispatchSends(t, lp.outLog[b.sentAt:])
 
-	var sent []Event
-	if len(lp.stagedSends) > 0 {
-		sent = append(pool.get(), lp.stagedSends...)
-	}
-	lp.dispatchSends(t, sent)
-
-	lp.processed = append(lp.processed, bundle{time: t, events: events, stateAt: stateAt, sent: sent})
+	lp.processed = append(lp.processed, b)
 	lp.register()
 	lp.lvt = t
-	lp.cluster.stats.EventsProcessed += uint64(len(events))
-	return len(events)
-}
-
-// stageSend records an in-execution send; dispatch happens after the handler
-// returns so lazy cancellation can compare the complete regenerated set.
-func (lp *lpRuntime) stageSend(c *cluster, ev Event) {
-	lp.stagedSends = append(lp.stagedSends, ev)
+	lp.cluster.stats.EventsProcessed += uint64(n)
+	return n
 }
 
 // send routes one positive event originated by this LP and records it in the
@@ -457,106 +413,66 @@ func (lp *lpRuntime) noteSend(dst LPID) {
 //
 //kernelvet:noalloc
 func (lp *lpRuntime) dispatchSends(t Time, sent []Event) {
-	if !lp.cluster.kernel.cfg.LazyCancellation {
-		for i := range sent {
-			lp.send(sent[i])
-		}
-		return
-	}
 	old := lp.takeOldSends(t)
-	if old == nil {
-		for i := range sent {
-			lp.send(sent[i])
-		}
-		return
-	}
-	if cap(lp.matchScratch) < len(old) {
-		//kernelvet:allow noalloc amortized: the scratch grows to the LP's peak fanout once and is reused
-		lp.matchScratch = make([]bool, len(old))
-	}
-	matched := lp.matchScratch[:len(old)]
-	for i := range matched {
-		matched[i] = false
-	}
+	// Each match is swapped to the front of the run, so old[:m] are the
+	// matched sends and the search covers only old[m:].
+	m := 0
 	for i := range sent {
 		ev := &sent[i]
 		found := -1
-		for j := range old {
-			if matched[j] {
-				continue
-			}
+		for j := m; j < len(old); j++ {
 			o := &old[j]
 			if o.Receiver == ev.Receiver && o.RecvTime == ev.RecvTime && o.Kind == ev.Kind && o.Value == ev.Value && o.Pay == ev.Pay {
 				found = j
 				break
 			}
 		}
-		if found >= 0 {
-			matched[found] = true
-			// Keep the original event's identity so the receiver's copy
-			// stays valid; record it as this bundle's send.
-			*ev = old[found]
-		} else {
+		if found < 0 {
 			lp.send(*ev)
+			continue
 		}
+		old[m], old[found] = old[found], old[m]
+		// Keep the original event's identity so the receiver's copy stays
+		// valid; record it as this bundle's send.
+		*ev = old[m]
+		m++
 	}
-	for j := range old {
-		if !matched[j] {
-			lp.cluster.sendAnti(old[j])
+	if len(old) > 0 {
+		for _, o := range old[m:] {
+			lp.cluster.sendAnti(o)
 		}
+		lp.oldSends = lp.oldSends[:copy(lp.oldSends, lp.oldSends[len(old):])]
 	}
-	lp.cluster.evPool.put(old)
 }
 
-// takeOldSends removes and returns the rolled-back sends recorded for
-// bundle time t, if any. The removal is a single in-place copy-down, not a
-// splice per element.
+// takeOldSends returns the rolled-back sends of bundle time t, the run at
+// the head of oldSends (flushOldSends(t) has already dropped everything
+// earlier). The caller drops the run once it has dispatched.
 //
 //kernelvet:noalloc
 func (lp *lpRuntime) takeOldSends(t Time) []Event {
-	for i := range lp.oldSends {
-		if lp.oldSends[i].time == t {
-			sent := lp.oldSends[i].sent
-			n := len(lp.oldSends) - 1
-			copy(lp.oldSends[i:], lp.oldSends[i+1:])
-			lp.oldSends[n] = oldSendEntry{}
-			lp.oldSends = lp.oldSends[:n]
-			return sent
-		}
-		if lp.oldSends[i].time > t {
-			break // sorted: no entry at t exists
-		}
+	n := 0
+	for n < len(lp.oldSends) && lp.oldSends[n].SendTime == t {
+		n++
 	}
-	return nil
+	return lp.oldSends[:n]
 }
 
 // flushOldSends cancels every rolled-back send whose bundle time is before
 // `next`, because execution has provably advanced past any chance of
 // regenerating it (for executeNext, `next` is the bundle about to run; for
-// fossil collection it is GVT). The scan is a single in-place filter.
+// fossil collection it is GVT). Those sends are a prefix of oldSends.
 //
 //kernelvet:noalloc
 func (lp *lpRuntime) flushOldSends(next Time) {
-	if len(lp.oldSends) == 0 {
-		return
+	n := 0
+	for n < len(lp.oldSends) && lp.oldSends[n].SendTime < next {
+		lp.cluster.sendAnti(lp.oldSends[n])
+		n++
 	}
-	keep := lp.oldSends[:0]
-	for i := range lp.oldSends {
-		e := lp.oldSends[i]
-		if e.time < next {
-			for _, s := range e.sent {
-				lp.cluster.sendAnti(s)
-			}
-			lp.cluster.evPool.put(e.sent)
-		} else {
-			keep = append(keep, e)
-		}
+	if n > 0 {
+		lp.oldSends = lp.oldSends[:copy(lp.oldSends, lp.oldSends[n:])]
 	}
-	// Zero the vacated tail so recycled slices are not retained.
-	for i := len(keep); i < len(lp.oldSends); i++ {
-		lp.oldSends[i] = oldSendEntry{}
-	}
-	lp.oldSends = keep
 }
 
 // minPendingCancel returns the earliest receive time of a rolled-back send
@@ -567,11 +483,9 @@ func (lp *lpRuntime) flushOldSends(next Time) {
 // (rollback) and drain (regeneration, flush) between cuts.
 func (lp *lpRuntime) minPendingCancel() Time {
 	min := TimeInfinity
-	for _, e := range lp.oldSends {
-		for _, s := range e.sent {
-			if s.RecvTime < min {
-				min = s.RecvTime
-			}
+	for i := range lp.oldSends {
+		if t := lp.oldSends[i].RecvTime; t < min {
+			min = t
 		}
 	}
 	return min
@@ -582,45 +496,41 @@ func (lp *lpRuntime) minPendingCancel() Time {
 // lies below gvt can never be regenerated (no execution happens below GVT),
 // so their sends are annihilated now — without this, an unregenerable entry
 // would hold the GVT floor at its send times forever and wedge the run.
-// Freed bundles return their event slices to the cluster pool, and the
-// processed history and the states log are compacted in place (the
-// surviving bundles' offsets rebased), so steady-state fossil
-// collection allocates nothing.
+// The collectable bundles are a prefix of the history and their shares a
+// prefix of each log, so each log is compacted with one copy-down and the
+// surviving bundles' offsets are rebased; steady-state fossil collection
+// allocates nothing.
 //
 //kernelvet:deterministic
 //kernelvet:noalloc
 func (lp *lpRuntime) fossilCollect(gvt Time) uint64 {
 	lp.flushOldSends(gvt)
-	// processed is chronological: the collectable prefix ends at the first
-	// bundle at or after gvt, and the scan frees each bundle as it passes.
-	pool := &lp.cluster.evPool
-	var committed uint64
 	idx := 0
-	for ; idx < len(lp.processed) && lp.processed[idx].time < gvt; idx++ {
-		b := &lp.processed[idx]
-		committed += uint64(len(b.events))
-		if b.time > lp.committedThrough {
-			lp.committedThrough = b.time
-		}
-		pool.put(b.events)
-		pool.put(b.sent)
+	for idx < len(lp.processed) && lp.processed[idx].time < gvt {
+		idx++
 	}
 	if idx == 0 {
 		return 0
 	}
-	n := copy(lp.processed, lp.processed[idx:])
-	for i := n; i < len(lp.processed); i++ {
-		lp.processed[i] = bundle{}
+	lp.committedThrough = lp.processed[idx-1].time
+	// base is the first kept bundle, or the logs' ends when none is kept.
+	base := bundle{evAt: len(lp.inLog), sentAt: len(lp.outLog), stateAt: len(lp.states)}
+	if idx < len(lp.processed) {
+		base = lp.processed[idx]
 	}
-	lp.processed = lp.processed[:n]
-	base := len(lp.states)
-	if n > 0 {
-		base = lp.processed[0].stateAt
-	}
-	lp.states = lp.states[:copy(lp.states, lp.states[base:])]
+	lp.inLog = lp.inLog[:copy(lp.inLog, lp.inLog[base.evAt:])]
+	lp.outLog = lp.outLog[:copy(lp.outLog, lp.outLog[base.sentAt:])]
+	lp.states = lp.states[:copy(lp.states, lp.states[base.stateAt:])]
+	lp.processed = lp.processed[:copy(lp.processed, lp.processed[idx:])]
 	for i := range lp.processed {
-		lp.processed[i].stateAt -= base
+		b := &lp.processed[i]
+		b.evAt -= base.evAt
+		b.sentAt -= base.sentAt
+		b.stateAt -= base.stateAt
 	}
+	// The first bundle's events start the input log, so the committed
+	// ones are all that precede the first kept bundle.
+	committed := uint64(base.evAt)
 	lp.loadCommitted += committed
 	return committed
 }

@@ -4,8 +4,8 @@ import "fmt"
 
 // Wire migration: moving an LP between OS processes.
 //
-// A live lpRuntime is full of pointers (heap slices, pooled arrays, handler
-// state), so it cannot travel by copy. Instead the source holds the LP —
+// A live lpRuntime is full of pointers (heap slices, maps, handler state),
+// so it cannot travel by copy. Instead the source holds the LP —
 // it executes nothing — until GVT has committed its processed history
 // (migrateOut), and then encodes what remains: the pending event set, the
 // lazily-annihilated ID set, the load profile, and the handler state through
@@ -27,9 +27,9 @@ import "fmt"
 // processed history. The caller resets the leftover shell (resetAfterPack)
 // once the payload's transit charge and redMin fold are in place.
 func (c *cluster) packPayload(lp *lpRuntime) []byte {
-	// Rolled-back sends awaiting lazy regeneration cannot travel (they alias
-	// pooled slices) and can never be regenerated here (the LP is leaving):
-	// cancel them all now. The anti-messages flow through the ordinary
+	// Rolled-back sends awaiting lazy regeneration have no section in the
+	// payload and can never be regenerated here (the LP is leaving): cancel
+	// them all now. The anti-messages flow through the ordinary
 	// transport and are GVT-covered like any other send of this cluster.
 	lp.flushOldSends(TimeInfinity)
 
@@ -66,9 +66,11 @@ func (c *cluster) packPayload(lp *lpRuntime) []byte {
 
 // unpackPayload decodes a wire migration payload into the named LP's local
 // shell. Runs on the destination cluster's goroutine; the caller (migrateIn)
-// takes ownership and schedules the LP afterwards.
+// takes ownership and schedules the LP afterwards. Adoption is all or
+// nothing: a payload that fails to decode leaves the shell empty, so a
+// correct payload for the LP can still be adopted later.
 func (c *cluster) unpackPayload(wire []byte) (*lpRuntime, error) {
-	r := &wireReader{b: wire}
+	r := wireReader{b: wire}
 	hdr := r.lpHdr()
 	if r.err != nil {
 		return nil, r.err
@@ -86,6 +88,27 @@ func (c *cluster) unpackPayload(wire []byte) (*lpRuntime, error) {
 	if hdr.nPending < 0 || hdr.nCancelled < 0 || hdr.nSendRows < 0 || hdr.stateLen < 0 {
 		return nil, fmt.Errorf("timewarp: migration payload for LP %d has negative section counts", hdr.lp)
 	}
+	// Every section entry has a minimum encoded size, so counts the rest of
+	// the payload cannot hold are refused before any loop runs on them.
+	if int64(hdr.nPending)*eventWireSize+int64(hdr.nCancelled)*8+int64(hdr.nSendRows)*12+int64(hdr.stateLen) > int64(len(r.b)) {
+		return nil, fmt.Errorf("timewarp: migration payload for LP %d claims more sections than it holds", hdr.lp)
+	}
+	// Walk the sections once without storing them, then decode the state;
+	// only a payload that passes both is written into the shell, from a
+	// second reader over the same sections.
+	sections := r
+	for i := int32(0); i < hdr.nPending; i++ {
+		r.event()
+	}
+	r.bytes(8*int(hdr.nCancelled) + 12*int(hdr.nSendRows))
+	state := r.bytes(int(hdr.stateLen))
+	if err := r.done(); err != nil {
+		return nil, err
+	}
+	if err := lp.handler.DecodeState(state); err != nil {
+		return nil, fmt.Errorf("timewarp: LP %d DecodeState: %w", hdr.lp, err)
+	}
+	r = sections
 	lp.lvt = hdr.lvt
 	lp.committedThrough = hdr.committedThrough
 	lp.idNext = hdr.idNext
@@ -106,13 +129,6 @@ func (c *cluster) unpackPayload(wire []byte) (*lpRuntime, error) {
 		lp.sendDst = append(lp.sendDst, LPID(r.i32()))
 		lp.sendCnt = append(lp.sendCnt, r.u64())
 	}
-	state := r.bytes(int(hdr.stateLen))
-	if err := r.done(); err != nil {
-		return nil, err
-	}
-	if err := lp.handler.DecodeState(state); err != nil {
-		return nil, fmt.Errorf("timewarp: LP %d DecodeState: %w", hdr.lp, err)
-	}
 	return lp, nil
 }
 
@@ -123,7 +139,6 @@ func (c *cluster) unpackPayload(wire []byte) (*lpRuntime, error) {
 func (lp *lpRuntime) resetAfterPack() {
 	lp.pending = lp.pending[:0]
 	lp.cancelled = nil
-	lp.stagedSends = lp.stagedSends[:0]
 	lp.sendDst = lp.sendDst[:0]
 	lp.sendCnt = lp.sendCnt[:0]
 	lp.sendCur = 0

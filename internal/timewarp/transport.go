@@ -278,7 +278,7 @@ func (c *cluster) outboxed() int {
 // delayedBatch is one batch still "on the wire" under the modeled network
 // latency. It keeps its transit charge (color) until delivered, so a GVT cut
 // waits for the modeled wire exactly as it would for a real LAN; buf is a
-// pooled copy of the batch's events.
+// copy of the batch's events.
 type delayedBatch struct {
 	due   int64
 	color uint8
@@ -320,7 +320,6 @@ func (c *cluster) deliverDue(force bool) int {
 			c.deliver(b.buf[i])
 		}
 		n += len(b.buf)
-		c.evPool.put(b.buf)
 	}
 	return n
 }
@@ -349,7 +348,7 @@ func (c *cluster) drainMail() int {
 		if h.dueNano > now {
 			// The parked batch keeps the sender's charge until delivered.
 			//kernelvet:carrier transit
-			c.delayed.push(delayedBatch{due: h.dueNano, color: h.color, buf: append(c.evPool.get(), b...)})
+			c.delayed.push(delayedBatch{due: h.dueNano, color: h.color, buf: append([]Event(nil), b...)})
 			continue
 		}
 		// Release the whole batch's transit charge with one atomic; the

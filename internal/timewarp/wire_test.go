@@ -486,6 +486,18 @@ func TestWirePayloadRoundTrip(t *testing.T) {
 	if _, err := fresh.clusters[0].unpackPayload(bad); err == nil {
 		t.Error("payload naming an absent LP accepted")
 	}
+	// Adoption is all or nothing: after those rejections, and after one that
+	// claims far more pending events than its bytes hold, the shell is still
+	// empty and the correct payload is adopted.
+	if _, err := fresh.clusters[0].unpackPayload(overclaimPayload(0)); err == nil {
+		t.Error("payload claiming 100,000 pending events in 52 bytes accepted")
+	}
+	if !shellEmpty(fresh.lps[0]) {
+		t.Fatal("a rejected payload left state in the shell")
+	}
+	if _, err := fresh.clusters[0].unpackPayload(wire); err != nil {
+		t.Errorf("correct payload after rejected ones: %v", err)
+	}
 	// A second adoption without a reset must hit the non-empty-shell check.
 	if _, err := dst.clusters[0].unpackPayload(wire); err == nil ||
 		!strings.Contains(err.Error(), "non-empty shell") {
@@ -653,9 +665,24 @@ func FuzzWireEvent(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) { fuzzEventRoundTrip(t, data) })
 }
 
+// overclaimPayload is a bare 52-byte payload header for LP lp that claims
+// 100,000 pending events and carries none.
+func overclaimPayload(lp int32) []byte {
+	return appendLPHdr(nil, wireLPHdr{lp: lp, lvt: 30, committedThrough: 25, nPending: 100000})
+}
+
+// shellEmpty reports whether lp is the empty runtime shell a migration
+// payload may be adopted into.
+func shellEmpty(lp *lpRuntime) bool {
+	return len(lp.pending) == 0 && len(lp.cancelled) == 0 && len(lp.sendDst) == 0 &&
+		len(lp.processed) == 0 && len(lp.oldSends) == 0 && lp.lvt == -1 &&
+		lp.committedThrough == -1 && lp.loadCommitted == 0
+}
+
 // fuzzPayload: arbitrary bytes through unpackPayload on a fresh kernel must
-// error or adopt cleanly — never panic or corrupt an unrelated shell. It
-// returns the decode error.
+// error or adopt cleanly — never panic or corrupt an unrelated shell — and a
+// rejected payload must leave every shell empty. It returns the decode
+// error.
 func fuzzPayload(t *testing.T, data []byte) error {
 	k, err := New(Config{NumClusters: 2, ClusterOf: []int{0, 1}},
 		[]Handler{&codecLP{pingLP: pingLP{peer: 1}}, &codecLP{pingLP: pingLP{peer: 0}}})
@@ -664,6 +691,11 @@ func fuzzPayload(t *testing.T, data []byte) error {
 	}
 	lp, err := k.clusters[0].unpackPayload(data)
 	if err != nil {
+		for _, shell := range k.lps {
+			if !shellEmpty(shell) {
+				t.Fatalf("rejected payload (%v) left state in LP %d's shell", err, shell.id)
+			}
+		}
 		return err
 	}
 	if lp == nil {
@@ -696,6 +728,7 @@ var corpusRejects = map[string]bool{
 	"FuzzWireFrame/seed_batch_truncated_payload": true,
 	"FuzzWireFrame/seed_hello_truncated":         true,
 	"FuzzWireFrame/seed_truncated":               true,
+	"FuzzWirePayload/seed_pending_overclaim":     true,
 	"FuzzWirePayload/seed_truncated":             true,
 }
 
@@ -860,6 +893,7 @@ func TestGenerateWireCorpus(t *testing.T) {
 	payload := k.clusters[1].packPayload(lp)
 	write("FuzzWirePayload", "seed_valid", payload)
 	write("FuzzWirePayload", "seed_truncated", payload[:len(payload)-3])
+	write("FuzzWirePayload", "seed_pending_overclaim", overclaimPayload(1))
 
 	// A migration payload whose pending queue holds a wide (payload-bearing)
 	// event, as a migrating vectored gate's would.
