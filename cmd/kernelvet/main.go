@@ -7,7 +7,7 @@
 //
 // It loads the named packages (default ./...), runs every analyzer —
 // directives, atomics, ownership, determinism, noalloc, transitbalance,
-// guardedby, poollife, wiresafe — and prints findings as
+// guardedby, wiresafe — and prints findings as
 // file:line:col: message (analyzer), or as a JSON array with -json. Exit
 // status is 1 if anything was found, 2 on usage or load errors, 0 when clean.
 //
@@ -29,7 +29,6 @@ import (
 	"repro/internal/analyzers/guardedby"
 	"repro/internal/analyzers/noalloc"
 	"repro/internal/analyzers/ownership"
-	"repro/internal/analyzers/poollife"
 	"repro/internal/analyzers/transitbalance"
 	"repro/internal/analyzers/wiresafe"
 )
@@ -42,7 +41,6 @@ var all = []*analysis.Analyzer{
 	noalloc.Analyzer,
 	transitbalance.Analyzer,
 	guardedby.Analyzer,
-	poollife.Analyzer,
 	wiresafe.Analyzer,
 }
 

@@ -84,9 +84,9 @@
 //
 //   - internal/analyzers: the kernel-invariant analyzer suite behind
 //     cmd/kernelvet — a self-contained go/analysis-style framework
-//     (cached loader, call graph, intraprocedural CFG with a generic
+//     (go list loader, call graph, intraprocedural CFG with a generic
 //     dataflow worklist engine, annotation parser, analysistest harness)
-//     and nine analyzers driven by the //kernelvet: vocabulary: atomics
+//     and eight analyzers driven by the //kernelvet: vocabulary: atomics
 //     (fields accessed via sync/atomic anywhere must be atomic
 //     everywhere), ownership (//kernelvet:owner fields only touched from
 //     their //kernelvet:goroutine domain's call tree), determinism
@@ -94,16 +94,16 @@
 //     rand, map iteration, select, and goroutine spawns), noalloc
 //     (//kernelvet:noalloc functions cross-checked against the
 //     compiler's escape analysis), directives (the vocabulary itself:
-//     placement, arity, reason-bearing allows), and four path-sensitive
+//     placement, arity, reason-bearing allows), and three path-sensitive
 //     checks: transitbalance (every //kernelvet:charge of the GVT
 //     in-transit counter reaches exactly one discharge or carrier on all
 //     paths), guardedby (lock-set analysis of //kernelvet:guarded-by
-//     fields, plus lock-order consistency), poollife (pooled objects are
-//     not used after put, put at most once, and never leak at a return),
-//     and wiresafe (//kernelvet:wire types stay flat, which is what lets
-//     the TCP transport serialize them with plain copies). CI runs `go run ./cmd/kernelvet ./...` (with -json and
-//     a GitHub problem matcher available) and the selftest package keeps
-//     `go test ./...` equivalent to it;
+//     fields, plus lock-order consistency), and wiresafe
+//     (//kernelvet:wire types stay flat, which is what lets the TCP
+//     transport encode them field by field). CI runs `go run
+//     ./cmd/kernelvet ./...` (with -json and a GitHub problem matcher
+//     available), and cmd/kernelvet's TestRepositoryIsKernelvetClean runs
+//     the same analyzer list under `go test ./...`;
 //
 //   - internal/smoketest: the `go build && run` harness behind the cmd/
 //     and examples/ entry-point smoke tests;

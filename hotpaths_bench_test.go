@@ -10,6 +10,7 @@ package repro
 import (
 	"encoding/binary"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/circuit"
@@ -106,8 +107,10 @@ func BenchmarkHotPaths(b *testing.B) {
 			}
 			b.Run(name, func(b *testing.B) {
 				b.ReportAllocs()
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
 				b.ResetTimer()
-				var rollbacks uint64
+				var rollbacks, rolledBack uint64
 				for i := 0; i < b.N; i++ {
 					res, err := logicsim.Run(small, a, logicsim.Config{
 						Cycles:           6,
@@ -118,9 +121,20 @@ func BenchmarkHotPaths(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					rollbacks = res.Stats.Rollbacks
+					rollbacks += res.Stats.Rollbacks
+					rolledBack += res.Stats.EventsRolledBack
 				}
-				b.ReportMetric(float64(rollbacks), "rollbacks")
+				b.StopTimer()
+				runtime.ReadMemStats(&after)
+				// The rollback count varies severalfold between runs, and
+				// allocs/op moves with it: the means over all b.N runs let
+				// an allocs/op change be read against the rollback work
+				// that came with it.
+				b.ReportMetric(float64(rollbacks)/float64(b.N), "rollbacks")
+				b.ReportMetric(float64(rolledBack)/float64(b.N), "rolled-back-events/op")
+				if rolledBack > 0 {
+					b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(rolledBack), "allocs/rolled-back-event")
+				}
 				if vectors {
 					b.ReportMetric(float64(circuit.W)*float64(b.N)/b.Elapsed().Seconds(), "scenarios/s")
 				}
@@ -169,9 +183,8 @@ func (r *tokenRingLP) DecodeState(data []byte) error {
 
 // payloadRingLP is the token ring with every hop carrying a full wide payload
 // block (both planes nonzero), so each remote message takes the widened wire
-// path: payload flag set, 16 extra bytes encoded, decoded, and recycled
-// through the event pool. It benchmarks the transport cost of vectored-mode
-// traffic against the plain ring's.
+// path: payload flag set, 16 extra bytes encoded and decoded. It benchmarks
+// the transport cost of vectored-mode traffic against the plain ring's.
 type payloadRingLP struct {
 	next  timewarp.LPID
 	delay timewarp.Time

@@ -19,7 +19,7 @@
 //     relative to type checking.
 //
 // Beyond the driver, the package holds the shared machinery the analyzers
-// build on: the cached go list loader (load.go), the //kernelvet: annotation
+// build on: the go list loader (load.go), the //kernelvet: annotation
 // parser (annot.go), a package-local call graph (callgraph.go), and — for the
 // path-sensitive analyzers — an intraprocedural, statement-granular control
 // flow graph (cfg.go) with a generic forward-dataflow worklist engine

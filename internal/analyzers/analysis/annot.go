@@ -60,11 +60,6 @@ import (
 //	                               strings — so it can cross a serialized
 //	                               transport boundary by plain copy (wiresafe
 //	                               analyzer).
-//	//kernelvet:pool-get           on a method: it hands out a pooled object.
-//	//kernelvet:pool-put           on a method: it returns a pooled object;
-//	                               objects must not be used after it, put at
-//	                               most once, and not leak on early returns
-//	                               (poollife analyzer).
 const (
 	VerbOwner          = "owner"
 	VerbGoroutine      = "goroutine"
@@ -77,8 +72,6 @@ const (
 	VerbCarrier        = "carrier"
 	VerbGuardedBy      = "guarded-by"
 	VerbWire           = "wire"
-	VerbPoolGet        = "pool-get"
-	VerbPoolPut        = "pool-put"
 )
 
 // DirectivePrefix starts every kernelvet annotation comment.

@@ -7,7 +7,7 @@ import (
 
 // cfg.go builds an intraprocedural control-flow graph over a function body.
 // It is the substrate of the flow-sensitive analyzers (transitbalance,
-// guardedby, poollife): flow-insensitive AST walks cannot express "every path
+// guardedby): flow-insensitive AST walks cannot express "every path
 // from a charge reaches a discharge" or "this access happens with the mutex
 // held".
 //
@@ -19,7 +19,7 @@ import (
 //     end of the body edge into it. Analyzers check path obligations there.
 //   - PanicExit is the abnormal sink: an explicit panic(...) statement edges
 //     into it and nowhere else. A panicking path aborts the run, so protocol
-//     obligations (transit balance, pool lifecycle) are not checked on it;
+//     obligations (transit balance) are not checked on it;
 //     calls that merely may panic are not modeled — that would make every
 //     path abnormal and the analysis vacuous.
 //   - defer statements appear as ordinary nodes in their block (so analyzers

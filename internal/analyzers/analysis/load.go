@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"go/ast"
@@ -11,11 +10,9 @@ import (
 	"go/token"
 	"go/types"
 	"io"
-	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
-	"runtime"
 	"strings"
 )
 
@@ -122,26 +119,10 @@ func Load(dir string, patterns ...string) (*Result, error) {
 	return res, nil
 }
 
-// listPackages resolves patterns to `go list` metadata, reusing a disk-cached
-// copy of the tool's output when the module is unchanged. The subprocess (with
-// -export, which may rebuild export data) dominates a Load's cost; its output
-// is a pure function of the toolchain, the module file and the source tree, so
-// the cache key hashes those. A hit is revalidated cheaply: every export-data
-// path the cached output names must still exist (the go build cache prunes).
-// Set KERNELVET_NOCACHE=1 to force the subprocess.
+// listPackages resolves patterns to `go list` metadata: every matched package
+// and its dependencies, dependencies first, with the compiler export data of
+// each standard-library package.
 func listPackages(dir string, patterns []string) ([]*listPkg, error) {
-	var cachePath string
-	if os.Getenv("KERNELVET_NOCACHE") == "" {
-		if key, err := listCacheKey(dir, patterns); err == nil {
-			cachePath = filepath.Join(listCacheDir(), "golist-"+key)
-			if raw, err := os.ReadFile(cachePath); err == nil {
-				if pkgs, err := decodeListOutput(raw); err == nil && exportsValid(pkgs) {
-					return pkgs, nil
-				}
-			}
-		}
-	}
-
 	args := append([]string{
 		"list", "-e", "-export",
 		"-json=ImportPath,Name,Dir,GoFiles,Standard,Export,DepOnly,Incomplete,Error",
@@ -155,26 +136,8 @@ func listPackages(dir string, patterns []string) ([]*listPkg, error) {
 	if err := cmd.Run(); err != nil {
 		return nil, fmt.Errorf("go list %s: %v\n%s", strings.Join(patterns, " "), err, stderr.String())
 	}
-	pkgs, err := decodeListOutput(stdout.Bytes())
-	if err != nil {
-		return nil, err
-	}
-	if cachePath != "" {
-		// Best effort: a failed write just means the next run pays go list
-		// again. Write-then-rename keeps concurrent readers off torn files.
-		if err := os.MkdirAll(filepath.Dir(cachePath), 0o755); err == nil {
-			tmp := cachePath + ".tmp"
-			if err := os.WriteFile(tmp, stdout.Bytes(), 0o644); err == nil {
-				_ = os.Rename(tmp, cachePath)
-			}
-		}
-	}
-	return pkgs, nil
-}
-
-func decodeListOutput(raw []byte) ([]*listPkg, error) {
 	var pkgs []*listPkg
-	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec := json.NewDecoder(&stdout)
 	for {
 		lp := new(listPkg)
 		if err := dec.Decode(lp); err == io.EOF {
@@ -185,84 +148,6 @@ func decodeListOutput(raw []byte) ([]*listPkg, error) {
 		pkgs = append(pkgs, lp)
 	}
 	return pkgs, nil
-}
-
-// exportsValid reports whether every export-data file a cached listing names
-// still exists on disk.
-func exportsValid(pkgs []*listPkg) bool {
-	for _, lp := range pkgs {
-		if lp.Export == "" {
-			continue
-		}
-		if _, err := os.Stat(lp.Export); err != nil {
-			return false
-		}
-	}
-	return true
-}
-
-// listCacheKey hashes everything the go list output depends on: the
-// toolchain version, the invocation (dir and patterns), the module file, and
-// the name/size/mtime of every .go file under the module root. Walking the
-// tree costs a few milliseconds; the subprocess it saves costs seconds.
-func listCacheKey(dir string, patterns []string) (string, error) {
-	h := sha256.New()
-	fmt.Fprintln(h, runtime.Version())
-	abs, err := filepath.Abs(dir)
-	if err != nil {
-		return "", err
-	}
-	fmt.Fprintln(h, abs)
-	fmt.Fprintln(h, strings.Join(patterns, "\x00"))
-
-	root := abs
-	for {
-		mod := filepath.Join(root, "go.mod")
-		if data, err := os.ReadFile(mod); err == nil {
-			h.Write(data)
-			break
-		}
-		parent := filepath.Dir(root)
-		if parent == root {
-			return "", fmt.Errorf("no go.mod above %s", abs)
-		}
-		root = parent
-	}
-	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if name := d.Name(); path != root && (name == ".git" || strings.HasPrefix(name, "_")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(d.Name(), ".go") {
-			return nil
-		}
-		info, err := d.Info()
-		if err != nil {
-			return err
-		}
-		rel, err := filepath.Rel(root, path)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(h, "%s %d %d\n", rel, info.Size(), info.ModTime().UnixNano())
-		return nil
-	})
-	if err != nil {
-		return "", err
-	}
-	return fmt.Sprintf("%x", h.Sum(nil)), nil
-}
-
-func listCacheDir() string {
-	if base, err := os.UserCacheDir(); err == nil {
-		return filepath.Join(base, "kernelvet")
-	}
-	return filepath.Join(os.TempDir(), "kernelvet")
 }
 
 // checkPackage parses and type-checks one package from source.

@@ -16,8 +16,6 @@
 //	carrier <name>            exactly one arg, on or above a statement
 //	guarded-by <mutexField>   exactly one arg, on a struct field
 //	wire                      no args, in a type declaration's doc comment
-//	pool-get                  no args, in a function doc comment
-//	pool-put                  no args, in a function doc comment
 //	allow <analyzer> <reason> in a function doc comment or on/above the
 //	                          offending line; the analyzer must be a known
 //	                          analyzer name and the reason is mandatory
@@ -52,7 +50,6 @@ var Allowable = map[string]bool{
 	"noalloc":        true,
 	"transitbalance": true,
 	"guardedby":      true,
-	"poollife":       true,
 	"wiresafe":       true,
 }
 
@@ -165,12 +162,6 @@ func check(pass *analysis.Pass, d analysis.Directive, place placement) {
 			return
 		}
 		requireArgs(pass, d, 0, d.Verb)
-	case analysis.VerbPoolGet, analysis.VerbPoolPut:
-		if place != placeFuncDoc {
-			pass.Reportf(d.Pos, "kernelvet:%s belongs in a function doc comment", d.Verb)
-			return
-		}
-		requireArgs(pass, d, 0, d.Verb)
 	case analysis.VerbAllow:
 		if place == placeField {
 			pass.Reportf(d.Pos, "kernelvet:allow belongs in a function doc comment or on the offending line, not on a struct field")
@@ -184,7 +175,7 @@ func check(pass *analysis.Pass, d analysis.Directive, place placement) {
 			pass.Reportf(d.Pos, "kernelvet:allow %s needs a reason explaining why the invariant still holds", d.Args[0])
 		}
 	default:
-		pass.Reportf(d.Pos, "unknown kernelvet directive %q (known: owner, goroutine, deterministic, noalloc, single-threaded, charge, discharge, carrier, guarded-by, wire, pool-get, pool-put, allow)", d.Verb)
+		pass.Reportf(d.Pos, "unknown kernelvet directive %q (known: owner, goroutine, deterministic, noalloc, single-threaded, charge, discharge, carrier, guarded-by, wire, allow)", d.Verb)
 	}
 }
 

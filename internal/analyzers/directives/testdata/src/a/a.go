@@ -32,7 +32,7 @@ func misGoroutine() {}
 
 func misPlaced() {
 	//kernelvet:deterministic // want `kernelvet:deterministic belongs in a function doc comment`
-	x := 1 //kernelvet:allow spellcheck because // want `kernelvet:allow needs an analyzer name \(one of atomics, determinism, guardedby, noalloc, ownership, poollife, transitbalance, wiresafe\)`
+	x := 1 //kernelvet:allow spellcheck because // want `kernelvet:allow needs an analyzer name \(one of atomics, determinism, guardedby, noalloc, ownership, transitbalance, wiresafe\)`
 	y := 2 //kernelvet:allow atomics // want `kernelvet:allow atomics needs a reason`
 	_, _ = x, y
 }
@@ -107,14 +107,6 @@ type abortFrame struct {
 //kernelvet:wire // want `kernelvet:wire belongs in a type declaration's doc comment`
 var wireBuf int32
 
-// getBuf is a well-formed pool accessor pair member.
-//
-//kernelvet:pool-get
-func getBuf() []byte { return nil }
-
-//kernelvet:pool-put
-func putBuf([]byte) {}
-
 func balanceSites(ok bool) {
 	//kernelvet:charge red
 	x := 1
@@ -148,6 +140,6 @@ func wellFormed() {
 }
 
 var _ = [...]interface{}{misOwner, misVerb, misArgs, misGoroutine, misPlaced, wellFormed,
-	misGuard, misWire, getBuf, putBuf, balanceSites, misCharge,
+	misGuard, misWire, balanceSites, misCharge,
 	guarded{}, flat{}, misWireArgs{}, misChargeField{}, frameHdr{}, frameBody{}, wireBuf,
 	payloadBlock{}, eventWithPayload{}, helloFrame{}, abortFrame{}}

@@ -188,22 +188,15 @@ func (p *tcpPeer) handOff(wasEmpty bool) {
 	}
 }
 
-// enqueue appends pre-encoded frame bytes to the outbound lane. events > 0
-// subjects the append to data backpressure: refused (false) when the lane
-// already holds data and would exceed capEvents. Control frames pass 0 and
-// always append.
-func (p *tcpPeer) enqueue(frame []byte, events, capEvents int) bool {
+// enqueue appends a pre-encoded control frame to the outbound lane. It never
+// refuses: backpressure applies only to event batches, which push encodes
+// into the lane in place.
+func (p *tcpPeer) enqueue(frame []byte) {
 	p.mu.Lock()
-	if events > 0 && p.dataEvents > 0 && p.dataEvents+events > capEvents {
-		p.mu.Unlock()
-		return false
-	}
 	wasEmpty := len(p.buf) == 0
 	p.buf = append(p.buf, frame...)
-	p.dataEvents += events
 	p.mu.Unlock()
 	p.handOff(wasEmpty)
-	return true
 }
 
 // NewTCPTransport builds the multi-process fabric. Pass it via
@@ -696,7 +689,7 @@ func (t *TCPTransport) broadcastAbort(err error) {
 	frame := appendAbort(nil, origin, code, err.Error())
 	for _, p := range t.peers {
 		if p != nil {
-			p.enqueue(frame, 0, 0)
+			p.enqueue(frame)
 		}
 	}
 }
@@ -1038,12 +1031,12 @@ func (t *TCPTransport) push(dst int, events []Event, hdr batchHdr) bool {
 // frame was already charged to transit, so refusing it would gain nothing.
 func (t *TCPTransport) ctrl(dst int, frame []byte) {
 	if dst != otherNodes {
-		t.peers[t.nodeOf[dst]].enqueue(frame, 0, 0)
+		t.peers[t.nodeOf[dst]].enqueue(frame)
 		return
 	}
 	for _, p := range t.peers {
 		if p != nil {
-			p.enqueue(frame, 0, 0)
+			p.enqueue(frame)
 		}
 	}
 }
@@ -1135,7 +1128,7 @@ func (t *TCPTransport) finishRun() error {
 		if p == nil {
 			continue
 		}
-		p.enqueue(b, 0, 0)
+		p.enqueue(b)
 	}
 	// Backstop, not the failure detector: a peer whose process died is
 	// caught within PeerTimeout by its read loop. This fuse catches a peer
@@ -1224,7 +1217,7 @@ func (t *TCPTransport) GatherSum(vals []uint64) ([]uint64, error) {
 			if p == nil {
 				continue
 			}
-			p.enqueue(b, 0, 0)
+			p.enqueue(b)
 		}
 		return total, nil
 	}
@@ -1237,7 +1230,7 @@ func (t *TCPTransport) GatherSum(vals []uint64) ([]uint64, error) {
 		b = appendU64(b, v)
 	}
 	b = endFrame(b, off)
-	t.peers[0].enqueue(b, 0, 0)
+	t.peers[0].enqueue(b)
 	t.sumMu.Lock()
 	for t.fatalErr() == nil && t.sumReply == nil {
 		t.sumCond.Wait()
