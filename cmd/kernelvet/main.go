@@ -6,8 +6,8 @@
 //	go run ./cmd/kernelvet -json ./... > findings.json
 //
 // It loads the named packages (default ./...), runs every analyzer —
-// directives, atomics, ownership, determinism, noalloc, transitbalance,
-// guardedby, wiresafe — and prints findings as
+// directives, atomics, ownership, determinism, noalloc, guardedby,
+// wiresafe — and prints findings as
 // file:line:col: message (analyzer), or as a JSON array with -json. Exit
 // status is 1 if anything was found, 2 on usage or load errors, 0 when clean.
 //
@@ -29,7 +29,6 @@ import (
 	"repro/internal/analyzers/guardedby"
 	"repro/internal/analyzers/noalloc"
 	"repro/internal/analyzers/ownership"
-	"repro/internal/analyzers/transitbalance"
 	"repro/internal/analyzers/wiresafe"
 )
 
@@ -39,7 +38,6 @@ var all = []*analysis.Analyzer{
 	ownership.Analyzer,
 	determinism.Analyzer,
 	noalloc.Analyzer,
-	transitbalance.Analyzer,
 	guardedby.Analyzer,
 	wiresafe.Analyzer,
 }

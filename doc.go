@@ -36,8 +36,10 @@
 //     append and a copy, and intra-cluster messages take a
 //     zero-synchronization local queue. GVT is an asynchronous
 //     Mattern-style two-cut protocol — batches carry their sender's round
-//     color and charge a per-color in-transit counter by length, unflushed
-//     buffers are folded into their owner's GVT report, and control bits
+//     color and are counted by length in one per-cluster, per-color
+//     transit ledger (cumulative sent and received counts) that every
+//     transport shares, a cut that stops draining panics with that
+//     ledger instead of hanging, unflushed buffers are folded into their owner's GVT report, and control bits
 //     ride the mailboxes immune to data backpressure — so clusters never
 //     stop executing for a GVT round. The LP→cluster mapping is a
 //     versioned routing table the kernel rewrites mid-run: dynamic
@@ -51,8 +53,9 @@
 //     runs one simulation as N OS processes exchanging length-prefixed
 //     binary frames (events, GVT waves, load reports, routes, and
 //     migration state encoded by the handler's own state codec) over a
-//     loopback-or-LAN mesh, with the two-cut transit invariant held
-//     across the sockets. Events carry
+//     loopback-or-LAN mesh, with the same ledger held across the sockets
+//     (acks pin sent counts, counts frames mirror received ones). Events
+//     carry
 //     an opaque fixed-size wide payload block (two uint64 planes; on the
 //     wire flag-selected and omitted when zero, so payload-free traffic is
 //     byte-identical to the pre-payload format) that the vectored logic
@@ -86,18 +89,17 @@
 //     cmd/kernelvet — a self-contained go/analysis-style framework
 //     (go list loader, call graph, intraprocedural CFG with a generic
 //     dataflow worklist engine, annotation parser, analysistest harness)
-//     and eight analyzers driven by the //kernelvet: vocabulary: atomics
+//     and seven analyzers driven by the //kernelvet: vocabulary: atomics
 //     (fields accessed via sync/atomic anywhere must be atomic
 //     everywhere), ownership (//kernelvet:owner fields only touched from
 //     their //kernelvet:goroutine domain's call tree), determinism
 //     (//kernelvet:deterministic call trees free of wall clocks, global
 //     rand, map iteration, select, and goroutine spawns), noalloc
 //     (//kernelvet:noalloc functions cross-checked against the
-//     compiler's escape analysis), directives (the vocabulary itself:
-//     placement, arity, reason-bearing allows), and three path-sensitive
-//     checks: transitbalance (every //kernelvet:charge of the GVT
-//     in-transit counter reaches exactly one discharge or carrier on all
-//     paths), guardedby (lock-set analysis of //kernelvet:guarded-by
+//     compiler's escape analysis, plus appends to fresh slices, which
+//     allocate without an escape message), directives (the vocabulary
+//     itself: placement, arity, reason-bearing allows), guardedby
+//     (path-sensitive lock-set analysis of //kernelvet:guarded-by
 //     fields, plus lock-order consistency), and wiresafe
 //     (//kernelvet:wire types stay flat, which is what lets the TCP
 //     transport encode them field by field). CI runs `go run

@@ -32,25 +32,6 @@ import (
 //	                               that analyzer there; the reason is
 //	                               mandatory by convention and should say why
 //	                               the invariant still holds.
-//
-// The flow-sensitive vocabulary (PR 7 analyzers):
-//
-//	//kernelvet:charge <name>      on a statement (trailing, or the line
-//	                               above): the statement creates one <name>
-//	                               obligation — e.g. an in-transit count
-//	                               increment. Every path from it to a normal
-//	                               return must discharge or hand off the
-//	                               obligation (transitbalance analyzer).
-//	//kernelvet:discharge <name>   on a statement: releases one <name>
-//	                               obligation. A discharge with no
-//	                               intraprocedural charge outstanding releases
-//	                               an obligation charged elsewhere and is not
-//	                               checked.
-//	//kernelvet:carrier <name>     on a statement: the outstanding <name>
-//	                               obligation is handed to a carrier data
-//	                               structure (a pushed batch, a migration
-//	                               payload, a delayed-batch header) that now
-//	                               owns its discharge.
 //	//kernelvet:guarded-by <mutex> on a struct field: every access must happen
 //	                               with the named sibling mutex field held on
 //	                               the same receiver (guardedby analyzer).
@@ -67,9 +48,6 @@ const (
 	VerbNoalloc        = "noalloc"
 	VerbSingleThreaded = "single-threaded"
 	VerbAllow          = "allow"
-	VerbCharge         = "charge"
-	VerbDischarge      = "discharge"
-	VerbCarrier        = "carrier"
 	VerbGuardedBy      = "guarded-by"
 	VerbWire           = "wire"
 )
@@ -136,10 +114,6 @@ type Annotations struct {
 	Guards []FieldGuard
 	// WireTypes lists the //kernelvet:wire type annotations.
 	WireTypes []WireType
-	// BalanceSites lists the charge/discharge/carrier directives in file
-	// order; the transitbalance analyzer anchors them to statements by
-	// position.
-	BalanceSites []Directive
 	// lineAllows records //kernelvet:allow suppressions by file and line:
 	// a trailing allow covers its own line, a standalone allow comment
 	// covers the following line.
@@ -216,11 +190,7 @@ func ParseAnnotations(pass *Pass) *Annotations {
 				if !ok {
 					continue
 				}
-				switch d.Verb {
-				case VerbAllow:
-					if len(d.Args) == 0 {
-						continue
-					}
+				if d.Verb == VerbAllow && len(d.Args) > 0 {
 					pos := pass.Fset.Position(c.Pos())
 					lines := a.lineAllows[pos.Filename]
 					if lines == nil {
@@ -234,10 +204,6 @@ func ParseAnnotations(pass *Pass) *Annotations {
 							lines[line] = set
 						}
 						set[d.Args[0]] = true
-					}
-				case VerbCharge, VerbDischarge, VerbCarrier:
-					if len(d.Args) == 1 {
-						a.BalanceSites = append(a.BalanceSites, d)
 					}
 				}
 			}

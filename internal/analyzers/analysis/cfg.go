@@ -6,10 +6,9 @@ import (
 )
 
 // cfg.go builds an intraprocedural control-flow graph over a function body.
-// It is the substrate of the flow-sensitive analyzers (transitbalance,
-// guardedby): flow-insensitive AST walks cannot express "every path
-// from a charge reaches a discharge" or "this access happens with the mutex
-// held".
+// It is the substrate of the flow-sensitive guardedby analyzer:
+// flow-insensitive AST walks cannot express "this access happens with the
+// mutex held on every path".
 //
 // The graph is statement-granular: each Block holds the statements (and
 // branch-condition expressions) that execute unconditionally once the block
@@ -18,8 +17,8 @@ import (
 //   - Exit is the normal-return sink: return statements and falling off the
 //     end of the body edge into it. Analyzers check path obligations there.
 //   - PanicExit is the abnormal sink: an explicit panic(...) statement edges
-//     into it and nowhere else. A panicking path aborts the run, so protocol
-//     obligations (transit balance) are not checked on it;
+//     into it and nowhere else. A panicking path aborts the run, so path
+//     obligations are not checked on it;
 //     calls that merely may panic are not modeled — that would make every
 //     path abnormal and the analysis vacuous.
 //   - defer statements appear as ordinary nodes in their block (so analyzers

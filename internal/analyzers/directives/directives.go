@@ -11,18 +11,11 @@
 //	deterministic             no args, in a function doc comment
 //	noalloc                   no args, in a function doc comment
 //	single-threaded           no args, in a function doc comment
-//	charge <name>             exactly one arg, on or above a statement
-//	discharge <name>          exactly one arg, on or above a statement
-//	carrier <name>            exactly one arg, on or above a statement
 //	guarded-by <mutexField>   exactly one arg, on a struct field
 //	wire                      no args, in a type declaration's doc comment
 //	allow <analyzer> <reason> in a function doc comment or on/above the
 //	                          offending line; the analyzer must be a known
 //	                          analyzer name and the reason is mandatory
-//
-// The balance verbs (charge, discharge, carrier) name the transit counter
-// they act on; the name ties charge sites to the discharge/carrier sites the
-// transitbalance analyzer must pair them with, so it is mandatory.
 package directives
 
 import (
@@ -44,13 +37,12 @@ var Analyzer = &analysis.Analyzer{
 
 // Allowable are the analyzer names //kernelvet:allow accepts.
 var Allowable = map[string]bool{
-	"atomics":        true,
-	"ownership":      true,
-	"determinism":    true,
-	"noalloc":        true,
-	"transitbalance": true,
-	"guardedby":      true,
-	"wiresafe":       true,
+	"atomics":     true,
+	"ownership":   true,
+	"determinism": true,
+	"noalloc":     true,
+	"guardedby":   true,
+	"wiresafe":    true,
 }
 
 // placement describes where a directive comment physically sits.
@@ -144,12 +136,6 @@ func check(pass *analysis.Pass, d analysis.Directive, place placement) {
 			return
 		}
 		requireArgs(pass, d, 0, d.Verb)
-	case analysis.VerbCharge, analysis.VerbDischarge, analysis.VerbCarrier:
-		if place != placeOther {
-			pass.Reportf(d.Pos, "kernelvet:%s belongs on or above the statement it annotates", d.Verb)
-			return
-		}
-		requireArgs(pass, d, 1, d.Verb+" <name>")
 	case analysis.VerbGuardedBy:
 		if place != placeField {
 			pass.Reportf(d.Pos, "kernelvet:guarded-by belongs on a struct field")
@@ -175,7 +161,7 @@ func check(pass *analysis.Pass, d analysis.Directive, place placement) {
 			pass.Reportf(d.Pos, "kernelvet:allow %s needs a reason explaining why the invariant still holds", d.Args[0])
 		}
 	default:
-		pass.Reportf(d.Pos, "unknown kernelvet directive %q (known: owner, goroutine, deterministic, noalloc, single-threaded, charge, discharge, carrier, guarded-by, wire, allow)", d.Verb)
+		pass.Reportf(d.Pos, "unknown kernelvet directive %q (known: owner, goroutine, deterministic, noalloc, single-threaded, guarded-by, wire, allow)", d.Verb)
 	}
 }
 

@@ -32,7 +32,7 @@ func misGoroutine() {}
 
 func misPlaced() {
 	//kernelvet:deterministic // want `kernelvet:deterministic belongs in a function doc comment`
-	x := 1 //kernelvet:allow spellcheck because // want `kernelvet:allow needs an analyzer name \(one of atomics, determinism, guardedby, noalloc, ownership, transitbalance, wiresafe\)`
+	x := 1 //kernelvet:allow spellcheck because // want `kernelvet:allow needs an analyzer name \(one of atomics, determinism, guardedby, noalloc, ownership, wiresafe\)`
 	y := 2 //kernelvet:allow atomics // want `kernelvet:allow atomics needs a reason`
 	_, _ = x, y
 }
@@ -107,27 +107,6 @@ type abortFrame struct {
 //kernelvet:wire // want `kernelvet:wire belongs in a type declaration's doc comment`
 var wireBuf int32
 
-func balanceSites(ok bool) {
-	//kernelvet:charge red
-	x := 1
-	if ok {
-		x++ //kernelvet:discharge red
-	} else {
-		x-- //kernelvet:carrier red
-	}
-	//kernelvet:charge // want `kernelvet:charge takes exactly one argument`
-	_ = x
-}
-
-// misCharge puts a balance verb in a function doc comment.
-//
-//kernelvet:discharge red // want `kernelvet:discharge belongs on or above the statement it annotates`
-func misCharge() {}
-
-type misChargeField struct {
-	n int //kernelvet:carrier red // want `kernelvet:carrier belongs on or above the statement it annotates`
-}
-
 // wellFormed exercises every valid spelling; nothing below is reported.
 //
 //kernelvet:goroutine worker
@@ -140,6 +119,6 @@ func wellFormed() {
 }
 
 var _ = [...]interface{}{misOwner, misVerb, misArgs, misGoroutine, misPlaced, wellFormed,
-	misGuard, misWire, balanceSites, misCharge,
-	guarded{}, flat{}, misWireArgs{}, misChargeField{}, frameHdr{}, frameBody{}, wireBuf,
+	misGuard, misWire,
+	guarded{}, flat{}, misWireArgs{}, frameHdr{}, frameBody{}, wireBuf,
 	payloadBlock{}, eventWithPayload{}, helloFrame{}, abortFrame{}}

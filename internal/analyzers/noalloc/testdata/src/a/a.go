@@ -1,6 +1,7 @@
 // Package a is the noalloc analyzer fixture: hot must not allocate, sum does
-// not, grow carries an explicit amortization allowance, and check's panic
-// path is filtered as a dying-only escape.
+// not, grow carries an explicit amortization allowance, check's panic path is
+// filtered as a dying-only escape, and copies appends to fresh slices, which
+// allocate whether or not the compiler reports an escape.
 package a
 
 import "fmt"
@@ -8,7 +9,11 @@ import "fmt"
 type pool struct {
 	buf   []byte
 	boxes []*int
+	kept  []int
 }
+
+// ints is a named slice type, so ints(nil) is a conversion of nil too.
+type ints []int
 
 // hot is the per-event path; the boxed int escapes through p.boxes.
 //
@@ -53,4 +58,20 @@ func (p *pool) check(i int) byte {
 	return p.buf[i]
 }
 
-var _ = [...]interface{}{(*pool).hot, (*pool).sum, (*pool).grow, (*pool).check}
+// copies starts three appends from fresh slices: a conversion of nil (whose
+// copy does not escape, so the compiler prints nothing for it), a
+// conversion of nil to a named slice type, and an empty composite literal.
+// The last copy carries an allowance. Appending to p.kept reuses its array
+// and is not flagged.
+//
+//kernelvet:noalloc
+func (p *pool) copies(s []int) int {
+	t := append([]int(nil), s...)    // want `append to a fresh slice allocates in //kernelvet:noalloc function copies`
+	p.kept = append(ints(nil), s...) // want `append to a fresh slice allocates`
+	p.kept = append([]int{}, s...)   // want `append to a fresh slice allocates`
+	p.kept = append(p.kept, len(t))
+	p.kept = append([]int(nil), s...) //kernelvet:allow noalloc a one-off snapshot, not per event
+	return len(t)
+}
+
+var _ = [...]interface{}{(*pool).hot, (*pool).sum, (*pool).grow, (*pool).check, (*pool).copies}

@@ -206,16 +206,14 @@ type cluster struct {
 	// out holds the per-destination outboxes of not-yet-flushed remote
 	// events (out[c.id] stays empty; local messages use localQ).
 	out []outbox //kernelvet:owner cluster
-	// sentCum/recvCum are cumulative per-color transit counters, maintained
-	// only under a multi-process transport (kernel.remote): sentCum[p]
-	// counts every event this cluster ever flushed under parity p, recvCum
-	// every event it released from its mailbox or delayed heap. Unlike the
-	// kernel's transit deltas they never decrease (a refused flush takes
-	// its increment back on the same goroutine before anyone reads it), so
-	// the coordinator can evaluate the wave-1 drain over stale mirrors:
-	// once a cluster acked the cut it is red and its white sentCum is
-	// final, and a lagging recvCum mirror only undercounts — the probe can
-	// conclude "drained" late, never early.
+	// sentCum/recvCum are the GVT transit ledger, cumulative per round
+	// parity: every event and migration payload this cluster flushed
+	// (counted once the push or handoff was accepted), and every one it took
+	// from its mailbox, delayed heap or payload queue. Both only grow, so
+	// the wave-1 drain may read stale copies: a red cluster's acked white
+	// sentCum is final, and a lagging recvCum only undercounts — the drain
+	// concludes late, never early. On a node that does not host the
+	// cluster, recvCum is the mirror its counts frames refresh.
 	sentCum [2]paddedCount
 	recvCum [2]paddedCount
 
@@ -245,7 +243,7 @@ type cluster struct {
 	idleLoops      int //kernelvet:owner cluster
 
 	// color is the GVT round this cluster has joined; its parity stamps
-	// every flushed batch for the kernel's transit counts.
+	// every flushed batch and picks the sentCum it is counted in.
 	color int64 //kernelvet:owner cluster
 	// redMin is the minimum receive time this cluster has flushed since
 	// joining the current round — the bound on its batches that may still
@@ -394,13 +392,14 @@ func (c *cluster) checkGVT() {
 		}})
 	}
 	if r := atomic.LoadInt64(&k.reportRound); r == c.color && c.reportedRound < r {
-		// Wave 2: every pre-cut batch is accounted for (the white transit
-		// count reached zero before the coordinator opened this wave, and
+		// Wave 2: every pre-cut batch is accounted for (the white received
+		// counts caught up with the white sent counts before the
+		// coordinator opened this wave, and
 		// any that landed here were delivered before this call on this
 		// goroutine), so min(local work, red flushes) is a sound
 		// contribution. localMin folds in events still buffered in this
-		// cluster's outboxes and local queue — they carry no transit charge,
-		// and this report is exactly what covers them.
+		// cluster's outboxes and local queue — no sent counter covers them
+		// yet, and this report is exactly what covers them.
 		c.reportedRound = r
 		m := c.localMin()
 		if c.redMin < m {
@@ -588,10 +587,10 @@ func (c *cluster) waitFloor(need Time) {
 // may still turn into an anti-message (lazy cancellation), the earliest
 // event parked in limbo for an LP whose migration payload is still in
 // flight, and the earliest event buffered in the local queue or a
-// per-destination outbox. Buffered events carry no transit charge (they are
+// per-destination outbox. Buffered events are not yet counted sent (they are
 // private to this goroutine), so the GVT floor must cover them here; delayed
-// batches are NOT folded in — they still hold their transit charge, which
-// blocks the cut instead.
+// batches are NOT folded in — they are counted sent but not yet received,
+// which blocks the cut instead.
 func (c *cluster) localMin() Time {
 	min := TimeInfinity
 	for _, lp := range c.lps {

@@ -52,7 +52,7 @@ type NetConfig struct {
 	// inter-cluster batch. Events become visible to the receiving cluster
 	// only after this delay, reproducing the straggler dynamics of a
 	// LAN-connected Time Warp. A GVT round's cut cannot close while such a
-	// batch is on the modeled wire (it keeps its transit charge until
+	// batch is on the modeled wire (it counts as received only once
 	// delivered), so GVT latency grows with Latency exactly as on a real
 	// LAN, but clusters keep executing while the cut waits. Zero disables
 	// the model.

@@ -84,7 +84,7 @@ func (k *Kernel) applyCtrl(m ctrlMsg) {
 		atomic.CompareAndSwapInt32(&k.gvtFlag, 0, 1)
 	case frameAckCut:
 		// The counters are pinned by the ack (see cluster.checkGVT); the
-		// multi-process drain probe reads them for remote clusters.
+		// coordinator's wave-1 drain sums them for every cluster.
 		atomic.StoreInt64(&k.cutSent[m.ack.cluster][0], m.ack.sent0)
 		atomic.StoreInt64(&k.cutSent[m.ack.cluster][1], m.ack.sent1)
 		atomic.AddInt32(&k.cutAcks, 1)
@@ -103,9 +103,8 @@ func (k *Kernel) applyCtrl(m ctrlMsg) {
 	case framePayload:
 		c := k.clusters[m.cluster]
 		c.migMu.Lock()
-		// The queued payload keeps the sender's transit charge; migrateIn
-		// (or adoptFinalPayloads) releases it.
-		//kernelvet:carrier transit
+		// migrateIn (or adoptFinalPayloads) counts the queued payload as
+		// received.
 		c.migIn = append(c.migIn, m.pay)
 		atomic.StoreInt32(&c.migFlag, 1)
 		c.migMu.Unlock()

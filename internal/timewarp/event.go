@@ -26,11 +26,11 @@
 // share of clusters assigned to its node index, and exchanges
 // length-prefixed binary frames (wire.go) carrying event batches, GVT
 // control waves, load reports, route announcements and migration payloads
-// over a full mesh of TCP connections. The two-cut transit invariant spans
-// the sockets: a batch's in-transit charge is released only when its frame
-// has been decoded into the receiver's mailbox, and the cut waves carry
-// pinned per-color sent/received counters so a cut closes only after every
-// frame under it has landed. Migrating LPs cross in the same frames, their
+// over a full mesh of TCP connections. The two-cut transit ledger spans the
+// sockets unchanged: a batch counts as received only when its frame has been
+// decoded into the receiver's mailbox and taken out of it, and the cut acks
+// pin per-color sent counters while counts frames mirror received ones, so a
+// cut closes only after every frame under it has landed. Migrating LPs cross in the same frames, their
 // handler state encoded by the Handler.EncodeState the kernel saves state
 // with before every bundle. See transport_api.go for the seam, ctrl.go for
 // the control messages and transport_tcp.go for the mesh.
@@ -46,10 +46,12 @@
 //
 // GVT (global virtual time) is computed by an asynchronous Mattern-style
 // two-cut protocol rather than a stop-the-world barrier: every *batch* is
-// stamped with its sender's round color and counted (by length) in a
-// per-color in-transit counter; a round's first wave turns all clusters red
-// and waits (without stopping anyone) for the previous color's count to
-// drain to zero, and the second wave collects min(local pending work —
+// stamped with its sender's round color and counted (by length) in the
+// sender's cumulative per-color sent counter and, once taken out of the
+// mailbox, in the receiver's received counter; a round's first wave turns
+// all clusters red and waits (without stopping anyone) for the previous
+// color's received counts to catch up with its sent counts, and the second
+// wave collects min(local pending work —
 // including events still buffered in outboxes and the local queue — and the
 // minimum receive time flushed since the cut) from each cluster. GVT is the
 // minimum over those reports; it bounds rollback, drives per-cluster fossil
@@ -113,7 +115,7 @@ const (
 // the wide frame), so scalar-mode traffic stays byte-identical to the
 // pre-payload format. Payloads live inline in events — the LP's input and
 // send logs keep them through rollback and fossil collection like any other
-// field, and transit accounting is unchanged because the unit in flight is
+// field, and the transit ledger is unchanged because the unit in flight is
 // still the event.
 //
 //kernelvet:wire

@@ -38,24 +38,28 @@ const (
 // GVT is computed by an asynchronous Mattern-style two-cut protocol instead
 // of a stop-the-world barrier: clusters never stop executing events while a
 // round is in flight. Every flushed batch is stamped with its sender's round
-// parity ("color") and counted (by event count) in transit[parity] until the
-// receiver takes it out of its mailbox. A round proceeds in two waves driven
-// by the coordinator (cluster 0) from inside its ordinary main loop:
+// parity ("color"); the sender counts it (by event count) in its cumulative
+// sentCum[parity] and the receiver in its recvCum[parity] when it takes the
+// batch out of its mailbox — the transit ledger. A round proceeds in two
+// waves driven by the coordinator (cluster 0) from inside its ordinary main
+// loop:
 //
 //   - Wave 1 (cut): the coordinator bumps the round counter and posts
 //     ctrlCut bits to every mailbox. Each cluster joins the round the next
 //     time it looks (turning its flushes "red" and resetting redMin, the
 //     minimum receive time it has flushed since the cut) and acknowledges
-//     via cutAcks. Once every cluster has joined, no more "white"
-//     (previous-parity) batches can be flushed, so the white transit count
-//     drains monotonically to zero — at which point every pre-cut batch has
-//     been delivered into some LP's queues.
+//     via cutAcks, pinning its white sentCum in cutSent. Once every cluster
+//     has joined, no more "white" (previous-parity) batches can be flushed,
+//     so the pinned white sent counts are final, and once the white received
+//     counts sum to them every pre-cut batch has been delivered into some
+//     LP's queues. A cut that stops making progress for stuckCutWait panics
+//     with the ledger (dumpStuck) instead of hanging the run.
 //   - Wave 2 (report): the coordinator opens reportRound and posts
 //     ctrlReport bits. Each cluster reports min(its local min over pending
 //     events, lazily-cancellable rolled-back sends, and events still
 //     buffered in its outboxes and local queue, its redMin) — redMin covers
 //     red batches still in transit across the second cut, and the buffered
-//     terms cover events that carry no transit charge because they have not
+//     terms cover events no sent counter covers yet because they have not
 //     been flushed (see transport.go). When all reports are in,
 //     GVT = min(reports).
 //
@@ -63,11 +67,9 @@ const (
 // is a ctrlMsg (ctrl.go): applied in place when its destination cluster
 // lives in this process, and otherwise encoded and sent through the
 // Transport seam (transport_api.go), whose receiving node applies it with
-// the same code. Under the in-memory transport the kernel below is the
-// whole story; under TCPTransport the same state machine runs with the
-// round state replicated onto every node, and the wave-1 drain condition
-// evaluated over cumulative per-cluster counters (cluster.sentCum/recvCum)
-// instead of the shared transit deltas.
+// the same code. Under TCPTransport the same state machine and the same
+// ledger run with the round state replicated onto every node; a remote
+// cluster's recvCum is the mirror its node's counts frames refresh.
 //
 // Fossil collection is not a round step: each cluster commits history on
 // its own schedule whenever it observes the published GVT advance.
@@ -80,8 +82,8 @@ type Kernel struct {
 	// local lists the clusters hosted by this process (all of them under
 	// the in-memory transport); only these run goroutines.
 	local []*cluster
-	// remote is true when the transport spans more than one process; it
-	// gates the cumulative transit counters the distributed GVT drain uses.
+	// remote is true when the transport spans more than one process;
+	// sendCtrl and publish then send frames for the remote clusters.
 	remote bool
 	// routes is the versioned LP→cluster mapping every send consults; it
 	// replaces the frozen ClusterOf copy, and GVT-synchronized migration
@@ -97,22 +99,13 @@ type Kernel struct {
 	gvt         int64
 	lastGVTNano int64
 
-	// transit counts undelivered remote events (flushed batches in
-	// mailboxes and on the modeled wire) by round parity. Events still in
-	// outboxes or local queues are covered by their owner's GVT report
-	// instead (transport.go). Under a multi-process transport the deltas of
-	// different nodes no longer cancel locally (a batch is charged on one
-	// node and discharged on another), so the coordinator uses the
-	// cumulative per-cluster counters instead; the field keeps its
-	// shared-memory role untouched for the in-memory transport.
-	transit [2]paddedCount
-
 	// Round broadcast state: round and reportRound open the two waves;
 	// cutAcks/reportAcks count cluster responses; reports holds each
 	// cluster's wave-2 minimum and cutSent the cumulative sent counters its
-	// cut ack pinned (by color). Under TCPTransport the round state is
-	// replicated onto every node by coord frames, and the acks and reports
-	// reach the coordinator's node as frames (ctrl.go).
+	// cut ack pinned (by color), the sent side of the wave-1 drain. Under
+	// TCPTransport the round state is replicated onto every node by coord
+	// frames, and the acks and reports reach the coordinator's node as
+	// frames (ctrl.go).
 	round       int64
 	reportRound int64
 	cutAcks     int32
@@ -134,12 +127,13 @@ type Kernel struct {
 	ewma []float64 //kernelvet:owner coordinator
 
 	// Coordinator-only round bookkeeping (cluster 0's goroutine).
-	phase           int32 //kernelvet:owner coordinator
-	prevGVT         Time  //kernelvet:owner coordinator
-	stuckRounds     int   //kernelvet:owner coordinator
-	gvtRounds       int   //kernelvet:owner coordinator
-	rebalanceRounds int   //kernelvet:owner coordinator
-	roundsSinceLoad int   //kernelvet:owner coordinator
+	phase           int32    //kernelvet:owner coordinator
+	prevGVT         Time     //kernelvet:owner coordinator
+	stuckRounds     int      //kernelvet:owner coordinator
+	cutWatch        cutWatch //kernelvet:owner coordinator
+	gvtRounds       int      //kernelvet:owner coordinator
+	rebalanceRounds int      //kernelvet:owner coordinator
+	roundsSinceLoad int      //kernelvet:owner coordinator
 
 	// published holds each cluster's continuously self-reported next work
 	// time. The optimism window throttles against min(published), and
@@ -348,10 +342,29 @@ func (k *Kernel) progressFloor() Time {
 	return min
 }
 
-// inTransit returns the total undelivered flushed-event count across both
-// colors; only initialization (single-threaded) needs the colorless total.
+// inTransit returns the ledger's undelivered flushed-event count across both
+// colors; only single-threaded initialization needs the colorless total.
 func (k *Kernel) inTransit() int64 {
-	return atomic.LoadInt64(&k.transit[0].n) + atomic.LoadInt64(&k.transit[1].n)
+	var n int64
+	for _, c := range k.clusters {
+		for color := range c.sentCum {
+			n += atomic.LoadInt64(&c.sentCum[color].n) - atomic.LoadInt64(&c.recvCum[color].n)
+		}
+	}
+	return n
+}
+
+// stuckCutWait is how long wave 1 may go without a new cut ack or a new white
+// receipt before the coordinator declares GVT stuck. A leaked ledger count
+// would otherwise hang the run; the bound sits well above TCPOptions'
+// default PeerTimeout, so a dead peer still surfaces first as ErrPeerDown.
+const stuckCutWait = 30 * time.Second
+
+// cutWatch is the coordinator's record of wave-1 progress: the ack count and
+// white received sum it last saw, and when (UnixNano) either last moved.
+type cutWatch struct {
+	acks        int32
+	recv, since int64
 }
 
 // Run initializes every local LP, runs this process's clusters to completion
@@ -480,15 +493,30 @@ func (k *Kernel) coordinate() {
 		atomic.StoreInt32(&k.reportAcks, 0)
 		atomic.AddInt64(&k.round, 1)
 		k.phase = phaseCut
+		k.cutWatch = cutWatch{acks: -1}
 		k.broadcastRound(ctrlCut, false)
 	case phaseCut:
-		if atomic.LoadInt32(&k.cutAcks) != int32(len(k.clusters)) {
-			return
-		}
-		// All clusters are red, so no new white batches can appear; the
-		// transport decides when every pre-cut (white) batch has landed.
+		// Once all clusters are red no new white batches can appear, so the
+		// pinned sent counts are final and the cut closes when every white
+		// batch has been received: live counts for local clusters, mirrored
+		// ones for remote clusters.
+		acks := atomic.LoadInt32(&k.cutAcks)
 		white := 1 - atomic.LoadInt64(&k.round)&1
-		if !k.tr.whiteDrained(white) {
+		var sent, recv int64
+		for i, c := range k.clusters {
+			sent += atomic.LoadInt64(&k.cutSent[i][white])
+			recv += atomic.LoadInt64(&c.recvCum[white].n)
+		}
+		if acks != int32(len(k.clusters)) || recv < sent {
+			// A cut that gains neither an ack nor a white receipt for
+			// stuckCutWait has leaked a ledger count; the dump shows whose.
+			now := time.Now().UnixNano()
+			if w := &k.cutWatch; acks != w.acks || recv != w.recv {
+				*w = cutWatch{acks: acks, recv: recv, since: now}
+			} else if now-w.since > int64(stuckCutWait) {
+				k.dumpStuck(fmt.Sprintf("timewarp: GVT stuck in the cut of round %d for %v: %d of %d cut acks, white sent %d, received %d",
+					atomic.LoadInt64(&k.round), time.Duration(now-w.since), acks, len(k.clusters), sent, recv))
+			}
 			return
 		}
 		atomic.StoreInt64(&k.reportRound, atomic.LoadInt64(&k.round))
@@ -507,7 +535,7 @@ func (k *Kernel) coordinate() {
 		if gvt != TimeInfinity && gvt == k.prevGVT {
 			k.stuckRounds++
 			if k.stuckRounds > 5000 {
-				k.dumpStuck(gvt)
+				k.dumpStuck(fmt.Sprintf("timewarp: GVT stuck at %d", gvt))
 			}
 		} else {
 			k.stuckRounds = 0
@@ -544,16 +572,25 @@ func (k *Kernel) coordinate() {
 }
 
 // dumpStuck reports the kernel state when GVT has not advanced for thousands
-// of rounds: an unexecutable GVT floor indicates a kernel bug, so fail
-// loudly with enough context to locate the holder. The dump reads other
+// of rounds or a cut has stopped draining: either indicates a kernel bug, so
+// fail loudly with enough context to locate the holder. The dump reads other
 // clusters' state without synchronization — the kernel is already broken
 // and about to panic, so a torn diagnostic beats a silent wedge.
 //
 //kernelvet:allow ownership the kernel is wedged and about to panic; torn reads beat a silent hang
-func (k *Kernel) dumpStuck(gvt Time) {
+func (k *Kernel) dumpStuck(headline string) {
 	var sb []byte
 	add := func(f string, a ...interface{}) { sb = append(sb, []byte(fmt.Sprintf(f, a...))...) }
-	add("timewarp: GVT stuck at %d\n", gvt)
+	add("%s\n", headline)
+	for i, c := range k.clusters {
+		where := "mirrored"
+		if c.here {
+			where = "local"
+		}
+		sent := [2]int64{atomic.LoadInt64(&k.cutSent[i][0]), atomic.LoadInt64(&k.cutSent[i][1])}
+		recv := [2]int64{atomic.LoadInt64(&c.recvCum[0].n), atomic.LoadInt64(&c.recvCum[1].n)}
+		add("cluster %d ledger: cutSent=%v recvCum=%v (%s)\n", i, sent, recv, where)
+	}
 	for _, c := range k.local {
 		// The mailbox is the one structure with a lock of its own; take it
 		// so at least that read is clean.

@@ -272,7 +272,7 @@ func (lp *lpRuntime) rollback(t Time) {
 	if t <= lp.committedThrough {
 		// GVT guarantees no message (positive or anti) arrives at or below
 		// the committed horizon — under the asynchronous protocol every
-		// in-transit message is bounded by a transit count or a redMin
+		// in-transit message is bounded by the transit ledger or a redMin
 		// report. Because lvt never drops below the horizon, enqueue and
 		// annihilate send every such arrival here, at the arrival itself.
 		// Reaching this line means the kernel's GVT or cancellation

@@ -18,18 +18,19 @@ import "sync/atomic"
 //     bound for another process is held first, until GVT has committed its
 //     processed history (or a straggler rolled it back), and travels as
 //     committed state plus pending events.
-//   - The payload is accounted exactly like a message in flight: it is
-//     counted in transit under the sender's current color and its earliest
-//     pending work time is folded into the sender's redMin, so no GVT cut
-//     can close over an LP that is mid-flight with uncounted events.
+//   - The payload is accounted exactly like a message in flight: its
+//     earliest pending work time is folded into the sender's redMin, and it
+//     is counted once in the sender's sent counter under the sender's current
+//     color, so no GVT cut can close over an LP that is mid-flight with
+//     uncounted events.
 //   - The destination adopts the LP (migrateIn) the next time it looks at
-//     its flags: it decrements the transit count, takes ownership, seeds its
-//     scheduler, and re-delivers any events that were parked for the LP.
+//     its flags: it counts the payload as received, takes ownership, seeds
+//     its scheduler, and re-delivers any events that were parked for the LP.
 //
 // Events routed under a stale table entry are forwarded by whichever cluster
 // receives them (cluster.deliver): forwarding re-stages the event in the
 // forwarder's outbox, so the forwarded hop is report-covered while buffered
-// and transit-counted under the forwarder's color once its batch flushes,
+// and counted under the forwarder's color once its batch flushes,
 // like any other send. Events that reach the destination
 // before the payload does park in the destination's limbo queue, which is
 // folded into its GVT reports (localMin), preserving the rollback horizon.
@@ -42,8 +43,9 @@ type migOrder struct {
 	to int
 }
 
-// migPayload is one LP in flight between clusters. color is the transit
-// color the source charged the payload under; the destination releases it.
+// migPayload is one LP in flight between clusters. color is the round color
+// the source counted the payload under; the destination counts it received
+// under the same color.
 // Exactly one of lp (same-process handoff: the live runtime moves by
 // pointer) and wire (multi-process: the runtime's encoded state and pending
 // events, decoded into the destination's pre-built lpRuntime shell) is set.
@@ -124,9 +126,9 @@ func (c *cluster) migrateOut(o migOrder) {
 		p = migPayload{wire: c.packPayload(lp)}
 	}
 	lp.held = false
-	// Account the payload like a message in flight: charge transit under the
-	// current color and bound its earliest work by redMin, so the GVT cuts
-	// that race the handoff stay sound.
+	// Account the payload like a message in flight: bound its earliest work
+	// by redMin now and count it sent under the current color once it is
+	// handed off, so the GVT cuts that race the handoff stay sound.
 	color := uint8(c.color & 1)
 	p.color = color
 	min := lp.nextTime()
@@ -135,10 +137,6 @@ func (c *cluster) migrateOut(o migOrder) {
 	}
 	if min < c.redMin {
 		c.redMin = min
-	}
-	atomic.AddInt64(&k.transit[color].n, 1) //kernelvet:charge transit
-	if k.remote {
-		atomic.AddInt64(&c.sentCum[color].n, 1)
 	}
 	// Route first, then drop ownership: after this store new sends go to the
 	// destination, while events already queued here are forwarded by the
@@ -154,7 +152,8 @@ func (c *cluster) migrateOut(o migOrder) {
 	}
 	c.removeLP(lp)
 	c.stats.Migrations++
-	k.sendCtrl(o.to, ctrlMsg{typ: framePayload, cluster: int32(o.to), pay: p}) //kernelvet:carrier transit
+	k.sendCtrl(o.to, ctrlMsg{typ: framePayload, cluster: int32(o.to), pay: p})
+	atomic.AddInt64(&c.sentCum[color].n, 1)
 }
 
 // retryHeld retries the orders migrateOut held. The main loop calls it on
@@ -184,10 +183,7 @@ func (c *cluster) migrateIn(p migPayload) {
 	lp.cluster = c
 	c.owned[lp.id] = true
 	c.lps = append(c.lps, lp)
-	atomic.AddInt64(&c.kernel.transit[p.color].n, -1) //kernelvet:discharge transit
-	if c.kernel.remote {
-		atomic.AddInt64(&c.recvCum[p.color].n, 1)
-	}
+	atomic.AddInt64(&c.recvCum[p.color].n, 1)
 	// schedT tracked an entry in the old home's scheduler (now unreachable
 	// garbage, skipped there by the owned check); reset it before
 	// scheduling here or the gate could suppress the adopting push.
@@ -204,9 +200,10 @@ func (c *cluster) migrateIn(p migPayload) {
 
 // adoptFinalPayloads adopts payloads still parked at termination. It runs
 // single-threaded from Kernel.Run after every cluster goroutine exited: an
-// idle LP's payload holds neither the final cut (no white transit of its
-// color remains uncounted — it is red) nor GVT below infinity (its earliest
-// work is infinity), so its destination can exit before adopting it.
+// idle LP's payload holds neither the final cut (it was counted sent under
+// the red color, which that cut does not wait on) nor GVT below infinity
+// (its earliest work is infinity), so its destination can exit before
+// adopting it.
 func (c *cluster) adoptFinalPayloads() {
 	c.migMu.Lock()
 	payloads := c.migIn
@@ -275,8 +272,8 @@ func (c *cluster) drainLimbo() {
 // forward re-routes an event that arrived under a stale routing epoch toward
 // the receiver's current home. The hop is a fresh routed message: it is
 // staged in the forwarder's outbox like any other send, covered by the
-// forwarder's GVT reports (localMin) while buffered, and charged to transit
-// under the forwarder's color when its batch flushes — the forwarded leg is
+// forwarder's GVT reports (localMin) while buffered, and counted sent under
+// the forwarder's color when its batch flushes — the forwarded leg is
 // GVT-accounted exactly like a send originated here.
 func (c *cluster) forward(ev Event) {
 	c.stats.ForwardedMessages++

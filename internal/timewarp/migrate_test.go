@@ -1,6 +1,7 @@
 package timewarp
 
 import (
+	"fmt"
 	"reflect"
 	"sync/atomic"
 	"testing"
@@ -64,11 +65,7 @@ func TestMigrationPingPong(t *testing.T) {
 	if stats.RouteEpoch == 0 {
 		t.Error("routing table epoch never advanced despite migrations")
 	}
-	for color := 0; color < 2; color++ {
-		if n := atomic.LoadInt64(&k.transit[color].n); n != 0 {
-			t.Errorf("transit[%d] = %d after termination, want 0", color, n)
-		}
-	}
+	checkLedgerBalanced(t, k, "run")
 }
 
 // TestMigrationUnderRollbacks rotates LPs between eight clusters while
@@ -121,11 +118,7 @@ func TestMigrationUnderRollbacks(t *testing.T) {
 				t.Fatalf("lazy=%v: processed-rolledback=%d != committed=%d",
 					lazy, stats.EventsProcessed-stats.EventsRolledBack, stats.EventsCommitted)
 			}
-			for color := 0; color < 2; color++ {
-				if n := atomic.LoadInt64(&k.transit[color].n); n != 0 {
-					t.Errorf("lazy=%v: transit[%d] = %d after termination, want 0", lazy, color, n)
-				}
-			}
+			checkLedgerBalanced(t, k, fmt.Sprintf("lazy=%v", lazy))
 			sum := handlers[chains].(*stragglerVictim).sum + handlers[chains+2].(*stragglerVictim).sum
 			return sum, stats
 		}
@@ -311,11 +304,7 @@ func TestMigrationWithWireLatency(t *testing.T) {
 	if stats.Migrations == 0 {
 		t.Error("latency rotation migrated nothing")
 	}
-	for color := 0; color < 2; color++ {
-		if n := atomic.LoadInt64(&k.transit[color].n); n != 0 {
-			t.Errorf("transit[%d] = %d after termination, want 0", color, n)
-		}
-	}
+	checkLedgerBalanced(t, k, "run")
 }
 
 // TestRebalanceDeclines: a callback that always returns nil must collect
@@ -532,7 +521,6 @@ func (t *recTransport) localCluster(id int) bool         { return t.here[id] }
 func (t *recTransport) push(int, []Event, batchHdr) bool { return true }
 func (t *recTransport) ctrl(_ int, frame []byte)         { t.frames = append(t.frames, frame) }
 func (t *recTransport) publish(*cluster, Time)           {}
-func (t *recTransport) whiteDrained(int64) bool          { return true }
 func (t *recTransport) initQuiet() bool                  { return true }
 
 // TestWireMigrationWaitsForCommit: an LP ordered to another process is held
@@ -574,6 +562,7 @@ func TestWireMigrationWaitsForCommit(t *testing.T) {
 			}
 			c.flushAll()
 			sentAnti := c.stats.AntiMessages
+			sentEvents := atomic.LoadInt64(&c.sentCum[0].n)
 
 			atomic.StoreInt64(&src.gvt, 1)
 			c.migrateOut(migOrder{lp: 0, to: 1})
@@ -586,13 +575,20 @@ func TestWireMigrationWaitsForCommit(t *testing.T) {
 			if n, _ := c.executeOne(); n != 0 {
 				t.Fatalf("held LP executed %d events", n)
 			}
+			if got := atomic.LoadInt64(&c.sentCum[0].n); got != sentEvents {
+				t.Fatalf("held LP counted sent: sentCum %d, want %d", got, sentEvents)
+			}
 
 			tc.release(src, deliver)
 			sentAnti = c.stats.AntiMessages - sentAnti
+			sentEvents = atomic.LoadInt64(&c.sentCum[0].n)
 			c.retryHeld()
 			if lp.held || c.owned[0] || c.stats.Rollbacks != tc.rollbacks || c.stats.AntiMessages != sentAnti || len(srcTr.frames) != 2 {
 				t.Fatalf("released: held=%v owned=%v rollbacks=%d anti=%d (%d before packing) frames=%d, want %d rollbacks, no anti-message from packing, a route and a payload frame",
 					lp.held, c.owned[0], c.stats.Rollbacks, c.stats.AntiMessages, sentAnti, len(srcTr.frames), tc.rollbacks)
+			}
+			if got := atomic.LoadInt64(&c.sentCum[0].n); got != sentEvents+1 {
+				t.Fatalf("released payload: sentCum %d, want %d (counted once)", got, sentEvents+1)
 			}
 
 			dst, _ := node(1)
@@ -605,6 +601,9 @@ func TestWireMigrationWaitsForCommit(t *testing.T) {
 				dst.applyCtrl(m)
 			}
 			dst.clusters[1].checkMigrate()
+			if n := atomic.LoadInt64(&dst.clusters[1].recvCum[0].n); n != 1 {
+				t.Errorf("adopting node counted %d payloads received, want 1", n)
+			}
 			got := dst.lps[0]
 			if dst.RouteOf(0) != 1 || !dst.clusters[1].owned[0] || got.nextTime() != tc.next || got.lvt != tc.lvt || got.committedThrough != tc.horizon {
 				t.Errorf("adopted LP: route=%d owned=%v next=%d lvt=%d committedThrough=%d, want 1, true, %d, %d, %d",

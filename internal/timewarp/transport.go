@@ -14,19 +14,19 @@ import (
 // cluster accumulates them in per-destination outboxes while it executes, and
 // flushes an outbox as one batch into the destination's mailbox — a
 // double-buffered, mutex-swapped MPSC queue. The whole batch costs one lock
-// acquire and one atomic in-transit add on the sender, and one lock acquire
-// plus one atomic sub per batch on the receiver, so the per-event cost of the
-// remote path is a slice append and a copy.
+// acquire and one atomic add to its sender's sent counter, and one lock
+// acquire plus one atomic add to its receiver's received counter, so the
+// per-event cost of the remote path is a slice append and a copy.
 //
 // GVT stays sound without per-event accounting because every place an event
 // can wait is covered by exactly one of two mechanisms:
 //
-//   - Flushed batches are in transit: the sender charges kernel.transit under
-//     its current round color *before* the batch becomes visible to the
-//     receiver, folds the batch's minimum receive time into redMin, and the
-//     receiver releases the charge when it takes the batch out of the
-//     mailbox. A round's first cut therefore cannot close while a flushed
-//     pre-cut batch is undelivered, exactly as with per-event counting.
+//   - Flushed batches are in transit: the sender folds the batch's minimum
+//     receive time into redMin and, once the push is accepted, counts it in
+//     its cumulative sent counter under its round color (cluster.sentCum);
+//     the receiver counts it in recvCum when it takes it out of the mailbox.
+//     A round's first cut closes only when the white received counts reach
+//     the white sent counts the cut acks pinned.
 //   - Unflushed events (per-destination outboxes, the intra-cluster localQ)
 //     are private to their owning goroutine, and that same goroutine is the
 //     one that joins cuts and files wave-2 reports: cluster.localMin folds
@@ -44,17 +44,17 @@ import (
 //     blocking, so held batches can never be what the fleet is waiting for.
 //
 // Batches are timestamped for the modeled wire once per flush: a batch whose
-// dueNano has not elapsed parks in the receiver's delayed heap still carrying
-// its transit charge (the cut waits for the modeled wire, as on a real LAN),
-// and is released per batch when it is delivered.
+// dueNano has not elapsed parks in the receiver's delayed heap uncounted by
+// its received counter (the cut waits for the modeled wire, as on a real
+// LAN), and is counted per batch when it is delivered.
 //
 // GVT/load/wake control traffic rides the same mailboxes as a bitmask, not
 // as events: posting a control kind sets a bit and rings the notify channel,
 // which cannot fail on a full mailbox — the control plane is immune to data
 // backpressure, so broadcast needs no retry bookkeeping.
 
-// batchHdr describes one pushed batch: its length, the GVT round color its
-// transit charge sits under, and the modeled-wire delivery deadline (zero
+// batchHdr describes one pushed batch: its length, the GVT round color it
+// was flushed under, and the modeled-wire delivery deadline (zero
 // when no latency is configured). It is flat (wire-safe) so the TCP
 // transport can move it between processes by plain copy (wire.go); kernelvet
 // enforces that no pointer-bearing field sneaks in.
@@ -185,11 +185,12 @@ func (c *cluster) stageRemote(dst int, ev Event) {
 	}
 }
 
-// flushDst pushes one destination's outbox as a single batch. The transit
-// charge and the redMin fold happen before the push so no cut can observe the
-// batch unaccounted; a rejected push (destination mailbox full) takes the
-// charge back and leaves the events in the outbox, where localMin still
-// covers them. Returns whether the outbox is now empty.
+// flushDst pushes one destination's outbox as a single batch. The redMin
+// fold happens before the push so no cut can observe the batch unbounded; the
+// sent counter is raised only once the push is accepted, on this goroutine,
+// before any cut ack it files could pin it. A rejected push (destination
+// mailbox full) leaves the events in the outbox, where localMin still covers
+// them. Returns whether the outbox is now empty.
 //
 //kernelvet:allow determinism the wall clock models the wire's delivery deadline only, never simulation state
 func (c *cluster) flushDst(dst int) bool {
@@ -203,25 +204,15 @@ func (c *cluster) flushDst(dst int) bool {
 	if ob.min < c.redMin {
 		c.redMin = ob.min
 	}
-	atomic.AddInt64(&k.transit[color].n, int64(n)) //kernelvet:charge transit
 	hdr := batchHdr{n: int32(n), color: color}
 	if lat := k.cfg.Net.Latency; lat > 0 {
 		hdr.dueNano = time.Now().UnixNano() + int64(lat)
 	}
 	if !k.push(dst, ob.buf, hdr) {
-		atomic.AddInt64(&k.transit[color].n, -int64(n)) //kernelvet:discharge transit
 		ob.wantFlush = true
 		return false
 	}
-	// The push succeeded: the batch in the destination mailbox (or on the
-	// wire toward it) now owns the charge (released whole by drainMail or
-	// deliverDue on the receiver).
-	//kernelvet:carrier transit
-	if k.remote {
-		// The cumulative counter the distributed drain probe sums; the
-		// same-goroutine cut ack pins its white component (cluster.go).
-		atomic.AddInt64(&c.sentCum[color].n, int64(n))
-	}
+	atomic.AddInt64(&c.sentCum[color].n, int64(n))
 	k.busy(k.cfg.Net.SendBusy * n)
 	ob.buf = ob.buf[:0]
 	ob.min = TimeInfinity
@@ -276,9 +267,9 @@ func (c *cluster) outboxed() int {
 }
 
 // delayedBatch is one batch still "on the wire" under the modeled network
-// latency. It keeps its transit charge (color) until delivered, so a GVT cut
-// waits for the modeled wire exactly as it would for a real LAN; buf is a
-// copy of the batch's events.
+// latency. It is counted as received (under color) only when delivered, so a
+// GVT cut waits for the modeled wire exactly as it would for a real LAN; buf
+// is a copy of the batch's events.
 type delayedBatch struct {
 	due   int64
 	color uint8
@@ -295,8 +286,8 @@ func (h *delayedHeap) pop() delayedBatch { return minheap.Pop((*[]delayedBatch)(
 func delayedLess(a, b *delayedBatch) bool { return a.due < b.due }
 
 // deliverDue delivers every delayed batch whose wire time has elapsed (force
-// delivers everything; initialization only), releasing each batch's transit
-// charge as a whole. Returns the number of events delivered.
+// delivers everything; initialization only), counting each batch as received
+// as a whole. Returns the number of events delivered.
 func (c *cluster) deliverDue(force bool) int {
 	if len(c.delayed) == 0 {
 		return 0
@@ -311,10 +302,7 @@ func (c *cluster) deliverDue(force bool) int {
 			break
 		}
 		b := c.delayed.pop()
-		atomic.AddInt64(&c.kernel.transit[b.color].n, -int64(len(b.buf))) //kernelvet:discharge transit
-		if c.kernel.remote {
-			atomic.AddInt64(&c.recvCum[b.color].n, int64(len(b.buf)))
-		}
+		atomic.AddInt64(&c.recvCum[b.color].n, int64(len(b.buf)))
 		c.kernel.busy(c.kernel.cfg.Net.RecvBusy * len(b.buf))
 		for i := range b.buf {
 			c.deliver(b.buf[i])
@@ -326,7 +314,7 @@ func (c *cluster) deliverDue(force bool) int {
 
 // drainMail takes everything queued in this cluster's mailbox and delivers
 // it: due batches into LP queues, premature batches (modeled wire) into the
-// delayed heap still carrying their transit charge. Control bits are handled
+// delayed heap, not yet counted as received. Control bits are handled
 // after the data so a GVT probe triggered here observes the delivered events
 // in localMin. Returns the number of events delivered.
 func (c *cluster) drainMail() int {
@@ -346,19 +334,14 @@ func (c *cluster) drainMail() int {
 		b := ev[off : off+int(h.n)]
 		off += int(h.n)
 		if h.dueNano > now {
-			// The parked batch keeps the sender's charge until delivered.
-			//kernelvet:carrier transit
+			// The parked batch is counted as received once delivered.
 			c.delayed.push(delayedBatch{due: h.dueNano, color: h.color, buf: append([]Event(nil), b...)})
 			continue
 		}
-		// Release the whole batch's transit charge with one atomic; the
-		// events are covered from here on by this goroutine's own localMin
-		// (they are all delivered below, before any GVT probe runs here).
-		//kernelvet:discharge transit
-		atomic.AddInt64(&k.transit[h.color].n, -int64(h.n))
-		if k.remote {
-			atomic.AddInt64(&c.recvCum[h.color].n, int64(h.n))
-		}
+		// Count the whole batch as received with one atomic; the events are
+		// covered from here on by this goroutine's own localMin (they are all
+		// delivered below, before any GVT probe runs here).
+		atomic.AddInt64(&c.recvCum[h.color].n, int64(h.n))
 		k.busy(k.cfg.Net.RecvBusy * int(h.n))
 		for i := range b {
 			c.deliver(b[i])
@@ -387,10 +370,7 @@ func (c *cluster) drainAllInit() int {
 	for _, h := range hdr {
 		b := ev[off : off+int(h.n)]
 		off += int(h.n)
-		atomic.AddInt64(&c.kernel.transit[h.color].n, -int64(h.n)) //kernelvet:discharge transit
-		if c.kernel.remote {
-			atomic.AddInt64(&c.recvCum[h.color].n, int64(h.n))
-		}
+		atomic.AddInt64(&c.recvCum[h.color].n, int64(h.n))
 		for i := range b {
 			c.deliver(b[i])
 		}

@@ -1,7 +1,5 @@
 package timewarp
 
-import "sync/atomic"
-
 // Transport is the pipe between this process and the other nodes of a
 // multi-process run. The kernel keeps every cross-cluster effect to itself:
 // it delivers batches and control messages to the clusters of this process
@@ -10,12 +8,14 @@ import "sync/atomic"
 // message already encoded as its frame (ctrl.go, wire.go). A transport never
 // interprets control traffic; its receive side hands control frames back to
 // the kernel (decodeCtrl, applyCtrl). What remains a transport's own is the
-// fabric's lifecycle, the node topology, the progress mirror and the two
-// probes that need every node's counters. Two implementations exist:
+// fabric's lifecycle, the node topology, the mirror of local clusters'
+// progress and received counters, and the init-quiescence probe. The GVT
+// transit ledger (cluster.sentCum/recvCum, Kernel.cutSent) is the kernel's,
+// the same for every transport: a transport only carries a remote cluster's
+// received counters into its shell on this node. Two implementations exist:
 //
-//   - memTransport (the default): one process, every cluster local, so push
-//     and ctrl are never called and the probes read the shared transit
-//     counts.
+//   - memTransport (the default): one process, every cluster local, so push,
+//     ctrl and publish are never needed.
 //   - TCPTransport: the clusters are partitioned over N OS processes
 //     ("nodes") connected by a TCP mesh; frames travel on one FIFO lane per
 //     peer.
@@ -27,8 +27,7 @@ import "sync/atomic"
 //
 // Ownership note for every implementation: push, ctrl and publish are called
 // from cluster goroutines (ctrl also from the coordinator, push and publish
-// also from Run's goroutine during initialization); whiteDrained only from
-// the coordinator (cluster 0's goroutine); bind from New;
+// also from Run's goroutine during initialization); bind from New;
 // start/initQuiet/finishRun only from Run's goroutine.
 //
 // Failure semantics: a transport must never hang the kernel on a dead peer.
@@ -65,12 +64,9 @@ type Transport interface {
 	// control traffic is immune to data backpressure.
 	ctrl(dst int, frame []byte)
 	// publish mirrors local cluster c's next work time (already recorded by
-	// the kernel) and its cumulative transit counters to the other nodes.
+	// the kernel) and its cumulative received counters to the other nodes.
 	publish(c *cluster, t Time)
 
-	// whiteDrained reports whether every batch flushed under the previous
-	// round's color has been received (the wave-1 drain condition).
-	whiteDrained(white int64) bool
 	// initQuiet reports whether initialization traffic has settled: all
 	// init-time sends have left this process's buffers (the in-memory
 	// transport can additionally see that they were delivered).
@@ -78,7 +74,7 @@ type Transport interface {
 }
 
 // memTransport is the in-memory fabric: one process, every cluster a
-// goroutine, and the kernel's own mailboxes and shared atomics.
+// goroutine, and the kernel's own mailboxes and ledger.
 type memTransport struct {
 	k *Kernel
 }
@@ -98,13 +94,7 @@ func (t *memTransport) ctrl(int, []byte) {
 }
 func (t *memTransport) publish(*cluster, Time) {}
 
-// whiteDrained: all clusters are red, so the white in-transit count can only
-// shrink. Zero means every pre-cut batch has been delivered.
-func (t *memTransport) whiteDrained(white int64) bool {
-	return atomic.LoadInt64(&t.k.transit[white].n) == 0
-}
-
-// initQuiet: initialization is quiescent when nothing is in transit — every
+// initQuiet: initialization is quiescent when the ledger balances — every
 // flushed init batch has been drained into an LP queue.
 func (t *memTransport) initQuiet() bool {
 	return t.k.inTransit() == 0

@@ -22,10 +22,10 @@ import (
 // and own their LPs. The kernel sends this transport only traffic for
 // clusters on other nodes: event batches, and control messages it already
 // encoded (ctrl.go), which the receiving node hands back to its kernel
-// (decodeCtrl, applyCtrl). The transport itself mirrors published progress
-// and cumulative received counters, and runs the distributed wave-1 drain
-// over cumulative per-cluster sent/received counters instead of the shared
-// delta — see cluster.sentCum for the soundness argument.
+// (decodeCtrl, applyCtrl). The transport itself mirrors each local
+// cluster's published progress and cumulative received counters into the
+// other nodes' shells of that cluster, the received side of the kernel's
+// wave-1 drain — see cluster.sentCum for the soundness argument.
 //
 // Per peer there is one connection and one outbound lane: a byte buffer of
 // already-encoded frames under a mutex, drained by a writer goroutine
@@ -62,12 +62,6 @@ type TCPTransport struct {
 	// cluster's goroutine): publish only marks the peers dirty when the
 	// progress or counters actually changed.
 	pubState []tcpPubState
-
-	// recvMirror holds the last received cumulative received-event
-	// counters of remote clusters ([cluster][color], atomics). Only the
-	// coordinator's node reads them; they are monotone, so staleness only
-	// delays the drain verdict, never falsifies it.
-	recvMirror [][2]int64
 
 	closing  int32
 	started  bool
@@ -254,7 +248,6 @@ func (t *TCPTransport) bind(k *Kernel) error {
 	for i := range t.pubState {
 		t.pubState[i].lastNext = TimeInfinity
 	}
-	t.recvMirror = make([][2]int64, k.cfg.NumClusters)
 	t.finSeen = make([]bool, n)
 	t.finSeen[t.opt.Node] = true
 	t.sumVals = make([][]uint64, n)
@@ -903,8 +896,10 @@ func (t *TCPTransport) apply(p *tcpPeer, typ uint8, body []byte) error {
 		if err := r.done(); err != nil {
 			return err
 		}
-		if cid < 0 || cid >= len(k.clusters) {
-			return fmt.Errorf("progress for cluster %d", cid)
+		// Only the owner of a cluster publishes its progress; a frame
+		// naming a cluster hosted here would overwrite the live entry.
+		if cid < 0 || cid >= len(k.clusters) || k.clusters[cid].here {
+			return fmt.Errorf("progress for cluster %d (hosted here or out of range)", cid)
 		}
 		k.publishProgress(cid, next)
 		return nil
@@ -913,11 +908,14 @@ func (t *TCPTransport) apply(p *tcpPeer, typ uint8, body []byte) error {
 		if err := r.done(); err != nil {
 			return err
 		}
-		if c.cluster < 0 || int(c.cluster) >= len(k.clusters) {
-			return fmt.Errorf("counts for cluster %d", c.cluster)
+		// The frame refreshes the mirror in this node's shell of a remote
+		// cluster; a hosted cluster's recvCum is live and is not a mirror.
+		if c.cluster < 0 || int(c.cluster) >= len(k.clusters) || k.clusters[c.cluster].here {
+			return fmt.Errorf("counts for cluster %d (hosted here or out of range)", c.cluster)
 		}
-		atomic.StoreInt64(&t.recvMirror[c.cluster][0], c.recv0)
-		atomic.StoreInt64(&t.recvMirror[c.cluster][1], c.recv1)
+		shell := k.clusters[c.cluster]
+		atomic.StoreInt64(&shell.recvCum[0].n, c.recv0)
+		atomic.StoreInt64(&shell.recvCum[1].n, c.recv1)
 		return nil
 	case frameFin:
 		if err := r.done(); err != nil {
@@ -1028,7 +1026,7 @@ func (t *TCPTransport) push(dst int, events []Event, hdr batchHdr) bool {
 // FIFO with the data but skip its backpressure refusal, which preserves the
 // orderings the protocol relies on: a route announcement precedes its
 // payload, and an ackCut precedes any red flush's counter effects. A payload
-// frame was already charged to transit, so refusing it would gain nothing.
+// frame carries an LP its source already gave up, so it cannot be refused.
 func (t *TCPTransport) ctrl(dst int, frame []byte) {
 	if dst != otherNodes {
 		t.peers[t.nodeOf[dst]].enqueue(frame)
@@ -1056,26 +1054,6 @@ func (t *TCPTransport) publish(c *cluster, next Time) {
 		atomic.StoreInt32(&p.pubDirty, 1)
 		p.wakeWriter()
 	}
-}
-
-// whiteDrained evaluates the wave-1 drain over the cumulative counters:
-// every white event ever sent (final once all clusters acked the cut) has
-// been received. Local clusters are read directly; remote ones through the
-// sent counters their cut acks pinned (Kernel.cutSent) and their last
-// mirrored recv counters, which are monotone and only undercount, so a
-// stale mirror delays the verdict but never falsifies it.
-func (t *TCPTransport) whiteDrained(white int64) bool {
-	var sent, recv int64
-	for _, c := range t.k.clusters {
-		if t.localCluster(c.id) {
-			sent += atomic.LoadInt64(&c.sentCum[white].n)
-			recv += atomic.LoadInt64(&c.recvCum[white].n)
-		} else {
-			sent += atomic.LoadInt64(&t.k.cutSent[c.id][white])
-			recv += atomic.LoadInt64(&t.recvMirror[c.id][white])
-		}
-	}
-	return recv >= sent
 }
 
 // --- Transport interface: lifecycle ---

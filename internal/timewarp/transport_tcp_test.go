@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -290,9 +291,66 @@ func TestTCPTransportValidation(t *testing.T) {
 	}
 }
 
+// TestTCPMirrorFramesRejectHostedClusters: progress and counts frames
+// mirror a remote cluster's published progress and received counters into
+// this node's shell of it. A frame naming a cluster this node hosts would
+// overwrite live state — its published entry, or the recvCum the wave-1
+// drain sums — so it is a frame error and changes nothing. Frames naming a
+// remote cluster still apply.
+func TestTCPMirrorFramesRejectHostedClusters(t *testing.T) {
+	tr, err := NewTCPTransport(TCPOptions{Node: 0, Peers: []string{"a", "b"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, err := New(Config{NumClusters: 2, ClusterOf: []int{0, 1}, Net: NetConfig{Transport: tr}},
+		[]Handler{&pingLP{peer: 1}, &pingLP{peer: 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hosted, remote := k.clusters[0], k.clusters[1]
+	k.publishProgress(hosted.id, 7)
+	atomic.StoreInt64(&hosted.recvCum[0].n, 3)
+	atomic.StoreInt64(&hosted.recvCum[1].n, 4)
+	progress := func(cid int32, next Time) []byte {
+		b, off := beginFrame(nil, frameProgress)
+		b = appendI32(b, cid)
+		b = appendI64(b, next)
+		return endFrame(b, off)
+	}
+	apply := func(frame []byte) error {
+		typ, body := decodeOneFrame(t, frame)
+		return tr.apply(nil, typ, body)
+	}
+
+	if err := apply(progress(0, 99)); err == nil {
+		t.Error("progress frame naming hosted cluster 0 applied")
+	}
+	if err := apply(appendCounts(nil, wireCounts{cluster: 0, recv0: 90, recv1: 91})); err == nil {
+		t.Error("counts frame naming hosted cluster 0 applied")
+	}
+	if got := atomic.LoadInt64(&k.published[0].t); got != 7 {
+		t.Errorf("hosted cluster's published = %d, want 7", got)
+	}
+	if r0, r1 := atomic.LoadInt64(&hosted.recvCum[0].n), atomic.LoadInt64(&hosted.recvCum[1].n); r0 != 3 || r1 != 4 {
+		t.Errorf("hosted cluster's recvCum = [%d %d], want [3 4]", r0, r1)
+	}
+
+	if err := apply(progress(1, 42)); err != nil {
+		t.Errorf("progress frame for remote cluster 1: %v", err)
+	}
+	if err := apply(appendCounts(nil, wireCounts{cluster: 1, recv0: 5, recv1: 6})); err != nil {
+		t.Errorf("counts frame for remote cluster 1: %v", err)
+	}
+	if got := atomic.LoadInt64(&k.published[1].t); got != 42 {
+		t.Errorf("remote cluster's published = %d, want 42", got)
+	}
+	if r0, r1 := atomic.LoadInt64(&remote.recvCum[0].n), atomic.LoadInt64(&remote.recvCum[1].n); r0 != 5 || r1 != 6 {
+		t.Errorf("remote cluster's recvCum mirror = [%d %d], want [5 6]", r0, r1)
+	}
+}
+
 // TestTCPSingleNode: a one-entry peer list is a degenerate mesh — no sockets,
-// but the full remote code path (cumulative counters, FIN no-op, local
-// GatherSum). Results must match the plain in-memory transport.
+// but the TCP transport's code path (FIN no-op, local GatherSum). Results must match the plain in-memory transport.
 func TestTCPSingleNode(t *testing.T) {
 	tr, err := NewTCPTransport(TCPOptions{Node: 0, Peers: []string{"127.0.0.1:0"}})
 	if err != nil {

@@ -1,6 +1,7 @@
 package timewarp
 
 import (
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -102,7 +103,7 @@ func TestFlushPolicy(t *testing.T) {
 	if got := len(c1.mail.in); got != 1+flushBatch {
 		t.Fatalf("mailbox holds %d, want %d", got, 1+flushBatch)
 	}
-	// Transit accounting is per batch, by length: 1 urgent + 64 batched.
+	// The ledger counts per batch, by length: 1 urgent + 64 batched.
 	if got := k.inTransit(); got != int64(1+flushBatch) {
 		t.Fatalf("in transit = %d, want %d", got, 1+flushBatch)
 	}
@@ -122,8 +123,10 @@ func TestFlushPolicy(t *testing.T) {
 }
 
 // TestFlushRejectionKeepsAccounting: a flush into a full mailbox must leave
-// the transit counters untouched and the events outboxed (still covered by
-// localMin), and a later retry after the destination drains must deliver.
+// the sender's sent counter untouched — it is raised only once a push is
+// accepted, so there is nothing to take back — and the events outboxed
+// (still covered by localMin), and a later retry after the destination
+// drains must deliver.
 func TestFlushRejectionKeepsAccounting(t *testing.T) {
 	k, err := New(Config{NumClusters: 2, ClusterOf: []int{0, 1}, Net: NetConfig{InboxSize: 1}},
 		[]Handler{&pingLP{peer: 1}, &pingLP{peer: 0}})
@@ -137,10 +140,13 @@ func TestFlushRejectionKeepsAccounting(t *testing.T) {
 	if len(c1.mail.in) != 1 || k.inTransit() != 1 {
 		t.Fatalf("setup: mailbox=%d transit=%d", len(c1.mail.in), k.inTransit())
 	}
-	// Second flush must be refused and must roll its transit charge back.
+	// Second flush must be refused without counting anything sent.
 	c0.route(Event{ID: 2, Receiver: 1, RecvTime: 6}, true)
 	if c0.flushAll() {
 		t.Fatal("flush into a full capacity-1 mailbox succeeded")
+	}
+	if got := atomic.LoadInt64(&c0.sentCum[0].n); got != 1 {
+		t.Fatalf("sentCum = %d after refused flush, want 1", got)
 	}
 	if got := k.inTransit(); got != 1 {
 		t.Fatalf("in transit = %d after refused flush, want 1", got)
@@ -204,11 +210,7 @@ func TestTinyMailboxBackpressure(t *testing.T) {
 			t.Fatalf("inbox=%d lazy=%v: processed-rolledback=%d != committed=%d",
 				inbox, lazy, stats.EventsProcessed-stats.EventsRolledBack, stats.EventsCommitted)
 		}
-		for color := 0; color < 2; color++ {
-			if n := atomic.LoadInt64(&k.transit[color].n); n != 0 {
-				t.Errorf("inbox=%d lazy=%v: transit[%d] = %d after termination, want 0", inbox, lazy, color, n)
-			}
-		}
+		checkLedgerBalanced(t, k, fmt.Sprintf("inbox=%d lazy=%v", inbox, lazy))
 		return stats
 	}
 	for _, lazy := range []bool{false, true} {
@@ -255,11 +257,7 @@ func TestTinyMailboxWithLatencyAndMigration(t *testing.T) {
 	if a.seen+b.seen != 301 {
 		t.Errorf("handler state: %d + %d != 301", a.seen, b.seen)
 	}
-	for color := 0; color < 2; color++ {
-		if n := atomic.LoadInt64(&k.transit[color].n); n != 0 {
-			t.Errorf("transit[%d] = %d after termination, want 0", color, n)
-		}
-	}
+	checkLedgerBalanced(t, k, "run")
 }
 
 // TestLoadSmoothingDecays: the EWMA view must track a moving hotspot with
