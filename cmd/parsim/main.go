@@ -25,8 +25,9 @@
 //	parsim -bench s5378 -nodes 4 -node 0/2 -peers 127.0.0.1:9101,127.0.0.1:9102 &
 //	parsim -bench s5378 -nodes 4 -node 1/2 -peers 127.0.0.1:9101,127.0.0.1:9102
 //
-// -dynamic works across processes too: gate state is migrated over the
-// wire, encoded by the same Handler.EncodeState the kernel saves it with.
+// -dynamic runs in one process only: gates migrate between clusters by
+// pointer, never between processes, so -dynamic with -node or -peers is a
+// bad flag.
 //
 // Multi-process exit codes distinguish failure classes for supervisors:
 //
@@ -86,11 +87,14 @@ func main() {
 
 	var tr *timewarp.TCPTransport
 	if *nodeSpec != "" || *peers != "" {
+		if *dynamic {
+			fail(fmt.Errorf("-dynamic runs in one process; it cannot be used with -node or -peers"))
+		}
 		// The config digest folds in every flag that shapes the simulation,
 		// so two processes started with diverging flags are rejected at the
 		// handshake instead of silently desynchronizing.
 		tag := configTag(*bench, *scale, flag.Arg(0), *cycles, *seed, *grain, *algo, *nodes,
-			*window, *lazy, *vectors, *hotspot, *hotspotFrac, *dynamic, *rebalPeriod, *imbalance)
+			*window, *lazy, *vectors, *hotspot, *hotspotFrac)
 		fp, err := parseFaultPlan(*faultSpec)
 		if err != nil {
 			fail(err)

@@ -35,6 +35,24 @@ func TestParsimDynamicSmoke(t *testing.T) {
 	)
 }
 
+// TestParsimDynamicMultiProcessRefused: -dynamic is a single-process
+// feature, so with -node and -peers both processes exit with code 1 and say
+// why, before any listener opens.
+func TestParsimDynamicMultiProcessRefused(t *testing.T) {
+	procs := smoketest.StartCluster(t, 2, func(int) []string {
+		return []string{"-bench", "s5378", "-scale", "0.05", "-nodes", "2", "-cycles", "2", "-grain", "0", "-dynamic"}
+	})
+	for i, p := range procs {
+		out, code := p.Wait(t, 60*time.Second)
+		if code != 1 {
+			t.Fatalf("node %d exit code %d, want 1:\n%s", i, code, out)
+		}
+		if !strings.Contains(out, "-dynamic runs in one process") || strings.Contains(out, "mesh up") {
+			t.Errorf("node %d: want the refusal before the mesh:\n%s", i, out)
+		}
+	}
+}
+
 // TestParsimVectorsSmoke drives the bit-parallel mode from the CLI: one run
 // carries 64 scenarios and every lane must verify against the vectored
 // sequential oracle.

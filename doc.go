@@ -38,25 +38,25 @@
 //     Mattern-style two-cut protocol — batches carry their sender's round
 //     color and are counted by length in one per-cluster, per-color
 //     transit ledger (cumulative sent and received counts) that every
-//     transport shares, a cut that stops draining panics with that
-//     ledger instead of hanging, unflushed buffers are folded into their owner's GVT report, and control bits
-//     ride the mailboxes immune to data backpressure — so clusters never
-//     stop executing for a GVT round. The LP→cluster mapping is a
-//     versioned routing table the kernel rewrites mid-run: dynamic
-//     rebalancing snapshots per-LP load (EWMA-smoothed across rounds) in
-//     an extra control wave and migrates LPs at observed-GVT advance, with
-//     stale-route forwarding and batch-like transit accounting of the
-//     migration payload keeping every cut sound. Every control message
-//     has one decoder and one effect in the kernel, which delivers to its
-//     own clusters directly; the pluggable Transport is only the pipe to
-//     other nodes. The in-memory default has none, while NewTCPTransport
-//     runs one simulation as N OS processes exchanging length-prefixed
-//     binary frames (events, GVT waves, load reports, routes, and
-//     migration state encoded by the handler's own state codec) over a
-//     loopback-or-LAN mesh, with the same ledger held across the sockets
-//     (acks pin sent counts, counts frames mirror received ones). Events
-//     carry
-//     an opaque fixed-size wide payload block (two uint64 planes; on the
+//     transport shares, a cut that stops draining fails the run with that
+//     ledger instead of hanging, unflushed buffers are folded into their
+//     owner's GVT report, and control bits ride the mailboxes immune to
+//     data backpressure — so clusters never stop executing for a GVT
+//     round. A panic on a cluster goroutine comes back from Run as an
+//     error naming the cluster. The LP→cluster mapping is a versioned
+//     routing table the kernel rewrites mid-run: dynamic rebalancing, in
+//     one process only, snapshots per-LP load (EWMA-smoothed across
+//     rounds) in an extra control wave and migrates LPs by pointer at
+//     observed-GVT advance, with stale-route forwarding and batch-like
+//     transit accounting of the migration payload keeping every cut
+//     sound. Every control message has one decoder and one effect in the
+//     kernel, which delivers to its own clusters directly; the pluggable
+//     Transport is only the pipe to other nodes. The in-memory default
+//     has none, while NewTCPTransport runs one simulation as N OS
+//     processes exchanging length-prefixed binary frames (events and GVT
+//     waves) over a loopback-or-LAN mesh, with the same ledger held across
+//     the sockets (acks pin sent counts, counts frames mirror received
+//     ones). Events carry an opaque fixed-size wide payload block (two uint64 planes; on the
 //     wire flag-selected and omitted when zero, so payload-free traffic is
 //     byte-identical to the pre-payload format) that the vectored logic
 //     simulator fills with 64 packed scenarios per message. Event queues
@@ -120,7 +120,8 @@
 //     instantiates it on packed values — signal events carry the planes in
 //     the kernel's wide payload block, one committed event advances 64
 //     scenarios, and lane s is bit-identical to a scalar run with
-//     StimulusSeed+s (rollbacks, migration and TCP transport included);
+//     StimulusSeed+s (rollbacks, in-process migration and TCP transport
+//     included);
 //
 //   - internal/experiments: harnesses regenerating every table and figure
 //     of the paper's evaluation.

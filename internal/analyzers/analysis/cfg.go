@@ -21,9 +21,8 @@ import (
 //     obligations are not checked on it;
 //     calls that merely may panic are not modeled — that would make every
 //     path abnormal and the analysis vacuous.
-//   - defer statements appear as ordinary nodes in their block (so analyzers
-//     see them syntactically, and skip or interpret them as they choose) and
-//     are additionally collected in Defers in syntactic order.
+//   - defer statements appear as ordinary nodes in their block, so analyzers
+//     see them syntactically and skip or interpret them as they choose.
 //   - Function literals are opaque: a literal's body is its own function with
 //     its own CFG (matching the call graph, where a literal is its own node).
 //   - goto, labeled break/continue, switch fallthrough, select, and range
@@ -36,8 +35,6 @@ type CFG struct {
 	// PanicExit is the abnormal sink reached by explicit panic statements.
 	PanicExit *Block
 	Blocks    []*Block
-	// Defers lists the body's defer statements in syntactic order.
-	Defers []*ast.DeferStmt
 }
 
 // Block is one straight-line run of nodes with explicit successors.
@@ -213,9 +210,6 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		b.cur = nil
 	case *ast.BranchStmt:
 		b.branchStmt(s)
-	case *ast.DeferStmt:
-		b.g.Defers = append(b.g.Defers, s)
-		b.add(s)
 	case *ast.ExprStmt:
 		b.add(s)
 		if isPanicCall(s.X) {
@@ -223,8 +217,8 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 			b.cur = nil
 		}
 	default:
-		// Assignments, declarations, sends, inc/dec, go statements, empty
-		// statements: straight-line nodes.
+		// Assignments, declarations, sends, inc/dec, go and defer
+		// statements, empty statements: straight-line nodes.
 		b.add(s)
 	}
 }

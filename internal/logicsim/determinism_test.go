@@ -1,6 +1,7 @@
 package logicsim
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -79,7 +80,7 @@ func TestDeterminismMatrix(t *testing.T) {
 // each hosting one of the two clusters, and merges their results: committed
 // counts and the order-independent output history add, and each gate's final
 // value comes from the single node that hosted it (Result.Local).
-func runTCPPair(t *testing.T, c *circuit.Circuit, a partition.Assignment, cfg Config) (Result, uint64) {
+func runTCPPair(t *testing.T, c *circuit.Circuit, a partition.Assignment, cfg Config) Result {
 	t.Helper()
 	const n = 2
 	lns := make([]net.Listener, n)
@@ -124,11 +125,9 @@ func runTCPPair(t *testing.T, c *circuit.Circuit, a partition.Assignment, cfg Co
 		FinalValues:  make([]circuit.Value, c.NumGates()),
 		Local:        make([]bool, c.NumGates()),
 	}
-	var migrations uint64
 	for _, r := range results {
 		merged.CommittedEvents += r.CommittedEvents
 		merged.OutputHistory += r.OutputHistory
-		migrations += r.Stats.Migrations
 	}
 	for id := 0; id < c.NumGates(); id++ {
 		owners := 0
@@ -146,16 +145,31 @@ func runTCPPair(t *testing.T, c *circuit.Circuit, a partition.Assignment, cfg Co
 	for i, id := range c.Outputs {
 		merged.OutputValues[i] = merged.FinalValues[id]
 	}
-	return merged, migrations
+	return merged
+}
+
+// requireDynamicRefused checks that a run asking for dynamic balancing over
+// a two-node TCP transport fails before any socket opens, with an error
+// wrapping timewarp.ErrBadTransport: gates migrate within one process only.
+func requireDynamicRefused(t *testing.T, c *circuit.Circuit, a partition.Assignment, cfg Config) {
+	t.Helper()
+	tr, err := timewarp.NewTCPTransport(timewarp.TCPOptions{Node: 0, Peers: []string{"127.0.0.1:1", "127.0.0.1:2"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	cfg.Transport = tr
+	if _, err := Run(c, a, cfg); !errors.Is(err, timewarp.ErrBadTransport) {
+		t.Fatalf("dynamic balancing over two processes: err = %v, want ErrBadTransport", err)
+	}
 }
 
 // TestDeterminismTCPLoopback is the multi-process column of the determinism
 // matrix: the same circuit at two clusters, distributed over two OS-level
 // kernel instances connected by TCP loopback, must commit bit-identically to
 // the sequential oracle (and therefore to the in-memory kernel, which the
-// matrix above holds to the same oracle). The dynamic rows additionally force
-// gate migration between the processes, so encoded gate states cross the
-// socket and are still invisible in committed results.
+// matrix above holds to the same oracle). Gates do not migrate between
+// processes, so the dynamic rows check that such a run is refused.
 func TestDeterminismTCPLoopback(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test")
@@ -172,7 +186,6 @@ func TestDeterminismTCPLoopback(t *testing.T) {
 	if err != nil {
 		t.Fatalf("partition: %v", err)
 	}
-	var totalMigrations uint64
 	for _, lazy := range []bool{false, true} {
 		for _, dynamic := range []bool{false, true} {
 			t.Run(fmt.Sprintf("lazy=%v/dynamic=%v", lazy, dynamic), func(t *testing.T) {
@@ -183,12 +196,10 @@ func TestDeterminismTCPLoopback(t *testing.T) {
 				}
 				if dynamic {
 					runCfg.DynamicRebalance = true
-					runCfg.GVTPeriodEvents = 128
-					runCfg.RebalancePeriodRounds = 1
-					runCfg.RebalanceImbalance = 1.0
+					requireDynamicRefused(t, c, a, runCfg)
+					return
 				}
-				got, migrations := runTCPPair(t, c, a, runCfg)
-				totalMigrations += migrations
+				got := runTCPPair(t, c, a, runCfg)
 				if got.CommittedEvents != want.Events {
 					t.Errorf("committed events = %d, sequential = %d", got.CommittedEvents, want.Events)
 				}
@@ -208,8 +219,5 @@ func TestDeterminismTCPLoopback(t *testing.T) {
 				}
 			})
 		}
-	}
-	if totalMigrations == 0 {
-		t.Error("no gate migrated between processes across the dynamic rows")
 	}
 }

@@ -57,6 +57,8 @@ type Config struct {
 	// matrix, refines the current assignment with core.Rebalance, and
 	// migrates gates whose best home moved. Committed results are
 	// placement-independent, so a dynamic run still matches the oracle.
+	// Gates migrate within one process only: with a Transport that spans
+	// several, Run returns an error wrapping timewarp.ErrBadTransport.
 	DynamicRebalance bool
 	// RebalancePeriodRounds is the number of GVT-advancing rounds between
 	// rebalance decisions (default 4).
@@ -165,7 +167,7 @@ type Result struct {
 
 // wireLanes extends seqsim's per-value-type table with how a value travels:
 // in a signal event (the event's Value field for circuit.Value, the wide
-// Payload for circuit.VecValue) and in migrated gate state.
+// Payload for circuit.VecValue) and in saved gate state.
 type wireLanes[V any] struct {
 	seqsim.Lanes[V]
 	toEvent   func(v V) (int32, timewarp.Payload)

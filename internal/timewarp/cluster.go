@@ -279,9 +279,6 @@ type cluster struct {
 	migIn       []migPayload //kernelvet:guarded-by migMu
 	migScratchO []migOrder   //kernelvet:guarded-by migMu
 	migScratchP []migPayload //kernelvet:guarded-by migMu
-	// migHeld lists orders to another process that wait until their LP
-	// has no processed history left (migrateOut).
-	migHeld []migOrder //kernelvet:owner cluster
 }
 
 // route delivers an event to its destination LP's current home cluster (per
@@ -413,10 +410,11 @@ func (c *cluster) checkGVT() {
 	if r := atomic.LoadInt64(&k.loadRound); r > c.loadSeen {
 		// Load round: copy this cluster's per-LP activity counters into its
 		// snapshot buffer (resetting the window) and ack. The coordinator
-		// reads the buffer only after every cluster acked.
+		// reads the buffer only after every cluster acked; the atomic ack
+		// publishes it.
 		c.loadSeen = r
 		c.captureLoad()
-		k.sendCtrl(coordCluster, ctrlMsg{typ: frameAckLoad, cluster: int32(c.id), load: &k.loadBufs[c.id]})
+		atomic.AddInt32(&k.loadAcks, 1)
 	}
 }
 
@@ -458,9 +456,6 @@ func (c *cluster) executeOne() (n int, windowStalled bool) {
 		if e.t == lp.schedT {
 			// This was the LP's tracked entry; it is no longer queued.
 			lp.schedT = TimeInfinity
-		}
-		if lp.held {
-			continue // waiting to migrate to another process (migrateOut)
 		}
 		t := lp.nextTime()
 		if t == TimeInfinity {
@@ -516,9 +511,6 @@ func (c *cluster) run() {
 		n, windowStalled := c.executeOne()
 		c.drainLocal()
 		c.maybeFossil()
-		if len(c.migHeld) > 0 {
-			c.retryHeld()
-		}
 		c.eventsSinceGVT += n
 		if c.eventsSinceGVT >= k.cfg.GVTPeriodEvents {
 			c.eventsSinceGVT = 0

@@ -15,8 +15,9 @@ var (
 	// ErrBadAssignment rejects a ClusterOf that is the wrong length or maps
 	// an LP outside [0, NumClusters).
 	ErrBadAssignment = errors.New("timewarp: bad LP assignment")
-	// ErrBadTransport rejects a transport that cannot host the configured
-	// cluster count (more nodes than clusters).
+	// ErrBadTransport rejects a transport that cannot host the
+	// configuration: more nodes than clusters, or dynamic balancing over
+	// more than one node.
 	ErrBadTransport = errors.New("timewarp: transport cannot host this configuration")
 	// ErrProtoMismatch rejects a TCP mesh handshake whose peer speaks a
 	// different wire-protocol version (or is not a timewarp peer at all).
@@ -75,7 +76,10 @@ type DynamicConfig struct {
 	// LP→cluster assignment; LPs whose entry changed are migrated via the
 	// GVT-synchronized protocol in migrate.go. Returning nil declines (e.g.
 	// the imbalance is below a caller threshold). The snapshot's slices are
-	// reused by the kernel and must not be retained.
+	// reused by the kernel and must not be retained. LPs migrate within one
+	// process only: New refuses Rebalance over a transport that spans more
+	// than one node. A return of the wrong length, or naming a cluster out
+	// of range, fails the run (Run returns the error).
 	Rebalance func(*LoadSnapshot) []int
 	// PeriodRounds is the number of GVT-advancing rounds between load
 	// snapshots when Rebalance is set. Default 4.

@@ -2,6 +2,7 @@ package timewarp
 
 import (
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 )
@@ -9,17 +10,11 @@ import (
 // ctrlState is the kernel state a control message can change (everything
 // but the wall-clock stamp of a GVT advance).
 type ctrlState struct {
-	GVTFlag, CutAcks, ReportAcks, LoadAcks, Done int32
-	Round, ReportRound, LoadRound, GVT           int64
-	CutSent                                      [][2]int64
-	Reports                                      []Time
-	LoadBufs                                     []loadSnapBuf
-	Orders                                       [][]migOrder
-	Payloads                                     [][]migPayload
-	MigFlags                                     []int32
-	MailCtrl                                     []uint8
-	Routes                                       []int
-	RouteEpoch                                   int64
+	GVTFlag, CutAcks, ReportAcks, Done int32
+	Round, ReportRound, GVT            int64
+	CutSent                            [][2]int64
+	Reports                            []Time
+	MailCtrl                           []uint8
 }
 
 func captureCtrlState(k *Kernel) ctrlState {
@@ -27,31 +22,19 @@ func captureCtrlState(k *Kernel) ctrlState {
 		GVTFlag:     atomic.LoadInt32(&k.gvtFlag),
 		CutAcks:     atomic.LoadInt32(&k.cutAcks),
 		ReportAcks:  atomic.LoadInt32(&k.reportAcks),
-		LoadAcks:    atomic.LoadInt32(&k.loadAcks),
 		Done:        atomic.LoadInt32(&k.done),
 		Round:       atomic.LoadInt64(&k.round),
 		ReportRound: atomic.LoadInt64(&k.reportRound),
-		LoadRound:   atomic.LoadInt64(&k.loadRound),
 		GVT:         k.GVT(),
 		CutSent:     append([][2]int64(nil), k.cutSent...),
-		LoadBufs:    append([]loadSnapBuf(nil), k.loadBufs...),
-		RouteEpoch:  k.RouteEpoch(),
 	}
 	for i := range k.reports {
 		s.Reports = append(s.Reports, atomic.LoadInt64(&k.reports[i].t))
 	}
 	for _, c := range k.clusters {
-		c.migMu.Lock()
-		s.Orders = append(s.Orders, append([]migOrder(nil), c.migOrders...))
-		s.Payloads = append(s.Payloads, append([]migPayload(nil), c.migIn...))
-		c.migMu.Unlock()
-		s.MigFlags = append(s.MigFlags, atomic.LoadInt32(&c.migFlag))
 		c.mail.mu.Lock()
 		s.MailCtrl = append(s.MailCtrl, c.mail.ctrl)
 		c.mail.mu.Unlock()
-	}
-	for lp := range k.lps {
-		s.Routes = append(s.Routes, k.RouteOf(LPID(lp)))
 	}
 	return s
 }
@@ -63,36 +46,13 @@ func captureCtrlState(k *Kernel) ctrlState {
 func TestCtrlLocalMatchesWire(t *testing.T) {
 	cases := []struct {
 		name string
-		msg  func(k *Kernel) ctrlMsg
+		msg  ctrlMsg
 	}{
-		{"reqGVT", func(*Kernel) ctrlMsg { return ctrlMsg{typ: frameReqGVT} }},
-		{"ackCut", func(*Kernel) ctrlMsg {
-			return ctrlMsg{typ: frameAckCut, ack: wireAckCut{cluster: 1, sent0: 3, sent1: -4}}
-		}},
-		{"report", func(*Kernel) ctrlMsg {
-			return ctrlMsg{typ: frameReport, rep: wireReport{cluster: 1, min: 77}}
-		}},
-		{"ackLoad", func(k *Kernel) ctrlMsg {
-			// The acking cluster fills its buffer in place (captureLoad).
-			k.loadBufs[1] = loadSnapBuf{lps: []LPID{1}, committed: []uint64{9},
-				edgeOff: []int32{1}, edgeDst: []LPID{0}, edgeCnt: []uint64{5}}
-			return ctrlMsg{typ: frameAckLoad, cluster: 1, load: &k.loadBufs[1]}
-		}},
-		{"coord wave", func(*Kernel) ctrlMsg {
-			return ctrlMsg{typ: frameCoord, coord: wireCoord{round: 3, reportRound: 2, loadRound: 1, gvt: 40, bits: ctrlCut}}
-		}},
-		{"coord done", func(*Kernel) ctrlMsg {
-			return ctrlMsg{typ: frameCoord, coord: wireCoord{round: 3, reportRound: 3, gvt: TimeInfinity, done: 1}}
-		}},
-		{"order", func(*Kernel) ctrlMsg {
-			return ctrlMsg{typ: frameOrder, order: wireOrder{cluster: 1, lp: 1, to: 0}}
-		}},
-		{"payload", func(*Kernel) ctrlMsg {
-			return ctrlMsg{typ: framePayload, cluster: 1, pay: migPayload{wire: []byte{7, 8, 9}, color: 1}}
-		}},
-		{"route", func(*Kernel) ctrlMsg {
-			return ctrlMsg{typ: frameRoute, route: wireRoute{lp: 1, to: 0}}
-		}},
+		{"reqGVT", ctrlMsg{typ: frameReqGVT}},
+		{"ackCut", ctrlMsg{typ: frameAckCut, ack: wireAckCut{cluster: 1, sent0: 3, sent1: -4}}},
+		{"report", ctrlMsg{typ: frameReport, rep: wireReport{cluster: 1, min: 77}}},
+		{"coord wave", ctrlMsg{typ: frameCoord, coord: wireCoord{round: 3, reportRound: 2, gvt: 40, bits: ctrlCut}}},
+		{"coord done", ctrlMsg{typ: frameCoord, coord: wireCoord{round: 3, reportRound: 3, gvt: TimeInfinity, done: 1}}},
 	}
 	newKernel := func() *Kernel {
 		k, err := New(Config{NumClusters: 2, ClusterOf: []int{0, 1}},
@@ -106,7 +66,7 @@ func TestCtrlLocalMatchesWire(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			local, remote := newKernel(), newKernel()
 			before := captureCtrlState(local)
-			m := tc.msg(local)
+			m := tc.msg
 			local.applyCtrl(m)
 
 			typ, body := decodeOneFrame(t, m.appendFrame(nil))
@@ -127,44 +87,40 @@ func TestCtrlLocalMatchesWire(t *testing.T) {
 	}
 }
 
-// TestDecodeCtrlRejectsBadAckLoad: a load ack whose rows name an LP the
-// kernel does not have, or whose edge offsets do not partition its edge
-// rows, is a decode error, not an index panic in buildSnapshot later.
-func TestDecodeCtrlRejectsBadAckLoad(t *testing.T) {
+// TestDecodeCtrlRejectsRetiredFrames: frame numbers whose messages are gone
+// stay reserved, and a peer that sends one, with the body it had under the
+// last protocol version that used it, gets a decode error. The bodies are
+// written byte by byte, since no encoder for them is left.
+func TestDecodeCtrlRejectsRetiredFrames(t *testing.T) {
 	k, err := New(Config{NumClusters: 2, ClusterOf: []int{0, 1}},
 		[]Handler{&pingLP{peer: 1}, &pingLP{peer: 0}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cases := []struct {
-		name string
-		buf  loadSnapBuf
-		ok   bool
-	}{
-		{"valid", loadSnapBuf{lps: []LPID{0, 1}, committed: []uint64{12, 7}, edgeOff: []int32{1, 3},
-			edgeDst: []LPID{1, 0, 1}, edgeCnt: []uint64{12, 6, 1}}, true},
-		{"row LP 99", loadSnapBuf{lps: []LPID{99}, committed: []uint64{1}, edgeOff: []int32{0}}, false},
-		{"row LP -1", loadSnapBuf{lps: []LPID{-1}, committed: []uint64{1}, edgeOff: []int32{0}}, false},
-		{"edge to LP 2", loadSnapBuf{lps: []LPID{0}, committed: []uint64{1}, edgeOff: []int32{1},
-			edgeDst: []LPID{2}, edgeCnt: []uint64{1}}, false},
-		{"decreasing edgeOff", loadSnapBuf{lps: []LPID{0, 1}, committed: []uint64{1, 1}, edgeOff: []int32{2, 1},
-			edgeDst: []LPID{1, 0}, edgeCnt: []uint64{1, 1}}, false},
-		{"negative edgeOff", loadSnapBuf{lps: []LPID{0, 1}, committed: []uint64{1, 1}, edgeOff: []int32{-1, 2},
-			edgeDst: []LPID{1, 0}, edgeCnt: []uint64{1, 1}}, false},
-		{"edgeOff short of the rows", loadSnapBuf{lps: []LPID{0}, committed: []uint64{1}, edgeOff: []int32{1},
-			edgeDst: []LPID{1, 0}, edgeCnt: []uint64{1, 1}}, false},
-		{"edges without rows", loadSnapBuf{edgeDst: []LPID{1}, edgeCnt: []uint64{1}}, false},
+	i32 := func(vs ...int32) []byte {
+		var b []byte
+		for _, v := range vs {
+			b = appendI32(b, v)
+		}
+		return b
 	}
-	for _, tc := range cases {
+	for _, tc := range []struct {
+		name string
+		typ  uint8
+		body []byte
+	}{
+		{"ctrl", frameCtrl, nil},
+		{"ackLoad", frameAckLoad, i32(1, 0, 0)},      // cluster 1, no rows, no edges
+		{"order", frameOrder, i32(1, 1, 0)},          // cluster 1: move LP 1 to cluster 0
+		{"payload", framePayload, append(i32(1), 0)}, // cluster 1, color 0, no LP
+		{"route", frameRoute, i32(1, 0)},             // LP 1 now on cluster 0
+	} {
 		t.Run(tc.name, func(t *testing.T) {
-			m := ctrlMsg{typ: frameAckLoad, cluster: 1, load: &tc.buf}
-			typ, body := decodeOneFrame(t, m.appendFrame(nil))
-			_, err := k.decodeCtrl(typ, body)
-			if tc.ok && err != nil {
-				t.Fatalf("valid ack rejected: %v", err)
-			}
-			if !tc.ok && err == nil {
-				t.Fatal("malformed ack decoded without error")
+			b, off := beginFrame(nil, tc.typ)
+			b = endFrame(append(b, tc.body...), off)
+			typ, body := decodeOneFrame(t, b)
+			if _, err := k.decodeCtrl(typ, body); err == nil || !strings.Contains(err.Error(), "unknown frame type") {
+				t.Fatalf("frame type %d: err = %v, want unknown frame type", typ, err)
 			}
 		})
 	}

@@ -24,16 +24,14 @@
 // instead splits one simulation across several OS processes. Every process
 // runs the same kernel over the same configuration, hosts the contiguous
 // share of clusters assigned to its node index, and exchanges
-// length-prefixed binary frames (wire.go) carrying event batches, GVT
-// control waves, load reports, route announcements and migration payloads
-// over a full mesh of TCP connections. The two-cut transit ledger spans the
-// sockets unchanged: a batch counts as received only when its frame has been
-// decoded into the receiver's mailbox and taken out of it, and the cut acks
-// pin per-color sent counters while counts frames mirror received ones, so a
-// cut closes only after every frame under it has landed. Migrating LPs cross in the same frames, their
-// handler state encoded by the Handler.EncodeState the kernel saves state
-// with before every bundle. See transport_api.go for the seam, ctrl.go for
-// the control messages and transport_tcp.go for the mesh.
+// length-prefixed binary frames (wire.go) carrying event batches and GVT
+// control waves over a full mesh of TCP connections. The two-cut transit
+// ledger spans the sockets unchanged: a batch counts as received only when
+// its frame has been decoded into the receiver's mailbox and taken out of
+// it, and the cut acks pin per-color sent counters while counts frames
+// mirror received ones, so a cut closes only after every frame under it has
+// landed. See transport_api.go for the seam, ctrl.go for the control
+// messages and transport_tcp.go for the mesh.
 //
 // Events carry, besides the int32 application value, a fixed-size wide
 // Payload block (two uint64 planes) the kernel never interprets: it is how
@@ -67,10 +65,11 @@
 // sequential oracle in internal/seqsim.
 //
 // The LP→cluster mapping is a versioned routing table owned by the kernel,
-// not a frozen copy of the configuration: when Config.Rebalance is set, the
-// kernel periodically snapshots each LP's observed load (an extra control
-// wave on the same mailboxes) and migrates LPs between clusters at
-// observed-GVT advance. Migration payloads are accounted exactly like
+// not a frozen copy of the configuration: when Config.Dynamic.Rebalance is
+// set, the kernel periodically snapshots each LP's observed load (an extra
+// control wave on the same mailboxes) and migrates LPs between clusters at
+// observed-GVT advance. Dynamic balancing runs in one process only: New
+// refuses it over a transport that spans several. Migration payloads are accounted exactly like
 // batches in flight, and events routed under a stale table epoch are
 // forwarded by whichever cluster receives them, so the GVT protocol's
 // invariants hold unchanged while the placement moves. See route.go and

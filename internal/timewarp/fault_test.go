@@ -427,6 +427,29 @@ func TestTCPChaosDoubleFault(t *testing.T) {
 	}
 }
 
+// TestTCPChaosClusterPanic: a handler on node 1 panics. Node 1's Run
+// returns the panic as its own error, naming the cluster, and aborts the
+// mesh, so node 0 fails at once with ErrPeerDown and the same text instead
+// of waiting out its failure detector.
+func TestTCPChaosClusterPanic(t *testing.T) {
+	ring, contribute := chaosPing(2, 100000)
+	mk := func(node int) (Config, []Handler) {
+		cfg, handlers := ring(node)
+		if node == 1 {
+			handlers[1] = &panicLP{pingLP: *handlers[1].(*pingLP), at: 501}
+		}
+		return cfg, handlers
+	}
+	results := runTCPChaos(t, 2, mk, contribute, chaosOpts{skipGather: true})
+	const text = "timewarp: cluster 1: panicLP: event 501"
+	if err := results[1].err; err == nil || !strings.Contains(err.Error(), text) {
+		t.Errorf("node 1: err = %v, want its cluster's panic", err)
+	}
+	if err := results[0].err; err == nil || !errors.Is(err, ErrPeerDown) || !strings.Contains(err.Error(), text) {
+		t.Errorf("node 0: err = %v, want ErrPeerDown carrying node 1's panic", err)
+	}
+}
+
 // --- chaos matrix: transient faults complete bit-identical to the oracle ---
 
 func TestTCPChaosStallTransient(t *testing.T) {

@@ -197,7 +197,7 @@ func TestHorizonTimeZeroRollback(t *testing.T) {
 func TestHorizonArrivalAfterFullRollback(t *testing.T) {
 	for _, anti := range []bool{false, true} {
 		t.Run(fmt.Sprintf("anti=%v", anti), func(t *testing.T) {
-			_, lp, _, deliver, execute := horizonLP(t)
+			k, lp, _, deliver, execute := horizonLP(t)
 			deliver(1, false)
 			deliver(2, false)
 			execute()
@@ -207,10 +207,14 @@ func TestHorizonArrivalAfterFullRollback(t *testing.T) {
 				t.Errorf("after the full rollback: processed=%d committedThrough=%d lvt=%d, want 0, 1, 1",
 					len(lp.processed), lp.committedThrough, lp.lvt)
 			}
+			// The message names the arrival: its ID is the next one
+			// horizonLP's deliver mints.
+			want := fmt.Sprintf("LP 0 received a message at 1, at or below its committed horizon 1 (lvt 1, GVT view -1): event %d from LP %d, anti=%v, route epoch 0",
+				atomic.LoadUint64(&k.eventID)+1, NoLP, anti)
 			defer func() {
 				msg, _ := recover().(string)
-				if !strings.Contains(msg, "LP 0 received a message at 1, at or below its committed horizon 1 (lvt 1, GVT view -1)") {
-					t.Errorf("arrival at the horizon: recovered %q, want the horizon panic", msg)
+				if !strings.Contains(msg, want) {
+					t.Errorf("arrival at the horizon: recovered %q, want %q", msg, want)
 				}
 			}()
 			deliver(1, anti)

@@ -3,6 +3,7 @@ package timewarp
 import (
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -52,8 +53,9 @@ const (
 //     has joined, no more "white" (previous-parity) batches can be flushed,
 //     so the pinned white sent counts are final, and once the white received
 //     counts sum to them every pre-cut batch has been delivered into some
-//     LP's queues. A cut that stops making progress for stuckCutWait panics
-//     with the ledger (dumpStuck) instead of hanging the run.
+//     LP's queues. A cut that stops making progress for stuckCutWait fails
+//     the run with the ledger (dumpStuck, returned by Run) instead of
+//     hanging it.
 //   - Wave 2 (report): the coordinator opens reportRound and posts
 //     ctrlReport bits. Each cluster reports min(its local min over pending
 //     events, lazily-cancellable rolled-back sends, and events still
@@ -89,6 +91,11 @@ type Kernel struct {
 	// replaces the frozen ClusterOf copy, and GVT-synchronized migration
 	// rewrites it while the run is live (see route.go and migrate.go).
 	routes *routeTable
+
+	// fault is the first fault of a local cluster goroutine (fail); Run
+	// returns it once every cluster has exited.
+	faultOnce sync.Once
+	fault     error
 
 	// eventID backs the nextEventID testing helper. It starts at 1<<63 so
 	// hand-minted IDs can never collide with the per-LP blocks (lp.go),
@@ -165,6 +172,11 @@ func New(cfg Config, handlers []Handler) (*Kernel, error) {
 	if tr == nil {
 		tr = &memTransport{}
 	}
+	if cfg.Dynamic.Rebalance != nil && tr.nodes() > 1 {
+		// Migration hands the live runtime over by pointer; an LP cannot
+		// leave its process.
+		return nil, fmt.Errorf("%w: dynamic balancing runs in one process, the transport spans %d", ErrBadTransport, tr.nodes())
+	}
 	k := &Kernel{
 		cfg:       cfg,
 		tr:        tr,
@@ -219,8 +231,8 @@ func New(cfg Config, handlers []Handler) (*Kernel, error) {
 		lp := newLPRuntime(LPID(i), h, c)
 		k.lps[i] = lp
 		// Only the hosting process materializes the LP into a cluster's
-		// owned set; on other nodes the runtime exists as the (empty)
-		// adoption target a future migration payload decodes into.
+		// owned set; on other nodes the runtime stays an empty shell, so
+		// every node indexes the LPs alike.
 		if c.here {
 			c.lps = append(c.lps, lp)
 			c.owned[i] = true
@@ -369,7 +381,9 @@ type cutWatch struct {
 
 // Run initializes every local LP, runs this process's clusters to completion
 // (GVT = infinity) and returns the aggregated statistics of the clusters it
-// hosted. A kernel can run only once.
+// hosted. A panic on a cluster goroutine (a handler's, or a kernel fault
+// such as a stuck GVT) ends the run: Run returns it as an error naming the
+// cluster, with the final commit skipped. A kernel can run only once.
 func (k *Kernel) Run() (RunStats, error) {
 	if k.ran {
 		return RunStats{}, fmt.Errorf("timewarp: kernel already ran")
@@ -433,6 +447,7 @@ func (k *Kernel) Run() (RunStats, error) {
 		wg.Add(1)
 		go func(c *cluster) {
 			defer wg.Done()
+			defer k.recoverCluster(c)
 			c.run()
 		}(c)
 	}
@@ -440,20 +455,25 @@ func (k *Kernel) Run() (RunStats, error) {
 
 	// Settle the fabric before committing final state: under a multi-
 	// process transport this is the FIN barrier that guarantees every
-	// in-flight frame (late migration payloads included) has been applied.
+	// in-flight frame has been applied.
 	err := k.tr.finishRun()
 
-	// A migration payload can be in flight at termination: an LP with no
-	// pending work neither blocks the final cut (its payloadMin is infinity)
-	// nor holds GVT finite, so its destination may exit before adopting it.
-	// Adopt such payloads single-threaded and commit their remaining
-	// history; the clusters' own exit paths already committed everything
-	// they owned.
-	for _, c := range k.local {
-		c.adoptFinalPayloads()
-	}
-	for _, c := range k.local {
-		c.fossilCollect(k.GVT())
+	if k.fault != nil {
+		// A faulted run has no final state worth committing.
+		err = k.fault
+	} else {
+		// A migration payload can be in flight at termination: an LP with
+		// no pending work neither blocks the final cut (its payloadMin is
+		// infinity) nor holds GVT finite, so its destination may exit
+		// before adopting it. Adopt such payloads single-threaded and
+		// commit their remaining history; the clusters' own exit paths
+		// already committed everything they owned.
+		for _, c := range k.local {
+			c.adoptFinalPayloads()
+		}
+		for _, c := range k.local {
+			c.fossilCollect(k.GVT())
+		}
 	}
 
 	stats := RunStats{
@@ -469,6 +489,27 @@ func (k *Kernel) Run() (RunStats, error) {
 		stats.ClusterStats.add(c.stats)
 	}
 	return stats, err
+}
+
+// recoverCluster turns a panic on cluster c's goroutine — a kernel fault such
+// as the stuck-GVT dump, or a handler's own panic — into the error Run
+// returns, naming the cluster and carrying the panic's stack.
+func (k *Kernel) recoverCluster(c *cluster) {
+	if r := recover(); r != nil {
+		k.fail(fmt.Errorf("timewarp: cluster %d: %v\n%s", c.id, r, debug.Stack()))
+	}
+}
+
+// fail ends the run with err: it records the first fault for Run, ends every
+// local cluster loop and, across processes, aborts the mesh so the peers
+// stop too. Any local cluster goroutine may call it.
+func (k *Kernel) fail(err error) {
+	k.faultOnce.Do(func() { k.fault = err })
+	atomic.StoreInt32(&k.done, 1)
+	for _, lc := range k.local {
+		lc.mail.wake()
+	}
+	k.tr.abort(err)
 }
 
 // coordinate advances the GVT round state machine by at most one step.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 )
@@ -53,6 +54,43 @@ func decodeI64(data []byte, v *int64) error {
 	}
 	*v = int64(binary.LittleEndian.Uint64(data))
 	return nil
+}
+
+// panicLP is a pingLP that panics when it executes the event whose counter
+// value is at.
+type panicLP struct {
+	pingLP
+	at int32
+}
+
+func (p *panicLP) Execute(ctx *Context, now Time, events []Event) {
+	for _, ev := range events {
+		if ev.Value == p.at {
+			panic(fmt.Sprintf("panicLP: event %d", p.at))
+		}
+	}
+	p.pingLP.Execute(ctx, now, events)
+}
+
+// TestClusterPanicFailsRun: a panic on a cluster goroutine, here a
+// handler's, ends the run on every cluster and comes back from Run as an
+// error that names the cluster and carries the panic text. The test binary
+// keeps running.
+func TestClusterPanicFailsRun(t *testing.T) {
+	k, err := New(Config{NumClusters: 2, ClusterOf: []int{0, 1}}, []Handler{
+		&pingLP{peer: 1, limit: 200, delay: 3, start: true},
+		&panicLP{pingLP: pingLP{peer: 0, limit: 200, delay: 3}, at: 51},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats, err := k.Run()
+	if err == nil || !strings.Contains(err.Error(), "timewarp: cluster 1: panicLP: event 51") {
+		t.Fatalf("Run: err = %v, want cluster 1's panic", err)
+	}
+	if stats.EventsCommitted > 51 {
+		t.Errorf("committed %d events, past the panic at event 51", stats.EventsCommitted)
+	}
 }
 
 func TestPingPongTwoClusters(t *testing.T) {

@@ -106,7 +106,7 @@ type lpRuntime struct {
 	// lvt is the receive time of the last processed bundle, or, with no
 	// processed bundle left, the committed horizon (-1 before any commit).
 	// It is never below committedThrough, so every arrival at or below the
-	// horizon goes through rollback's check.
+	// horizon goes through straggler's check.
 	lvt Time //kernelvet:owner cluster
 
 	// schedT is the timestamp of this LP's tracked entry in its owning
@@ -132,10 +132,6 @@ type lpRuntime struct {
 	// process boundaries and LP migrations. The kernel's test-only counter
 	// lives above 2^63, outside every LP's space.
 	idNext, idEnd uint64 //kernelvet:owner cluster
-
-	// held marks an LP ordered to another process: it executes nothing
-	// until it has no processed history left (migrateOut).
-	held bool //kernelvet:owner cluster
 
 	// committedThrough is the latest fossil-collected bundle time, or -1
 	// before the first commit; it only backs the rollback invariant check.
@@ -239,7 +235,7 @@ func (lp *lpRuntime) register() {
 // straggler (at or before the LP's last processed time).
 func (lp *lpRuntime) enqueue(ev Event) {
 	if ev.RecvTime <= lp.lvt {
-		lp.rollback(ev.RecvTime)
+		lp.straggler(&ev)
 	}
 	lp.pending.push(ev)
 }
@@ -249,7 +245,7 @@ func (lp *lpRuntime) enqueue(ev Event) {
 // pending or already processed (straggler annihilation → rollback first).
 func (lp *lpRuntime) annihilate(anti Event) {
 	if anti.RecvTime <= lp.lvt {
-		lp.rollback(anti.RecvTime)
+		lp.straggler(&anti)
 	}
 	if lp.cancelled == nil {
 		lp.cancelled = make(map[uint64]struct{})
@@ -258,6 +254,23 @@ func (lp *lpRuntime) annihilate(anti Event) {
 	// If the LP went idle, sends staged for lazily-cancelled regeneration
 	// can never be regenerated; flush them now.
 	lp.flushOldSends(lp.nextTime())
+}
+
+// straggler rolls the LP back for ev, an arrival at or before lvt. GVT
+// guarantees no message (positive or anti) arrives at or below the committed
+// horizon — under the asynchronous protocol every in-transit message is
+// bounded by the transit ledger or a redMin report. Because lvt never drops
+// below the horizon, enqueue and annihilate send every such arrival here, at
+// the arrival itself. Reaching the panic means the kernel's GVT or
+// cancellation protocol is broken, which would silently corrupt results, so
+// it fails loudly, naming the message and the routing epoch it arrived in.
+func (lp *lpRuntime) straggler(ev *Event) {
+	if ev.RecvTime <= lp.committedThrough {
+		k := lp.cluster.kernel
+		panic(fmt.Sprintf("timewarp: LP %d received a message at %d, at or below its committed horizon %d (lvt %d, GVT view %d): event %d from LP %d, anti=%v, route epoch %d",
+			lp.id, ev.RecvTime, lp.committedThrough, lp.lvt, k.GVT(), ev.ID, ev.Sender, ev.Anti, k.RouteEpoch()))
+	}
+	lp.rollback(ev.RecvTime)
 }
 
 // rollback undoes every processed bundle with time >= t: the LP state is
@@ -269,18 +282,6 @@ func (lp *lpRuntime) annihilate(anti Event) {
 //
 //kernelvet:deterministic
 func (lp *lpRuntime) rollback(t Time) {
-	if t <= lp.committedThrough {
-		// GVT guarantees no message (positive or anti) arrives at or below
-		// the committed horizon — under the asynchronous protocol every
-		// in-transit message is bounded by the transit ledger or a redMin
-		// report. Because lvt never drops below the horizon, enqueue and
-		// annihilate send every such arrival here, at the arrival itself.
-		// Reaching this line means the kernel's GVT or cancellation
-		// protocol is broken, which would silently corrupt results, so fail
-		// loudly.
-		panic(fmt.Sprintf("timewarp: LP %d received a message at %d, at or below its committed horizon %d (lvt %d, GVT view %d)",
-			lp.id, t, lp.committedThrough, lp.lvt, lp.cluster.kernel.GVT()))
-	}
 	idx := sort.Search(len(lp.processed), func(i int) bool { return lp.processed[i].time >= t })
 	if idx == len(lp.processed) {
 		return

@@ -1,8 +1,12 @@
 package timewarp
 
-import "sync/atomic"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
-// GVT-synchronized LP migration.
+// GVT-synchronized LP migration, within one process: dynamic balancing is
+// refused by New when the transport spans more than one (ErrBadTransport).
 //
 // The coordinator decides moves (finishLoadRound), but every ownership
 // transfer is executed by the clusters themselves so an LP is only ever
@@ -10,14 +14,12 @@ import "sync/atomic"
 //
 //   - The coordinator appends migOrder entries to the source cluster's order
 //     queue (mutex-protected, cold path) and raises its order flag.
-//   - The source cluster, on its own goroutine, packs the LP (migrateOut):
-//     it fossil-collects the LP to observed GVT — GVT advance is the one
-//     point where the committed prefix is unique, so only the optimistic
-//     suffix travels — then rewrites the routing table, drops ownership, and
-//     hands the whole lpRuntime to the destination's payload queue. An LP
-//     bound for another process is held first, until GVT has committed its
-//     processed history (or a straggler rolled it back), and travels as
-//     committed state plus pending events.
+//   - The source cluster, on its own goroutine, hands the LP off
+//     (migrateOut): it fossil-collects the LP to observed GVT — GVT advance
+//     is the one point where the committed prefix is unique, so only the
+//     optimistic suffix travels — then rewrites the routing table, drops
+//     ownership, and hands the live lpRuntime by pointer to the
+//     destination's payload queue.
 //   - The payload is accounted exactly like a message in flight: its
 //     earliest pending work time is folded into the sender's redMin, and it
 //     is counted once in the sender's sent counter under the sender's current
@@ -43,15 +45,11 @@ type migOrder struct {
 	to int
 }
 
-// migPayload is one LP in flight between clusters. color is the round color
-// the source counted the payload under; the destination counts it received
-// under the same color.
-// Exactly one of lp (same-process handoff: the live runtime moves by
-// pointer) and wire (multi-process: the runtime's encoded state and pending
-// events, decoded into the destination's pre-built lpRuntime shell) is set.
+// migPayload is one LP in flight between clusters: the live runtime, moved
+// by pointer. color is the round color the source counted the payload under;
+// the destination counts it received under the same color.
 type migPayload struct {
 	lp    *lpRuntime
-	wire  []byte
 	color uint8
 }
 
@@ -65,9 +63,9 @@ func (c *cluster) enqueueOrder(o migOrder) {
 }
 
 // checkMigrate runs both cold halves of the migration protocol if the flag
-// is raised: pack LPs this cluster was ordered to give up, adopt LPs handed
-// to it, then retry parked events. One atomic load per main-loop iteration
-// when idle.
+// is raised: hand off LPs this cluster was ordered to give up, adopt LPs
+// handed to it, then retry parked events. One atomic load per main-loop
+// iteration when idle.
 func (c *cluster) checkMigrate() {
 	if atomic.LoadInt32(&c.migFlag) == 0 {
 		return
@@ -93,11 +91,7 @@ func (c *cluster) checkMigrate() {
 	}
 }
 
-// migrateOut packs one LP and hands it to its new home cluster. A
-// destination hosted by this process receives the live runtime by pointer;
-// a remote destination receives the runtime's committed state and pending
-// events (see packPayload) in a payload frame, once the LP has no processed
-// history left.
+// migrateOut hands one LP to its new home cluster.
 func (c *cluster) migrateOut(o migOrder) {
 	k := c.kernel
 	lp := k.lps[o.lp]
@@ -107,30 +101,10 @@ func (c *cluster) migrateOut(o migOrder) {
 	// Commit the unique prefix here so only the optimistic suffix travels;
 	// the committed counter stays with the collecting cluster.
 	c.stats.EventsCommitted += lp.fossilCollect(k.GVT())
-	p := migPayload{lp: lp}
-	if !k.clusters[o.to].here {
-		// Crossing a process boundary: only committed state and pending
-		// events can travel, so hold the LP (it executes nothing) until GVT
-		// has committed its processed history or a straggler has rolled it
-		// back. Rolling that history back here instead would move the LP
-		// below the GVT reports this cluster has already filed, and a GVT
-		// computed from them could pass the re-queued events and the
-		// anti-messages of their sends. The local runtime shell stays
-		// behind, empty, as the adoption target should the LP ever migrate
-		// back.
-		if len(lp.processed) > 0 {
-			lp.held = true
-			c.migHeld = append(c.migHeld, o)
-			return
-		}
-		p = migPayload{wire: c.packPayload(lp)}
-	}
-	lp.held = false
 	// Account the payload like a message in flight: bound its earliest work
 	// by redMin now and count it sent under the current color once it is
 	// handed off, so the GVT cuts that race the handoff stay sound.
 	color := uint8(c.color & 1)
-	p.color = color
 	min := lp.nextTime()
 	if t := lp.minPendingCancel(); t < min {
 		min = t
@@ -141,45 +115,30 @@ func (c *cluster) migrateOut(o migOrder) {
 	// Route first, then drop ownership: after this store new sends go to the
 	// destination, while events already queued here are forwarded by the
 	// owned-check in deliver. The opposite order would strand forwarded
-	// events in a cluster that will never own the LP again. The route
-	// announcement precedes the payload send on the same ordered lane, so
-	// the destination always learns the route before it can adopt.
+	// events in a cluster that will never own the LP again.
 	k.routes.set(o.lp, o.to)
-	k.sendCtrl(otherNodes, ctrlMsg{typ: frameRoute, route: wireRoute{lp: int32(o.lp), to: int32(o.to)}})
 	c.owned[o.lp] = false
-	if p.wire != nil {
-		lp.resetAfterPack()
-	}
 	c.removeLP(lp)
 	c.stats.Migrations++
-	k.sendCtrl(o.to, ctrlMsg{typ: framePayload, cluster: int32(o.to), pay: p})
+	k.clusters[o.to].enqueuePayload(migPayload{lp: lp, color: color})
 	atomic.AddInt64(&c.sentCum[color].n, 1)
 }
 
-// retryHeld retries the orders migrateOut held. The main loop calls it on
-// every iteration, not only when GVT advances: a straggler's rollback can
-// empty a held LP's history while the LP's own pending events hold GVT
-// still. migrateOut holds at most the one order it is given, so the list is
-// rebuilt in place behind the reading position.
-func (c *cluster) retryHeld() {
-	held := c.migHeld
-	c.migHeld = held[:0]
-	for _, o := range held {
-		c.migrateOut(o)
-	}
+// enqueuePayload queues an LP handed to this cluster and wakes the cluster
+// in case it is idle-blocked on its mailbox; control bits ignore capacity,
+// so the nudge always lands. migrateIn (or adoptFinalPayloads) counts the
+// payload as received.
+func (c *cluster) enqueuePayload(p migPayload) {
+	c.migMu.Lock()
+	c.migIn = append(c.migIn, p)
+	atomic.StoreInt32(&c.migFlag, 1)
+	c.migMu.Unlock()
+	c.mail.postCtrl(ctrlWake)
 }
 
 // migrateIn adopts one LP handed to this cluster.
 func (c *cluster) migrateIn(p migPayload) {
 	lp := p.lp
-	if p.wire != nil {
-		var err error
-		if lp, err = c.unpackPayload(p.wire); err != nil {
-			// A payload frame that fails to decode is unrecoverable state
-			// loss, not a skippable message; fail loudly.
-			panic("timewarp: migration payload decode failed: " + err.Error())
-		}
-	}
 	lp.cluster = c
 	c.owned[lp.id] = true
 	c.lps = append(c.lps, lp)
@@ -293,7 +252,8 @@ func (k *Kernel) startLoadRound() {
 // merged snapshot, ask the rebalancer for a new assignment, and turn the
 // diff into migration orders. Runs on the coordinator's goroutine — the
 // rebalancer call is the only non-constant step, and it is bounded by one
-// refinement pass over the LP graph.
+// refinement pass over the LP graph. An assignment that does not fit the
+// run fails it before any LP moves.
 func (k *Kernel) finishLoadRound() {
 	k.rebalanceRounds++
 	s := k.buildSnapshot()
@@ -303,19 +263,23 @@ func (k *Kernel) finishLoadRound() {
 		return // rebalancer declined (e.g. imbalance below threshold)
 	}
 	if len(next) != len(k.lps) {
-		panic("timewarp: Rebalance returned an assignment of the wrong length")
+		k.fail(fmt.Errorf("timewarp: Rebalance returned an assignment of %d LPs, want %d", len(next), len(k.lps)))
+		return
+	}
+	for lp, to := range next {
+		if to < 0 || to >= len(k.clusters) {
+			k.fail(fmt.Errorf("timewarp: Rebalance assigned LP %d to cluster %d, want [0,%d)", lp, to, len(k.clusters)))
+			return
+		}
 	}
 	moved := 0
 	for lp, to := range next {
-		if to < 0 || to >= len(k.clusters) {
-			panic("timewarp: Rebalance assigned an LP to a cluster out of range")
-		}
 		from := k.RouteOf(LPID(lp))
 		if to == from {
 			continue
 		}
 		moved++
-		k.sendCtrl(from, ctrlMsg{typ: frameOrder, order: wireOrder{cluster: int32(from), lp: int32(lp), to: int32(to)}})
+		k.clusters[from].enqueueOrder(migOrder{lp: LPID(lp), to: to})
 	}
 	if moved > 0 {
 		k.routes.bump()

@@ -474,6 +474,45 @@ func TestBuildSnapshotMergesDoubleCapture(t *testing.T) {
 	}
 }
 
+// TestRebalanceBadAssignmentFailsRun: an assignment of the wrong length, or
+// one naming a cluster out of range, is a fault of the Rebalance callback.
+// Nothing migrates; Run returns an error naming the fault.
+func TestRebalanceBadAssignmentFailsRun(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		next []int
+		want string
+	}{
+		{"short", []int{0}, "Rebalance returned an assignment of 1 LPs, want 2"},
+		{"out-of-range", []int{0, 2}, "Rebalance assigned LP 1 to cluster 2, want [0,2)"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			k, err := New(Config{
+				NumClusters:     2,
+				ClusterOf:       []int{0, 1},
+				GVTPeriodEvents: 16,
+				Dynamic: DynamicConfig{
+					Rebalance:    func(*LoadSnapshot) []int { return tc.next },
+					PeriodRounds: 1,
+				},
+			}, []Handler{
+				&pingLP{peer: 1, limit: 400, delay: 3, start: true},
+				&pingLP{peer: 0, limit: 400, delay: 3},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			stats, err := k.Run()
+			if err == nil || err.Error() != "timewarp: "+tc.want {
+				t.Fatalf("Run: err = %v, want %q", err, tc.want)
+			}
+			if stats.Migrations != 0 {
+				t.Errorf("%d LPs migrated under a bad assignment", stats.Migrations)
+			}
+		})
+	}
+}
+
 // relayLP forwards each event one step down a fixed chain.
 type relayLP struct {
 	next  LPID
@@ -504,111 +543,3 @@ func (r *relayLP) Execute(ctx *Context, now Time, events []Event) {
 
 func (r *relayLP) EncodeState(buf []byte) []byte { return appendI32(buf, r.seen) }
 func (r *relayLP) DecodeState(data []byte) error { return decodeI32(data, &r.seen) }
-
-// recTransport is one node of a two-node mesh without sockets or
-// goroutines: it hosts the clusters marked in here and records the control
-// frames the kernel sends toward the other node.
-type recTransport struct {
-	here   []bool
-	frames [][]byte
-}
-
-func (t *recTransport) bind(*Kernel) error               { return nil }
-func (t *recTransport) start() error                     { return nil }
-func (t *recTransport) finishRun() error                 { return nil }
-func (t *recTransport) nodes() int                       { return 2 }
-func (t *recTransport) localCluster(id int) bool         { return t.here[id] }
-func (t *recTransport) push(int, []Event, batchHdr) bool { return true }
-func (t *recTransport) ctrl(_ int, frame []byte)         { t.frames = append(t.frames, frame) }
-func (t *recTransport) publish(*cluster, Time)           {}
-func (t *recTransport) initQuiet() bool                  { return true }
-
-// TestWireMigrationWaitsForCommit: an LP ordered to another process is held
-// — it executes nothing and nothing is sent — until its processed history
-// is gone, and then travels without a rollback of its own: no anti-message
-// retracts sends that other LPs may already have committed, and the other
-// node adopts it at its committed horizon. The history goes when GVT
-// commits it, or when a straggler rolls it back while the LP's own pending
-// events keep GVT from advancing; the main loop's retry sees both.
-func TestWireMigrationWaitsForCommit(t *testing.T) {
-	node := func(host int) (*Kernel, *recTransport) {
-		tr := &recTransport{here: []bool{host == 0, host == 1}}
-		k, err := New(Config{NumClusters: 2, ClusterOf: []int{0, 1}, Net: NetConfig{Transport: tr}},
-			[]Handler{&pingLP{peer: 1, limit: 100, delay: 10}, &pingLP{peer: 0, limit: 100, delay: 10}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return k, tr
-	}
-	for _, tc := range []struct {
-		name               string
-		release            func(k *Kernel, deliver func(Time))
-		rollbacks          uint64
-		next, lvt, horizon Time
-	}{
-		{"gvt-commits", func(k *Kernel, _ func(Time)) { atomic.StoreInt64(&k.gvt, 3) }, 0, 5, 2, 2},
-		{"straggler-empties", func(_ *Kernel, deliver func(Time)) { deliver(1) }, 1, 1, -1, -1},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			src, srcTr := node(0)
-			lp, c := src.lps[0], src.clusters[0]
-			deliver := func(at Time) {
-				lp.enqueue(Event{ID: src.nextEventID(), Sender: NoLP, Receiver: 0, RecvTime: at})
-				c.schedule(lp)
-			}
-			deliver(1)
-			deliver(2)
-			for lp.executeNext() > 0 { // each bundle sends to LP 1, on the other node
-			}
-			c.flushAll()
-			sentAnti := c.stats.AntiMessages
-			sentEvents := atomic.LoadInt64(&c.sentCum[0].n)
-
-			atomic.StoreInt64(&src.gvt, 1)
-			c.migrateOut(migOrder{lp: 0, to: 1})
-			c.retryHeld()
-			if !lp.held || !c.owned[0] || len(srcTr.frames) != 0 || len(lp.processed) != 2 {
-				t.Fatalf("order with uncommitted history: held=%v owned=%v frames=%d processed=%d, want held, owned, 0, 2",
-					lp.held, c.owned[0], len(srcTr.frames), len(lp.processed))
-			}
-			deliver(5)
-			if n, _ := c.executeOne(); n != 0 {
-				t.Fatalf("held LP executed %d events", n)
-			}
-			if got := atomic.LoadInt64(&c.sentCum[0].n); got != sentEvents {
-				t.Fatalf("held LP counted sent: sentCum %d, want %d", got, sentEvents)
-			}
-
-			tc.release(src, deliver)
-			sentAnti = c.stats.AntiMessages - sentAnti
-			sentEvents = atomic.LoadInt64(&c.sentCum[0].n)
-			c.retryHeld()
-			if lp.held || c.owned[0] || c.stats.Rollbacks != tc.rollbacks || c.stats.AntiMessages != sentAnti || len(srcTr.frames) != 2 {
-				t.Fatalf("released: held=%v owned=%v rollbacks=%d anti=%d (%d before packing) frames=%d, want %d rollbacks, no anti-message from packing, a route and a payload frame",
-					lp.held, c.owned[0], c.stats.Rollbacks, c.stats.AntiMessages, sentAnti, len(srcTr.frames), tc.rollbacks)
-			}
-			if got := atomic.LoadInt64(&c.sentCum[0].n); got != sentEvents+1 {
-				t.Fatalf("released payload: sentCum %d, want %d (counted once)", got, sentEvents+1)
-			}
-
-			dst, _ := node(1)
-			for _, f := range srcTr.frames {
-				typ, body := decodeOneFrame(t, f)
-				m, err := dst.decodeCtrl(typ, body)
-				if err != nil {
-					t.Fatalf("frame type %d: %v", typ, err)
-				}
-				dst.applyCtrl(m)
-			}
-			dst.clusters[1].checkMigrate()
-			if n := atomic.LoadInt64(&dst.clusters[1].recvCum[0].n); n != 1 {
-				t.Errorf("adopting node counted %d payloads received, want 1", n)
-			}
-			got := dst.lps[0]
-			if dst.RouteOf(0) != 1 || !dst.clusters[1].owned[0] || got.nextTime() != tc.next || got.lvt != tc.lvt || got.committedThrough != tc.horizon {
-				t.Errorf("adopted LP: route=%d owned=%v next=%d lvt=%d committedThrough=%d, want 1, true, %d, %d, %d",
-					dst.RouteOf(0), dst.clusters[1].owned[0], got.nextTime(), got.lvt, got.committedThrough, tc.next, tc.lvt, tc.horizon)
-			}
-		})
-	}
-}

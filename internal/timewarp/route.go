@@ -156,26 +156,6 @@ func (b *loadSnapBuf) reset() {
 	b.edgeCnt = b.edgeCnt[:0]
 }
 
-// valid reports whether a decoded buffer indexes only LPs below numLPs and
-// its edge offsets, non-decreasing from 0, end at the last edge row: the
-// shape buildSnapshot reads without further checks.
-func (b *loadSnapBuf) valid(numLPs int) bool {
-	in := func(lp LPID) bool { return lp >= 0 && int(lp) < numLPs }
-	end := int32(0)
-	for i, lp := range b.lps {
-		if !in(lp) || b.edgeOff[i] < end {
-			return false
-		}
-		end = b.edgeOff[i]
-	}
-	for _, dst := range b.edgeDst {
-		if !in(dst) {
-			return false
-		}
-	}
-	return int(end) == len(b.edgeDst)
-}
-
 // captureLoad copies this cluster's per-LP load counters into its snapshot
 // buffer and resets them, so each load round observes the activity window
 // since the previous one. Runs on the owning goroutine; the subsequent

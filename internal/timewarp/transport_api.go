@@ -25,15 +25,16 @@ package timewarp
 // this package and external callers only select one via
 // NetConfig.Transport.
 //
-// Ownership note for every implementation: push, ctrl and publish are called
-// from cluster goroutines (ctrl also from the coordinator, push and publish
-// also from Run's goroutine during initialization); bind from New;
+// Ownership note for every implementation: push, ctrl, publish and abort are
+// called from cluster goroutines (ctrl also from the coordinator, push and
+// publish also from Run's goroutine during initialization); bind from New;
 // start/initQuiet/finishRun only from Run's goroutine.
 //
 // Failure semantics: a transport must never hang the kernel on a dead peer.
 // start fails (rather than blocks) when the fabric cannot be completed
 // within its window; a mid-run fatal — peer death, corrupt frame, received
-// abort — sets the kernel's done flag so every cluster loop exits, and
+// abort, a local cluster's fault (abort) — sets the kernel's done flag so
+// every cluster loop exits, and
 // finishRun returns the first fatal error, wrapping ErrPeerDown /
 // ErrProtoMismatch / ErrConfigMismatch and naming the peer at fault. See
 // TCPTransport for the concrete handshake/heartbeat/abort protocol.
@@ -45,9 +46,9 @@ type Transport interface {
 	// it before handler initialization so init-time sends can flow.
 	start() error
 	// finishRun runs after every local cluster exited: a multi-process
-	// transport exchanges FIN markers so all in-flight frames (late
-	// migration payloads included) are applied before Run commits final
-	// state. It returns the first fatal transport error, if any.
+	// transport exchanges FIN markers so all in-flight frames are applied
+	// before Run commits final state. It returns the first fatal transport
+	// error, if any.
 	finishRun() error
 
 	// nodes returns the number of cooperating OS processes.
@@ -71,6 +72,9 @@ type Transport interface {
 	// init-time sends have left this process's buffers (the in-memory
 	// transport can additionally see that they were delivered).
 	initQuiet() bool
+	// abort tears the fabric down after a local cluster faulted (Run
+	// returns err), so the other nodes stop instead of waiting on this one.
+	abort(err error)
 }
 
 // memTransport is the in-memory fabric: one process, every cluster a
@@ -93,6 +97,7 @@ func (t *memTransport) ctrl(int, []byte) {
 	panic("timewarp: in-memory transport asked to send to a remote node")
 }
 func (t *memTransport) publish(*cluster, Time) {}
+func (t *memTransport) abort(error)            {}
 
 // initQuiet: initialization is quiescent when the ledger balances — every
 // flushed init batch has been drained into an LP queue.

@@ -30,11 +30,11 @@ import (
 // Per peer there is one connection and one outbound lane: a byte buffer of
 // already-encoded frames under a mutex, drained by a writer goroutine
 // (double-buffer swap, like the kernel's mailboxes). Keeping data and control
-// in one FIFO preserves the orderings the protocol relies on — a route
-// announcement precedes its payload, an ackCut precedes any red flush's
-// counter effects — while backpressure applies only to event batches: control
-// frames always append, data frames are refused (flushDst retries) once more
-// than InboxSize events are queued and the lane is non-empty. Progress and
+// in one FIFO preserves the ordering the protocol relies on — an ackCut
+// precedes any red flush's counter effects — while backpressure applies only
+// to event batches: control frames always append, data frames are refused
+// (flushDst retries) once more than InboxSize events are queued and the lane
+// is non-empty. Progress and
 // counter mirrors are conflated: a dirty flag per peer makes the writer
 // append the freshest values once per drain cycle, so a stalled peer reads
 // one fresh progress frame, not a backlog of stale ones.
@@ -334,7 +334,6 @@ func (t *TCPTransport) configDigest() uint64 {
 	mix(uint64(cfg.Net.SendBusy))
 	mix(uint64(cfg.Net.RecvBusy))
 	mix(uint64(cfg.Net.Latency))
-	mix(uint64(cfg.Dynamic.PeriodRounds))
 	mix(t.opt.ConfigTag)
 	return h
 }
@@ -660,6 +659,9 @@ func (t *TCPTransport) fatal(err error) {
 		t.sumMu.Unlock()
 	})
 }
+
+// abort is a local cluster's fault, handled like any other fatal error.
+func (t *TCPTransport) abort(err error) { t.fatal(err) }
 
 // broadcastAbort enqueues this node's dying breath on every lane
 // (best-effort: the writers are still running until Close). When the fatal
@@ -1024,9 +1026,8 @@ func (t *TCPTransport) push(dst int, events []Event, hdr batchHdr) bool {
 
 // ctrl enqueues an encoded control frame. Control frames share the lane's
 // FIFO with the data but skip its backpressure refusal, which preserves the
-// orderings the protocol relies on: a route announcement precedes its
-// payload, and an ackCut precedes any red flush's counter effects. A payload
-// frame carries an LP its source already gave up, so it cannot be refused.
+// ordering the protocol relies on: an ackCut precedes any red flush's
+// counter effects.
 func (t *TCPTransport) ctrl(dst int, frame []byte) {
 	if dst != otherNodes {
 		t.peers[t.nodeOf[dst]].enqueue(frame)
@@ -1087,9 +1088,9 @@ func (t *TCPTransport) initQuiet() bool {
 }
 
 // finishRun is the end-of-run barrier: enqueue FIN behind everything else on
-// every lane (FIFO ⇒ all earlier frames, late payloads included, are applied
-// before the peer's FIN lands), then wait for every peer's FIN. Connections
-// stay open for GatherSum; Close tears them down.
+// every lane (FIFO ⇒ all earlier frames are applied before the peer's FIN
+// lands), then wait for every peer's FIN. Connections stay open for
+// GatherSum; Close tears them down.
 func (t *TCPTransport) finishRun() error {
 	if len(t.opt.Peers) == 1 {
 		atomic.StoreInt32(&t.finished, 1)

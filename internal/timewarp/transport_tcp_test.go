@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -80,13 +81,10 @@ func runTCPLoopback(t *testing.T, n int, mk func(node int) (Config, []Handler),
 	return results, results[0].sum
 }
 
-// pingSum contributes [committed, Σ seen over local pingLP-compatible
-// handlers] to the cross-node reduction.
+// pingSeen is a pingLP handler's state, the events it has seen; other
+// handlers contribute 0.
 func pingSeen(h Handler) uint64 {
-	switch lp := h.(type) {
-	case *pingLP:
-		return uint64(lp.seen)
-	case *codecLP:
+	if lp, ok := h.(*pingLP); ok {
 		return uint64(lp.seen)
 	}
 	return 0
@@ -199,58 +197,39 @@ func TestTCPLoopbackStress(t *testing.T) {
 	}
 }
 
-// TestTCPLoopbackMigration exercises wire migration: a rotating Rebalance
-// moves both codecLP LPs between clusters hosted by different processes
-// every round, so packPayload/unpackPayload and the route-then-payload FIFO
-// run for real. Committed totals and handler state must match the in-memory
-// kernel running the identical rotation.
+// TestTCPLoopbackMigration: an LP cannot migrate between processes, so New
+// refuses dynamic balancing over a transport that spans two, before any
+// socket opens, and leaves the transport unbound. The same rotation still
+// runs in one process.
 func TestTCPLoopbackMigration(t *testing.T) {
-	build := func(rounds *int32) (Config, []Handler) {
-		return Config{
-				NumClusters:     2,
-				ClusterOf:       []int{0, 1},
-				GVTPeriodEvents: 16,
-				Dynamic: DynamicConfig{
-					Rebalance:    rotatingRebalance(2, 2, rounds),
-					PeriodRounds: 1,
-				},
-			}, []Handler{
-				&codecLP{pingLP: pingLP{peer: 1, limit: 400, delay: 3, start: true}},
-				&codecLP{pingLP: pingLP{peer: 0, limit: 400, delay: 3}},
-			}
+	build := func(tr Transport, rounds *int32) (*Kernel, error) {
+		return New(Config{
+			NumClusters:     2,
+			ClusterOf:       []int{0, 1},
+			GVTPeriodEvents: 16,
+			Dynamic: DynamicConfig{
+				Rebalance:    rotatingRebalance(2, 2, rounds),
+				PeriodRounds: 1,
+			},
+			Net: NetConfig{Transport: tr},
+		}, []Handler{
+			&pingLP{peer: 1, limit: 400, delay: 3, start: true},
+			&pingLP{peer: 0, limit: 400, delay: 3},
+		})
 	}
-	contribute := func(k *Kernel, h []Handler) []uint64 {
-		var seen uint64
-		for i, hh := range h {
-			if k.LocalLP(LPID(i)) {
-				seen += pingSeen(hh)
-			}
-		}
-		return []uint64{seen}
+	tr, err := NewTCPTransport(TCPOptions{Node: 0, Peers: []string{"a", "b"}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	var nodeRounds [2]int32
-	results, sum := runTCPLoopback(t, 2, func(node int) (Config, []Handler) {
-		return build(&nodeRounds[node])
-	}, contribute)
-	var committed, migrations uint64
-	for _, r := range results {
-		committed += r.stats.EventsCommitted
-		migrations += r.stats.Migrations
+	var rounds int32
+	if _, err := build(tr, &rounds); !errors.Is(err, ErrBadTransport) || !strings.Contains(err.Error(), "one process") {
+		t.Fatalf("dynamic balancing over 2 nodes: err = %v, want ErrBadTransport naming one process", err)
 	}
-	if migrations == 0 {
-		t.Fatal("no LP migrated across the socket")
-	}
-	if committed != 401 {
-		t.Errorf("committed across nodes = %d, want 401", committed)
-	}
-	if sum[0] != 401 {
-		t.Errorf("handler state across nodes = %d, want 401", sum[0])
+	if tr.k != nil {
+		t.Error("the refused transport was bound to the kernel")
 	}
 
-	// In-memory oracle with the same rotation.
-	var rounds int32
-	cfg, handlers := build(&rounds)
-	k, err := New(cfg, handlers)
+	k, err := build(nil, &rounds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,8 +237,11 @@ func TestTCPLoopbackMigration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.EventsCommitted != committed {
-		t.Errorf("distributed committed %d, in-memory %d", committed, stats.EventsCommitted)
+	if stats.Migrations == 0 {
+		t.Error("no LP migrated in one process")
+	}
+	if stats.EventsCommitted != 401 {
+		t.Errorf("committed %d, want 401", stats.EventsCommitted)
 	}
 }
 

@@ -28,24 +28,25 @@ import (
 // see wireHello); fin is the last frame a node sends for the run proper
 // (GatherSum frames may follow). Heartbeat frames keep idle lanes visibly
 // alive for the peer-failure detector; an abort frame is a node's dying
-// breath, telling the mesh why it is tearing down. frameCtrl is retired: no
-// node sends it and receivers reject it, but its number stays taken. New
-// types are appended — renumbering existing ones is a wire-protocol break
-// and must bump protoVersion.
+// breath, telling the mesh why it is tearing down. frameCtrl and the four
+// dynamic-balancing frames (frameAckLoad, frameOrder, framePayload,
+// frameRoute) are retired: no node sends them and receivers reject them, but
+// their numbers stay taken. New types are appended — renumbering existing
+// ones is a wire-protocol break and must bump protoVersion.
 const (
 	frameHello uint8 = 1 + iota
 	frameBatch
-	frameCtrl
+	frameCtrl // retired
 	frameProgress
 	frameCounts
 	frameCoord
 	frameReqGVT
 	frameAckCut
 	frameReport
-	frameAckLoad
-	frameOrder
-	framePayload
-	frameRoute
+	frameAckLoad // retired
+	frameOrder   // retired
+	framePayload // retired
+	frameRoute   // retired
 	frameFin
 	frameSum
 	frameSumReply
@@ -54,9 +55,8 @@ const (
 )
 
 // maxFrameLen caps a frame body. The largest legitimate frames are event
-// batches (bounded by InboxSize events) and migration payloads (an LP's
-// state and pending events); 64 MiB is orders of magnitude above both, so
-// anything larger is a corrupt length prefix, rejected before any
+// batches (bounded by InboxSize events); 64 MiB is orders of magnitude above
+// them, so anything larger is a corrupt length prefix, rejected before any
 // allocation.
 const maxFrameLen = 64 << 20
 
@@ -72,8 +72,10 @@ const helloMagic uint32 = 0x54574d50
 // other. Version 1 was the bare node-id hello; version 2 added the
 // versioned handshake itself plus heartbeat and abort frames; version 3
 // dropped the per-LP rollback and remote-send counters from migration
-// payloads and load acks.
-const protoVersion uint16 = 3
+// payloads and load acks; version 4 retired the load-ack, order, payload and
+// route frames and the load round in the coord frame, since LPs no longer
+// migrate between processes.
+const protoVersion uint16 = 4
 
 // maxAbortReason caps the reason string carried by a frameAbort. Reasons are
 // human-readable error text; anything longer is truncated at encode time,
@@ -308,7 +310,6 @@ func (r *wireReader) batchHdr() batchHdr {
 type wireCoord struct {
 	round       int64
 	reportRound int64
-	loadRound   int64
 	gvt         int64
 	done        uint8
 	// bits is the control bitmask to post into the receiving node's local
@@ -321,7 +322,6 @@ func appendCoord(b []byte, c wireCoord) []byte {
 	b, off = beginFrame(b, frameCoord)
 	b = appendI64(b, c.round)
 	b = appendI64(b, c.reportRound)
-	b = appendI64(b, c.loadRound)
 	b = appendI64(b, c.gvt)
 	b = appendU8(b, c.done)
 	b = appendU8(b, c.bits)
@@ -332,7 +332,6 @@ func (r *wireReader) coord() wireCoord {
 	return wireCoord{
 		round:       r.i64(),
 		reportRound: r.i64(),
-		loadRound:   r.i64(),
 		gvt:         r.i64(),
 		done:        r.u8(),
 		bits:        r.u8(),
@@ -406,134 +405,6 @@ func appendReport(b []byte, w wireReport) []byte {
 
 func (r *wireReader) report() wireReport {
 	return wireReport{cluster: r.i32(), min: r.i64()}
-}
-
-// wireOrder is one migration order, coordinator → source cluster's node.
-//
-//kernelvet:wire
-type wireOrder struct {
-	cluster int32 // source cluster the order is addressed to
-	lp      int32
-	to      int32
-}
-
-func appendOrder(b []byte, o wireOrder) []byte {
-	var off int
-	b, off = beginFrame(b, frameOrder)
-	b = appendI32(b, o.cluster)
-	b = appendI32(b, o.lp)
-	b = appendI32(b, o.to)
-	return endFrame(b, off)
-}
-
-func (r *wireReader) order() wireOrder {
-	return wireOrder{cluster: r.i32(), lp: r.i32(), to: r.i32()}
-}
-
-// wireRoute is one routing-table rewrite, broadcast by the migrating LP's old
-// home before the payload travels.
-//
-//kernelvet:wire
-type wireRoute struct {
-	lp int32
-	to int32
-}
-
-func appendRoute(b []byte, w wireRoute) []byte {
-	var off int
-	b, off = beginFrame(b, frameRoute)
-	b = appendI32(b, w.lp)
-	b = appendI32(b, w.to)
-	return endFrame(b, off)
-}
-
-func (r *wireReader) route() wireRoute {
-	return wireRoute{lp: r.i32(), to: r.i32()}
-}
-
-// wireLPHdr heads a migration payload: the fixed-size part of an LP's
-// runtime, followed by nPending encoded events, nCancelled event IDs,
-// nSendRows (dst, cnt) pairs, and stateLen bytes of handler state
-// (Handler.EncodeState).
-//
-//kernelvet:wire
-type wireLPHdr struct {
-	lp               int32
-	lvt              Time
-	committedThrough Time
-	idNext           uint64
-	loadCommitted    uint64
-	nPending         int32
-	nCancelled       int32
-	nSendRows        int32
-	stateLen         int32
-}
-
-func appendLPHdr(b []byte, h wireLPHdr) []byte {
-	b = appendI32(b, h.lp)
-	b = appendI64(b, h.lvt)
-	b = appendI64(b, h.committedThrough)
-	b = appendU64(b, h.idNext)
-	b = appendU64(b, h.loadCommitted)
-	b = appendI32(b, h.nPending)
-	b = appendI32(b, h.nCancelled)
-	b = appendI32(b, h.nSendRows)
-	return appendI32(b, h.stateLen)
-}
-
-func (r *wireReader) lpHdr() wireLPHdr {
-	return wireLPHdr{
-		lp:               r.i32(),
-		lvt:              r.i64(),
-		committedThrough: r.i64(),
-		idNext:           r.u64(),
-		loadCommitted:    r.u64(),
-		nPending:         r.i32(),
-		nCancelled:       r.i32(),
-		nSendRows:        r.i32(),
-		stateLen:         r.i32(),
-	}
-}
-
-// appendLoadBuf encodes one cluster's load-round section (frameAckLoad body
-// after the cluster id).
-func appendLoadBuf(b []byte, buf *loadSnapBuf) []byte {
-	b = appendI32(b, int32(len(buf.lps)))
-	for i, lp := range buf.lps {
-		b = appendI32(b, int32(lp))
-		b = appendU64(b, buf.committed[i])
-		b = appendI32(b, buf.edgeOff[i])
-	}
-	b = appendI32(b, int32(len(buf.edgeDst)))
-	for i, dst := range buf.edgeDst {
-		b = appendI32(b, int32(dst))
-		b = appendU64(b, buf.edgeCnt[i])
-	}
-	return b
-}
-
-// loadBuf decodes a load-round section into buf (reset and refilled).
-func (r *wireReader) loadBuf(buf *loadSnapBuf) {
-	buf.reset()
-	n := int(r.i32())
-	if n < 0 || n > len(r.b) {
-		r.fail()
-		return
-	}
-	for i := 0; i < n; i++ {
-		buf.lps = append(buf.lps, LPID(r.i32()))
-		buf.committed = append(buf.committed, r.u64())
-		buf.edgeOff = append(buf.edgeOff, r.i32())
-	}
-	e := int(r.i32())
-	if e < 0 || e > len(r.b) {
-		r.fail()
-		return
-	}
-	for i := 0; i < e; i++ {
-		buf.edgeDst = append(buf.edgeDst, LPID(r.i32()))
-		buf.edgeCnt = append(buf.edgeCnt, r.u64())
-	}
 }
 
 // wireHello is the versioned handshake, the first frame on every connection

@@ -12,27 +12,6 @@ import (
 	"testing"
 )
 
-// codecLP is a pingLP with a tag in its state, so a migration test can tell
-// whose state arrived.
-type codecLP struct {
-	pingLP
-	tag [4]byte
-}
-
-func (c *codecLP) EncodeState(buf []byte) []byte {
-	buf = append(buf, c.tag[:]...)
-	return append(buf, byte(c.seen), byte(c.seen>>8), byte(c.seen>>16), byte(c.seen>>24))
-}
-
-func (c *codecLP) DecodeState(data []byte) error {
-	if len(data) != 8 {
-		return fmt.Errorf("codecLP: state length %d, want 8", len(data))
-	}
-	copy(c.tag[:], data)
-	c.seen = int32(data[4]) | int32(data[5])<<8 | int32(data[6])<<16 | int32(data[7])<<24
-	return nil
-}
-
 // decodeOneFrame runs b through the framing layer and returns the type and
 // body, failing the test on any framing error.
 func decodeOneFrame(t *testing.T, b []byte) (uint8, []byte) {
@@ -113,7 +92,7 @@ func TestWireRoundTrip(t *testing.T) {
 		}
 	})
 	t.Run("coord", func(t *testing.T) {
-		in := wireCoord{round: 7, reportRound: 6, loadRound: 5, gvt: -1, done: 1, bits: ctrlCut | ctrlWake}
+		in := wireCoord{round: 7, reportRound: 6, gvt: -1, done: 1, bits: ctrlCut | ctrlWake}
 		typ, body := decodeOneFrame(t, appendCoord(nil, in))
 		if typ != frameCoord {
 			t.Fatalf("frame type %d, want coord", typ)
@@ -170,70 +149,6 @@ func TestWireRoundTrip(t *testing.T) {
 		}
 		if out != in {
 			t.Fatalf("report round trip: got %+v, want %+v", out, in)
-		}
-	})
-	t.Run("order", func(t *testing.T) {
-		in := wireOrder{cluster: 4, lp: 11, to: 0}
-		typ, body := decodeOneFrame(t, appendOrder(nil, in))
-		if typ != frameOrder {
-			t.Fatalf("frame type %d, want order", typ)
-		}
-		r := &wireReader{b: body}
-		out := r.order()
-		if err := r.done(); err != nil {
-			t.Fatal(err)
-		}
-		if out != in {
-			t.Fatalf("order round trip: got %+v, want %+v", out, in)
-		}
-	})
-	t.Run("route", func(t *testing.T) {
-		in := wireRoute{lp: 5, to: 3}
-		typ, body := decodeOneFrame(t, appendRoute(nil, in))
-		if typ != frameRoute {
-			t.Fatalf("frame type %d, want route", typ)
-		}
-		r := &wireReader{b: body}
-		out := r.route()
-		if err := r.done(); err != nil {
-			t.Fatal(err)
-		}
-		if out != in {
-			t.Fatalf("route round trip: got %+v, want %+v", out, in)
-		}
-	})
-	t.Run("lpHdr", func(t *testing.T) {
-		in := wireLPHdr{
-			lp: 9, lvt: -1, committedThrough: 1 << 40, idNext: 1<<63 + 3, loadCommitted: 10,
-			nPending: 3, nCancelled: 1, nSendRows: 2, stateLen: 8,
-		}
-		b := appendLPHdr(nil, in)
-		r := &wireReader{b: b}
-		out := r.lpHdr()
-		if err := r.done(); err != nil {
-			t.Fatal(err)
-		}
-		if out != in {
-			t.Fatalf("lpHdr round trip: got %+v, want %+v", out, in)
-		}
-	})
-	t.Run("loadBuf", func(t *testing.T) {
-		in := loadSnapBuf{
-			lps:       []LPID{2, 5},
-			committed: []uint64{10, 20},
-			edgeOff:   []int32{1, 3},
-			edgeDst:   []LPID{5, 2, 7},
-			edgeCnt:   []uint64{9, 8, 7},
-		}
-		b := appendLoadBuf(nil, &in)
-		var out loadSnapBuf
-		r := &wireReader{b: b}
-		r.loadBuf(&out)
-		if err := r.done(); err != nil {
-			t.Fatal(err)
-		}
-		if fmt.Sprint(out) != fmt.Sprint(in) {
-			t.Fatalf("loadBuf round trip:\ngot  %+v\nwant %+v", out, in)
 		}
 	})
 	t.Run("hello", func(t *testing.T) {
@@ -331,13 +246,13 @@ func TestWireFrameRejection(t *testing.T) {
 		}
 	})
 	t.Run("trailing bytes rejected", func(t *testing.T) {
-		b := appendRoute(nil, wireRoute{lp: 1, to: 2})
+		b := appendReport(nil, wireReport{cluster: 1, min: 2})
 		// Extend the body by one byte and patch the length prefix to match.
 		b = append(b, 0xFF)
 		b[0]++
 		_, body := decodeOneFrame(t, b)
 		r := &wireReader{b: body}
-		r.route()
+		r.report()
 		err := r.done()
 		if err == nil || !strings.Contains(err.Error(), "trailing") {
 			t.Fatalf("err = %v, want trailing-bytes rejection", err)
@@ -347,24 +262,6 @@ func TestWireFrameRejection(t *testing.T) {
 		r := &wireReader{b: []byte{1, 2, 3, 4}}
 		if got := r.bytes(-1); got != nil || r.done() == nil {
 			t.Fatal("negative bytes() length accepted")
-		}
-	})
-	t.Run("loadBuf negative section count", func(t *testing.T) {
-		b := appendI32(nil, -1)
-		var buf loadSnapBuf
-		r := &wireReader{b: b}
-		r.loadBuf(&buf)
-		if r.done() == nil {
-			t.Fatal("negative loadBuf count accepted")
-		}
-	})
-	t.Run("loadBuf count beyond body", func(t *testing.T) {
-		b := appendI32(nil, 1<<28) // claims 2^28 rows in a 4-byte body
-		var buf loadSnapBuf
-		r := &wireReader{b: b}
-		r.loadBuf(&buf)
-		if r.done() == nil {
-			t.Fatal("absurd loadBuf count accepted")
 		}
 	})
 	t.Run("truncated hello", func(t *testing.T) {
@@ -411,98 +308,6 @@ func TestWireFrameRejection(t *testing.T) {
 			t.Fatal("abort reason length beyond cap accepted")
 		}
 	})
-}
-
-// TestWirePayloadRoundTrip: packPayload → unpackPayload must reproduce the
-// LP's full migratable state through the byte encoding, and resetAfterPack
-// must leave a shell that a later inbound migration accepts.
-func TestWirePayloadRoundTrip(t *testing.T) {
-	newKernel := func() *Kernel {
-		k, err := New(Config{NumClusters: 2, ClusterOf: []int{0, 1}},
-			[]Handler{&codecLP{pingLP: pingLP{peer: 1}}, &codecLP{pingLP: pingLP{peer: 0}}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return k
-	}
-	src := newKernel()
-	lp := src.lps[0]
-	h := lp.handler.(*codecLP)
-	h.tag = [4]byte{'w', 'i', 'r', 'e'}
-	h.seen = 1234
-	lp.lvt = 77
-	lp.committedThrough = 50
-	lp.idNext = uint64(0)<<32 + 99
-	lp.loadCommitted = 8
-	lp.pending.push(Event{ID: 5, Sender: 1, Receiver: 0, SendTime: 60, RecvTime: 80, Value: 9})
-	lp.pending.push(Event{ID: 6, Sender: 1, Receiver: 0, SendTime: 61, RecvTime: 90, Anti: true})
-	lp.cancelled = map[uint64]struct{}{31: {}}
-	lp.sendDst = append(lp.sendDst, 1)
-	lp.sendCnt = append(lp.sendCnt, 12)
-
-	wire := src.clusters[0].packPayload(lp)
-	lp.resetAfterPack()
-	if len(lp.pending) != 0 || len(lp.cancelled) != 0 || lp.lvt != -1 {
-		t.Fatalf("resetAfterPack left state behind: pending=%d cancelled=%d lvt=%d",
-			len(lp.pending), len(lp.cancelled), lp.lvt)
-	}
-
-	// Decode into a separate kernel, as the destination process would.
-	dst := newKernel()
-	dh := dst.lps[0].handler.(*codecLP)
-	got, err := dst.clusters[0].unpackPayload(wire)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != dst.lps[0] {
-		t.Fatal("unpackPayload adopted the wrong shell")
-	}
-	if got.lvt != 77 || got.committedThrough != 50 || got.idNext != 99 {
-		t.Errorf("scalars: lvt=%d committedThrough=%d idNext=%d", got.lvt, got.committedThrough, got.idNext)
-	}
-	if got.loadCommitted != 8 {
-		t.Errorf("committed load counter: %d", got.loadCommitted)
-	}
-	if len(got.pending) != 2 || got.nextTime() != 80 {
-		t.Errorf("pending: len=%d next=%d, want 2 events from time 80", len(got.pending), got.nextTime())
-	}
-	if _, ok := got.cancelled[31]; !ok || len(got.cancelled) != 1 {
-		t.Errorf("cancelled set = %v, want {31}", got.cancelled)
-	}
-	if len(got.sendDst) != 1 || got.sendDst[0] != 1 || got.sendCnt[0] != 12 {
-		t.Errorf("send rows: dst=%v cnt=%v", got.sendDst, got.sendCnt)
-	}
-	if dh.tag != h.tag || dh.seen != 1234 {
-		t.Errorf("handler state: tag=%q seen=%d", dh.tag, dh.seen)
-	}
-
-	// Corrupt payloads must be rejected, not adopted.
-	fresh := newKernel()
-	if _, err := fresh.clusters[0].unpackPayload(wire[:len(wire)-1]); err == nil {
-		t.Error("truncated payload accepted")
-	}
-	bad := append([]byte(nil), wire...)
-	bad[0] = 0xEE // LP id far out of range
-	if _, err := fresh.clusters[0].unpackPayload(bad); err == nil {
-		t.Error("payload naming an absent LP accepted")
-	}
-	// Adoption is all or nothing: after those rejections, and after one that
-	// claims far more pending events than its bytes hold, the shell is still
-	// empty and the correct payload is adopted.
-	if _, err := fresh.clusters[0].unpackPayload(overclaimPayload(0)); err == nil {
-		t.Error("payload claiming 100,000 pending events in 52 bytes accepted")
-	}
-	if !shellEmpty(fresh.lps[0]) {
-		t.Fatal("a rejected payload left state in the shell")
-	}
-	if _, err := fresh.clusters[0].unpackPayload(wire); err != nil {
-		t.Errorf("correct payload after rejected ones: %v", err)
-	}
-	// A second adoption without a reset must hit the non-empty-shell check.
-	if _, err := dst.clusters[0].unpackPayload(wire); err == nil ||
-		!strings.Contains(err.Error(), "non-empty shell") {
-		t.Errorf("double adoption: err = %v, want non-empty shell rejection", err)
-	}
 }
 
 // fuzzFrameStream decodes a byte stream exactly as readLoop does — framing
@@ -606,16 +411,8 @@ func FuzzWireFrame(f *testing.F) {
 	seed = appendCounts(seed, wireCounts{cluster: 1, recv0: 3, recv1: 4})
 	seed = appendAckCut(seed, wireAckCut{cluster: 0, sent0: 3, sent1: 4})
 	seed = appendReport(seed, wireReport{cluster: 1, min: 77})
-	seed = appendRoute(seed, wireRoute{lp: 1, to: 0})
-	for _, m := range []ctrlMsg{
-		{typ: frameReqGVT},
-		{typ: frameOrder, order: wireOrder{cluster: 1, lp: 1, to: 0}},
-		{typ: frameAckLoad, cluster: 1, load: &loadSnapBuf{lps: []LPID{1}, committed: []uint64{4},
-			edgeOff: []int32{1}, edgeDst: []LPID{0}, edgeCnt: []uint64{3}}},
-		{typ: framePayload, cluster: 0, pay: migPayload{wire: []byte{1, 2, 3}, color: 1}},
-	} {
-		seed = m.appendFrame(seed)
-	}
+	req := ctrlMsg{typ: frameReqGVT}
+	seed = req.appendFrame(seed)
 	f.Add(seed)
 	var batch []byte
 	var off int
@@ -665,59 +462,6 @@ func FuzzWireEvent(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) { fuzzEventRoundTrip(t, data) })
 }
 
-// overclaimPayload is a bare 52-byte payload header for LP lp that claims
-// 100,000 pending events and carries none.
-func overclaimPayload(lp int32) []byte {
-	return appendLPHdr(nil, wireLPHdr{lp: lp, lvt: 30, committedThrough: 25, nPending: 100000})
-}
-
-// shellEmpty reports whether lp is the empty runtime shell a migration
-// payload may be adopted into.
-func shellEmpty(lp *lpRuntime) bool {
-	return len(lp.pending) == 0 && len(lp.cancelled) == 0 && len(lp.sendDst) == 0 &&
-		len(lp.processed) == 0 && len(lp.oldSends) == 0 && lp.lvt == -1 &&
-		lp.committedThrough == -1 && lp.loadCommitted == 0
-}
-
-// fuzzPayload: arbitrary bytes through unpackPayload on a fresh kernel must
-// error or adopt cleanly — never panic or corrupt an unrelated shell — and a
-// rejected payload must leave every shell empty. It returns the decode
-// error.
-func fuzzPayload(t *testing.T, data []byte) error {
-	k, err := New(Config{NumClusters: 2, ClusterOf: []int{0, 1}},
-		[]Handler{&codecLP{pingLP: pingLP{peer: 1}}, &codecLP{pingLP: pingLP{peer: 0}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lp, err := k.clusters[0].unpackPayload(data)
-	if err != nil {
-		for _, shell := range k.lps {
-			if !shellEmpty(shell) {
-				t.Fatalf("rejected payload (%v) left state in LP %d's shell", err, shell.id)
-			}
-		}
-		return err
-	}
-	if lp == nil {
-		t.Fatal("unpackPayload returned nil without an error")
-	}
-	return nil
-}
-
-// FuzzWirePayload fuzzes the migration payload decoder.
-func FuzzWirePayload(f *testing.F) {
-	k, err := New(Config{NumClusters: 2, ClusterOf: []int{0, 1}},
-		[]Handler{&codecLP{pingLP: pingLP{peer: 1}}, &codecLP{pingLP: pingLP{peer: 0}}})
-	if err != nil {
-		f.Fatal(err)
-	}
-	lp := k.lps[1]
-	lp.pending.push(Event{ID: 9, Sender: 0, Receiver: 1, SendTime: 1, RecvTime: 2})
-	f.Add(k.clusters[1].packPayload(lp))
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) { fuzzPayload(t, data) })
-}
-
 // corpusRejects names the corpus entries that are malformed on purpose.
 // TestWireFuzzCorpus requires exactly these to fail decoding: every other
 // entry must decode, so a wire-format change that leaves the committed
@@ -725,20 +469,19 @@ func FuzzWirePayload(f *testing.F) {
 // inputs.
 var corpusRejects = map[string]bool{
 	"FuzzWireFrame/seed_abort_overrun":           true,
+	"FuzzWireFrame/seed_ack_load":                true,
 	"FuzzWireFrame/seed_batch_truncated_payload": true,
 	"FuzzWireFrame/seed_hello_truncated":         true,
+	"FuzzWireFrame/seed_retired":                 true,
 	"FuzzWireFrame/seed_truncated":               true,
-	"FuzzWirePayload/seed_pending_overclaim":     true,
-	"FuzzWirePayload/seed_truncated":             true,
 }
 
 // TestWireFuzzCorpus replays the checked-in fuzz corpus under plain `go test`,
 // so CI exercises every regression input without the -fuzz flag.
 func TestWireFuzzCorpus(t *testing.T) {
 	for name, fn := range map[string]func(*testing.T, []byte) error{
-		"FuzzWireFrame":   fuzzFrameStream,
-		"FuzzWireEvent":   fuzzEventRoundTrip,
-		"FuzzWirePayload": fuzzPayload,
+		"FuzzWireFrame": fuzzFrameStream,
+		"FuzzWireEvent": fuzzEventRoundTrip,
 	} {
 		dir := filepath.Join("testdata", "fuzz", name)
 		entries, err := os.ReadDir(dir)
@@ -794,22 +537,48 @@ func TestGenerateWireCorpus(t *testing.T) {
 	}
 
 	var stream []byte
-	stream = appendCoord(stream, wireCoord{round: 2, reportRound: 1, loadRound: 1, gvt: 40, bits: ctrlReport})
+	stream = appendCoord(stream, wireCoord{round: 2, reportRound: 1, gvt: 40, bits: ctrlReport})
 	stream = appendCounts(stream, wireCounts{cluster: 1, recv0: 10, recv1: 2})
 	stream = appendAckCut(stream, wireAckCut{cluster: 1, sent0: 10, sent1: 2})
 	stream = appendReport(stream, wireReport{cluster: 1, min: 55})
-	stream = appendOrder(stream, wireOrder{cluster: 1, lp: 1, to: 0})
-	stream = appendRoute(stream, wireRoute{lp: 1, to: 0})
+	req := ctrlMsg{typ: frameReqGVT}
+	stream = req.appendFrame(stream)
 	write("FuzzWireFrame", "seed_control", stream)
 
-	// A load-round ack: one cluster's committed counts and send-matrix rows.
-	ack := ctrlMsg{typ: frameAckLoad, cluster: 1, load: &loadSnapBuf{
-		lps: []LPID{0, 1}, committed: []uint64{12, 7}, edgeOff: []int32{1, 3},
-		edgeDst: []LPID{1, 0, 1}, edgeCnt: []uint64{12, 6, 1}}}
-	write("FuzzWireFrame", "seed_ack_load", ack.appendFrame(nil))
+	// Retired frames, each with the body it had in protocol version 3. A
+	// load-round ack: cluster 1, two LPs' committed counts and end offsets,
+	// then three send-matrix rows.
+	ack, off := beginFrame(nil, frameAckLoad)
+	ack = appendI32(ack, 1)
+	ack = appendI32(ack, 2)
+	for _, row := range [][3]int64{{0, 12, 1}, {1, 7, 3}} { // LP, committed, edge end
+		ack = appendI32(ack, int32(row[0]))
+		ack = appendU64(ack, uint64(row[1]))
+		ack = appendI32(ack, int32(row[2]))
+	}
+	ack = appendI32(ack, 3)
+	for _, e := range [][2]int64{{1, 12}, {0, 6}, {1, 1}} {
+		ack = appendI32(ack, int32(e[0]))
+		ack = appendU64(ack, uint64(e[1]))
+	}
+	write("FuzzWireFrame", "seed_ack_load", endFrame(ack, off))
+	// An order (cluster 1: move LP 1 to cluster 0), a payload (cluster 0,
+	// color 1, three bytes) and a route (LP 1 to cluster 0).
+	var retired []byte
+	for _, f := range []struct {
+		typ  uint8
+		body []byte
+	}{
+		{frameOrder, appendI32(appendI32(appendI32(nil, 1), 1), 0)},
+		{framePayload, append(appendI32(nil, 0), 1, 1, 2, 3)},
+		{frameRoute, appendI32(appendI32(nil, 1), 0)},
+	} {
+		retired, off = beginFrame(retired, f.typ)
+		retired = endFrame(append(retired, f.body...), off)
+	}
+	write("FuzzWireFrame", "seed_retired", retired)
 
 	var batch []byte
-	var off int
 	batch, off = beginFrame(batch, frameBatch)
 	batch = appendI32(batch, 1)
 	batch = appendBatchHdr(batch, batchHdr{n: 2, color: 0, dueNano: 0})
@@ -877,26 +646,4 @@ func TestGenerateWireCorpus(t *testing.T) {
 		appendEvent(nil, &Event{ID: 1 << 40, Sender: -1, Receiver: 2, SendTime: 0, RecvTime: TimeInfinity, Anti: true}))
 	write("FuzzWireEvent", "seed_payload",
 		appendEvent(nil, &Event{ID: 5, Sender: 2, Receiver: 1, SendTime: 3, RecvTime: 11, Pay: Payload{P0: ^uint64(0), P1: 0xA5A5A5A5A5A5A5A5}}))
-
-	k, err := New(Config{NumClusters: 2, ClusterOf: []int{0, 1}},
-		[]Handler{&codecLP{pingLP: pingLP{peer: 1}}, &codecLP{pingLP: pingLP{peer: 0}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lp := k.lps[1]
-	lp.lvt = 30
-	lp.committedThrough = 25
-	lp.pending.push(Event{ID: 9, Sender: 0, Receiver: 1, SendTime: 20, RecvTime: 35, Value: 2})
-	// One cancelled ID only: packPayload writes the set in map order, and
-	// the committed corpus must regenerate byte-identically.
-	lp.cancelled = map[uint64]struct{}{4: {}}
-	payload := k.clusters[1].packPayload(lp)
-	write("FuzzWirePayload", "seed_valid", payload)
-	write("FuzzWirePayload", "seed_truncated", payload[:len(payload)-3])
-	write("FuzzWirePayload", "seed_pending_overclaim", overclaimPayload(1))
-
-	// A migration payload whose pending queue holds a wide (payload-bearing)
-	// event, as a migrating vectored gate's would.
-	lp.pending.push(Event{ID: 10, Sender: 0, Receiver: 1, SendTime: 21, RecvTime: 36, Pay: Payload{P0: 7, P1: 1 << 63}})
-	write("FuzzWirePayload", "seed_vec_pending", k.clusters[1].packPayload(lp))
 }
