@@ -6,10 +6,10 @@
 //	go run ./cmd/kernelvet -json ./... > findings.json
 //
 // It loads the named packages (default ./...), runs every analyzer —
-// directives, atomics, ownership, determinism, noalloc, guardedby,
-// wiresafe — and prints findings as
-// file:line:col: message (analyzer), or as a JSON array with -json. Exit
-// status is 1 if anything was found, 2 on usage or load errors, 0 when clean.
+// directives, atomics, ownership, determinism, noalloc, wiresafe — and
+// prints findings as file:line:col: message (analyzer), or as a JSON array
+// with -json. Exit status is 1 if anything was found, 2 on usage or load
+// errors, 0 when clean.
 //
 // The analyzers are driven by the //kernelvet: annotation vocabulary; see
 // the repository README and the internal/analyzers packages for the rules.
@@ -26,7 +26,6 @@ import (
 	"repro/internal/analyzers/atomics"
 	"repro/internal/analyzers/determinism"
 	"repro/internal/analyzers/directives"
-	"repro/internal/analyzers/guardedby"
 	"repro/internal/analyzers/noalloc"
 	"repro/internal/analyzers/ownership"
 	"repro/internal/analyzers/wiresafe"
@@ -38,7 +37,6 @@ var all = []*analysis.Analyzer{
 	ownership.Analyzer,
 	determinism.Analyzer,
 	noalloc.Analyzer,
-	guardedby.Analyzer,
 	wiresafe.Analyzer,
 }
 

@@ -24,7 +24,7 @@ func main() {
 	var (
 		k       = flag.Int("k", 8, "number of partitions")
 		algo    = flag.String("algo", "multilevel", "algorithm: multilevel, random, dfs, cluster, topological, cone")
-		refiner = flag.String("refiner", "greedy", "multilevel refiner: greedy, kl, fm, none")
+		refiner = flag.String("refiner", "greedy", "multilevel refiner: greedy, fm, none")
 		scheme  = flag.String("scheme", "fanout", "multilevel coarsening: fanout, heavy-edge, activity")
 		seed    = flag.Int64("seed", 1, "random seed")
 		bench   = flag.String("bench", "", "built-in benchmark instead of a file (s5378, s9234, s15850)")
@@ -93,8 +93,6 @@ func buildPartitioner(algo, refiner, scheme string, seed int64) (partition.Parti
 		switch refiner {
 		case "greedy":
 			opts.Refiner = core.GreedyRefine
-		case "kl":
-			opts.Refiner = core.KLRefine
 		case "fm":
 			opts.Refiner = core.FMRefine
 		case "none":

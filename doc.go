@@ -18,9 +18,9 @@
 //
 //   - internal/core: the paper's multilevel partitioning algorithm
 //     (fanout coarsening, concurrency-preserving initial partitioning,
-//     greedy k-way refinement; KL/FM refiners and heavy-edge/activity
+//     greedy k-way refinement; an FM refiner and heavy-edge/activity
 //     coarsening for ablations). Graph levels are CSR arrays and the
-//     refiners share one reusable scratch (dense lock sets, FM gain
+//     refiners share one reusable scratch (stamped connectivity, FM gain
 //     buckets), keeping the refinement inner loops allocation-free. The
 //     same machinery backs core.Rebalance, which refines an existing
 //     assignment against a RuntimeGraph with bounded churn for dynamic
@@ -87,9 +87,9 @@
 //
 //   - internal/analyzers: the kernel-invariant analyzer suite behind
 //     cmd/kernelvet — a self-contained go/analysis-style framework
-//     (go list loader, call graph, intraprocedural CFG with a generic
-//     dataflow worklist engine, annotation parser, analysistest harness)
-//     and seven analyzers driven by the //kernelvet: vocabulary: atomics
+//     (go list loader, call graph, annotation parser, analysistest
+//     harness) and six analyzers driven by the //kernelvet: vocabulary:
+//     atomics
 //     (fields accessed via sync/atomic anywhere must be atomic
 //     everywhere), ownership (//kernelvet:owner fields only touched from
 //     their //kernelvet:goroutine domain's call tree), determinism
@@ -98,14 +98,14 @@
 //     (//kernelvet:noalloc functions cross-checked against the
 //     compiler's escape analysis, plus appends to fresh slices, which
 //     allocate without an escape message), directives (the vocabulary
-//     itself: placement, arity, reason-bearing allows), guardedby
-//     (path-sensitive lock-set analysis of //kernelvet:guarded-by
-//     fields, plus lock-order consistency), and wiresafe
+//     itself: placement, arity, reason-bearing allows), and wiresafe
 //     (//kernelvet:wire types stay flat, which is what lets the TCP
-//     transport encode them field by field). CI runs `go run
-//     ./cmd/kernelvet ./...` (with -json and a GitHub problem matcher
-//     available), and cmd/kernelvet's TestRepositoryIsKernelvetClean runs
-//     the same analyzer list under `go test ./...`;
+//     transport encode them field by field). Mutex-guarded fields carry a
+//     plain "guarded by mu" comment; `go test -race` is their check. CI
+//     runs `go run ./cmd/kernelvet ./...` (with -json and a GitHub
+//     problem matcher available), and cmd/kernelvet's
+//     TestRepositoryIsKernelvetClean runs the same analyzer list under
+//     `go test ./...`;
 //
 //   - internal/smoketest: the `go build && run` harness behind the cmd/
 //     and examples/ entry-point smoke tests;

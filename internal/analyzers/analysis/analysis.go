@@ -20,10 +20,9 @@
 //
 // Beyond the driver, the package holds the shared machinery the analyzers
 // build on: the go list loader (load.go), the //kernelvet: annotation
-// parser (annot.go), a package-local call graph (callgraph.go), and — for the
-// path-sensitive analyzers — an intraprocedural, statement-granular control
-// flow graph (cfg.go) with a generic forward-dataflow worklist engine
-// (dataflow.go).
+// parser (annot.go) and a package-local call graph (callgraph.go). No
+// analyzer is path-sensitive: lock discipline, the one invariant that would
+// need a control flow graph, is checked by the race detector instead.
 package analysis
 
 import (

@@ -32,9 +32,6 @@ import (
 //	                               that analyzer there; the reason is
 //	                               mandatory by convention and should say why
 //	                               the invariant still holds.
-//	//kernelvet:guarded-by <mutex> on a struct field: every access must happen
-//	                               with the named sibling mutex field held on
-//	                               the same receiver (guardedby analyzer).
 //	//kernelvet:wire               on a type declaration: the type must be
 //	                               flat — recursively free of pointers,
 //	                               slices, maps, chans, funcs, interfaces and
@@ -48,7 +45,6 @@ const (
 	VerbNoalloc        = "noalloc"
 	VerbSingleThreaded = "single-threaded"
 	VerbAllow          = "allow"
-	VerbGuardedBy      = "guarded-by"
 	VerbWire           = "wire"
 )
 
@@ -86,17 +82,6 @@ func ParseDirective(c *ast.Comment) (d Directive, ok bool) {
 	return Directive{Verb: fields[0], Args: fields[1:], Pos: c.Pos()}, true
 }
 
-// FieldGuard is one //kernelvet:guarded-by annotation: Field may only be
-// accessed while the sibling mutex field named MutexName is held on the same
-// receiver. Mutex is the resolved sibling, or nil when no sibling with that
-// name exists (the guardedby analyzer reports that at Pos).
-type FieldGuard struct {
-	Field     *types.Var
-	MutexName string
-	Mutex     *types.Var
-	Pos       token.Pos
-}
-
 // WireType is one //kernelvet:wire annotation on a type declaration.
 type WireType struct {
 	Obj *types.TypeName
@@ -110,8 +95,6 @@ type Annotations struct {
 	Funcs map[*types.Func][]Directive
 	// FieldOwner maps an annotated struct field to its owning domain.
 	FieldOwner map[*types.Var]string
-	// Guards lists the //kernelvet:guarded-by field annotations.
-	Guards []FieldGuard
 	// WireTypes lists the //kernelvet:wire type annotations.
 	WireTypes []WireType
 	// lineAllows records //kernelvet:allow suppressions by file and line:
@@ -159,24 +142,12 @@ func ParseAnnotations(pass *Pass) *Annotations {
 					}
 					for _, c := range group.List {
 						d, ok := ParseDirective(c)
-						if !ok {
+						if !ok || d.Verb != VerbOwner || len(d.Args) != 1 {
 							continue
 						}
-						switch {
-						case d.Verb == VerbOwner && len(d.Args) == 1:
-							for _, name := range field.Names {
-								if fv, ok := pass.TypesInfo.Defs[name].(*types.Var); ok {
-									a.FieldOwner[fv] = d.Args[0]
-								}
-							}
-						case d.Verb == VerbGuardedBy && len(d.Args) == 1:
-							mu := siblingField(pass, st, d.Args[0])
-							for _, name := range field.Names {
-								if fv, ok := pass.TypesInfo.Defs[name].(*types.Var); ok {
-									a.Guards = append(a.Guards, FieldGuard{
-										Field: fv, MutexName: d.Args[0], Mutex: mu, Pos: d.Pos,
-									})
-								}
+						for _, name := range field.Names {
+							if fv, ok := pass.TypesInfo.Defs[name].(*types.Var); ok {
+								a.FieldOwner[fv] = d.Args[0]
 							}
 						}
 					}
@@ -243,20 +214,6 @@ func (a *Annotations) parseTypeDecl(pass *Pass, decl *ast.GenDecl) {
 			collect(spec.Comment, spec)
 		}
 	}
-}
-
-// siblingField resolves a field of st by name, for guarded-by mutex lookup.
-func siblingField(pass *Pass, st *ast.StructType, name string) *types.Var {
-	for _, field := range st.Fields.List {
-		for _, id := range field.Names {
-			if id.Name == name {
-				if fv, ok := pass.TypesInfo.Defs[id].(*types.Var); ok {
-					return fv
-				}
-			}
-		}
-	}
-	return nil
 }
 
 // FuncDirective returns fn's directive with the given verb, if any.

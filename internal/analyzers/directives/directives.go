@@ -11,7 +11,6 @@
 //	deterministic             no args, in a function doc comment
 //	noalloc                   no args, in a function doc comment
 //	single-threaded           no args, in a function doc comment
-//	guarded-by <mutexField>   exactly one arg, on a struct field
 //	wire                      no args, in a type declaration's doc comment
 //	allow <analyzer> <reason> in a function doc comment or on/above the
 //	                          offending line; the analyzer must be a known
@@ -41,7 +40,6 @@ var Allowable = map[string]bool{
 	"ownership":   true,
 	"determinism": true,
 	"noalloc":     true,
-	"guardedby":   true,
 	"wiresafe":    true,
 }
 
@@ -136,12 +134,6 @@ func check(pass *analysis.Pass, d analysis.Directive, place placement) {
 			return
 		}
 		requireArgs(pass, d, 0, d.Verb)
-	case analysis.VerbGuardedBy:
-		if place != placeField {
-			pass.Reportf(d.Pos, "kernelvet:guarded-by belongs on a struct field")
-			return
-		}
-		requireArgs(pass, d, 1, "guarded-by <mutexField>")
 	case analysis.VerbWire:
 		if place != placeTypeDoc {
 			pass.Reportf(d.Pos, "kernelvet:wire belongs in a type declaration's doc comment")
@@ -161,7 +153,7 @@ func check(pass *analysis.Pass, d analysis.Directive, place placement) {
 			pass.Reportf(d.Pos, "kernelvet:allow %s needs a reason explaining why the invariant still holds", d.Args[0])
 		}
 	default:
-		pass.Reportf(d.Pos, "unknown kernelvet directive %q (known: owner, goroutine, deterministic, noalloc, single-threaded, guarded-by, wire, allow)", d.Verb)
+		pass.Reportf(d.Pos, "unknown kernelvet directive %q (known: owner, goroutine, deterministic, noalloc, single-threaded, wire, allow)", d.Verb)
 	}
 }
 

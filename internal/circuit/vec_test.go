@@ -112,9 +112,13 @@ func TestVecValueAccessors(t *testing.T) {
 // counterparts: one EvalVec advances W scenarios, so ns/op here divided by W
 // is the per-scenario evaluation cost (the CI bench smoke tracks it).
 func BenchmarkEvalVec(b *testing.B) {
+	// Inputs are canonical (no lane both Val and Unknown), as the package's
+	// constructors build them: EvalVec's contract covers only those, and
+	// DFF passes its input through unchanged.
+	const u0, u1 = 0x0000FFFF00000000, 0x00000000FF000000
 	in := []VecValue{
-		{Val: 0xDEADBEEFCAFEF00D, Unknown: 0x0000FFFF00000000},
-		{Val: 0x0123456789ABCDEF, Unknown: 0x00000000FF000000},
+		{Val: 0xDEADBEEFCAFEF00D &^ u0, Unknown: u0},
+		{Val: 0x0123456789ABCDEF &^ u1, Unknown: u1},
 		{Val: 0xFEDCBA9876543210},
 	}
 	for _, typ := range []GateType{And, Or, Xor, Not, DFF} {

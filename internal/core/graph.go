@@ -8,8 +8,8 @@
 // input globules equally over the k partitions and places the remaining
 // globules randomly under a load-balance constraint. Refinement projects the
 // partition back level by level, running greedy k-way refinement (the
-// paper's choice; Kernighan-Lin and Fiduccia-Mattheyses are available for
-// ablation) to reduce the cut-set at every level.
+// paper's choice; Fiduccia-Mattheyses is available for ablation) to reduce
+// the cut-set at every level.
 package core
 
 import (

@@ -20,44 +20,23 @@ type Options struct {
 	// Refiner selects the per-level refinement algorithm (default
 	// GreedyRefine, the paper's choice).
 	Refiner Refiner
-	// CoarsenTo stops coarsening once the graph has at most this many
-	// globules (before the per-k floor). Default 64.
-	CoarsenTo int
-	// MaxLevels bounds the depth of the hierarchy. Default 24.
-	MaxLevels int
-	// BalanceTolerance is the allowed relative overload of a partition
-	// during refinement (0.1 = 10%). Default 0.1.
-	BalanceTolerance float64
-	// MaxPasses bounds refinement passes per level. Default 4; the greedy
-	// refiner converges in a few iterations as observed in the paper.
-	MaxPasses int
 	// Activity optionally supplies per-gate communication activity (events
 	// per gate from a profiling run) for the ActivityCoarsen scheme.
 	Activity []float64
 }
 
-// Refinement defaults, shared by Multilevel and Rebalance: a partition may
-// exceed its share of the total weight by 10%, and greedy refinement runs at
-// most 4 passes.
+// The paper's fixed parameters. Coarsening stops once the graph has at most
+// coarsenTo globules (before the per-k floor) or after maxLevels levels.
+// Refinement, in Multilevel and Rebalance alike, lets a partition exceed its
+// share of the total weight by balanceTolerance (10%) and runs at most
+// refinePasses passes per level; the greedy refiner converges in a few, as
+// the paper observes.
 const (
-	defaultTolerance = 0.10
-	defaultPasses    = 4
+	coarsenTo        = 64
+	maxLevels        = 24
+	balanceTolerance = 0.10
+	refinePasses     = 4
 )
-
-func (o *Options) setDefaults() {
-	if o.CoarsenTo == 0 {
-		o.CoarsenTo = 64
-	}
-	if o.MaxLevels == 0 {
-		o.MaxLevels = 24
-	}
-	if o.BalanceTolerance == 0 {
-		o.BalanceTolerance = defaultTolerance
-	}
-	if o.MaxPasses == 0 {
-		o.MaxPasses = defaultPasses
-	}
-}
 
 // Multilevel is the paper's three-phase multilevel partitioner. It
 // implements partition.Partitioner.
@@ -95,17 +74,16 @@ func (m *Multilevel) PartitionStats(c *circuit.Circuit, k int) (partition.Assign
 		return partition.Assignment{}, st, fmt.Errorf("core: need at least one partition, got %d", k)
 	}
 	opts := m.Opts
-	opts.setDefaults()
 	rng := rand.New(rand.NewSource(opts.Seed))
 
 	// Phase 1: coarsening. Build the hierarchy G0, G1, ..., Gm.
 	levels := []*graph{fromCircuit(c, opts.Activity)}
 	st.VerticesTotal = append(st.VerticesTotal, levels[0].n)
-	target := opts.CoarsenTo
+	target := coarsenTo
 	if floor := 4 * k; target < floor {
 		target = floor
 	}
-	for len(levels) <= opts.MaxLevels {
+	for len(levels) <= maxLevels {
 		cur := levels[len(levels)-1]
 		if cur.n <= target {
 			break
@@ -140,16 +118,12 @@ func (m *Multilevel) PartitionStats(c *circuit.Circuit, k int) (partition.Assign
 	scratch := newRefineScratch(levels[0].n, k)
 	refine := func(g *graph, part []int) int {
 		switch opts.Refiner {
-		case GreedyRefine:
-			return greedyRefine(g, part, k, opts.BalanceTolerance, opts.MaxPasses, rng, scratch)
-		case KLRefine:
-			return klRefine(g, part, k, opts.BalanceTolerance, opts.MaxPasses, rng, scratch)
 		case FMRefine:
-			return fmRefine(g, part, k, opts.BalanceTolerance, opts.MaxPasses, rng, scratch)
+			return fmRefine(g, part, k, balanceTolerance, refinePasses, rng, scratch)
 		case NoRefine:
 			return 0
 		default:
-			return greedyRefine(g, part, k, opts.BalanceTolerance, opts.MaxPasses, rng, scratch)
+			return greedyRefine(g, part, k, balanceTolerance, refinePasses, rng, scratch)
 		}
 	}
 	// Two buffers sized for the finest level ping-pong through every
@@ -159,7 +133,7 @@ func (m *Multilevel) PartitionStats(c *circuit.Circuit, k int) (partition.Assign
 	spare := make([]int, levels[0].n)
 	part = append(buf[:0], part...)
 	for li := len(levels) - 1; ; li-- {
-		rebalance(levels[li], part, k, opts.BalanceTolerance, rng, scratch)
+		rebalance(levels[li], part, k, balanceTolerance, rng, scratch)
 		st.RefinePasses += refine(levels[li], part)
 		if li == 0 {
 			break

@@ -229,7 +229,7 @@ func TestRefinerAblation(t *testing.T) {
 		t.Fatal(err)
 	}
 	noneCut := partition.EdgeCut(c, an)
-	for _, r := range []Refiner{GreedyRefine, KLRefine, FMRefine} {
+	for _, r := range []Refiner{GreedyRefine, FMRefine} {
 		m := &Multilevel{Opts: Options{Seed: 6, Refiner: r}}
 		a, err := m.Partition(c, 4)
 		if err != nil {
@@ -287,7 +287,7 @@ func TestSchemeAndRefinerStrings(t *testing.T) {
 	if FanoutCoarsen.String() != "fanout" || HeavyEdgeCoarsen.String() != "heavy-edge" || ActivityCoarsen.String() != "activity" {
 		t.Error("scheme names")
 	}
-	if GreedyRefine.String() != "greedy" || KLRefine.String() != "kl" || FMRefine.String() != "fm" || NoRefine.String() != "none" {
+	if GreedyRefine.String() != "greedy" || FMRefine.String() != "fm" || NoRefine.String() != "none" {
 		t.Error("refiner names")
 	}
 	if CoarsenScheme(99).String() == "" || Refiner(99).String() == "" {

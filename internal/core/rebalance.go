@@ -62,8 +62,8 @@ func Rebalance(current partition.Assignment, rg *partition.RuntimeGraph, o Rebal
 	st.CutBefore = g.edgeCut(part)
 	rng := rand.New(rand.NewSource(o.Seed))
 	scratch := newRefineScratch(g.n, k)
-	rebalance(g, part, k, defaultTolerance, rng, scratch)
-	st.Passes = greedyRefine(g, part, k, defaultTolerance, defaultPasses, rng, scratch)
+	rebalance(g, part, k, balanceTolerance, rng, scratch)
+	st.Passes = greedyRefine(g, part, k, balanceTolerance, refinePasses, rng, scratch)
 	st.CutAfter = g.edgeCut(part)
 	for lp := range part {
 		if part[lp] != current.Parts[lp] {

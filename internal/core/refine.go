@@ -14,9 +14,6 @@ const (
 	// keeps the load balanced, lock it for the rest of the pass. Converges
 	// in a few passes.
 	GreedyRefine Refiner = iota
-	// KLRefine runs pairwise Kernighan-Lin swap passes between partitions
-	// that share cut edges (ablation comparator).
-	KLRefine
 	// FMRefine runs a k-way Fiduccia-Mattheyses pass with gain buckets and
 	// best-prefix rollback (ablation comparator).
 	FMRefine
@@ -30,8 +27,6 @@ func (r Refiner) String() string {
 	switch r {
 	case GreedyRefine:
 		return "greedy"
-	case KLRefine:
-		return "kl"
 	case FMRefine:
 		return "fm"
 	case NoRefine:
@@ -103,9 +98,8 @@ type refineScratch struct {
 
 	// Stamped per-partition connectivity: conn[p] is the total edge weight
 	// from the vertex last gathered to partition p, valid while
-	// connVersion[p] == connCur. Each gather is O(degree). The stamp is
-	// 64-bit: KL issues O(n²) gathers per pass, so a 32-bit counter could
-	// wrap within one Partition call and alias stale stamps.
+	// connVersion[p] == connCur. Each gather is O(degree); the 64-bit stamp
+	// cannot wrap and alias a stale entry.
 	conn        []int32
 	connVersion []int64
 	connCur     int64
@@ -113,12 +107,6 @@ type refineScratch struct {
 
 	// order is the visit-order buffer of greedy refinement and rebalancing.
 	order []int32
-
-	// locked is the dense KL lock set, reset sparsely via lockedList.
-	locked     []bool
-	lockedList []int32
-	sideA      []int32
-	sideB      []int32
 
 	// FM state.
 	moved   []bool
@@ -133,7 +121,6 @@ func newRefineScratch(n, k int) *refineScratch {
 		conn:        make([]int32, k),
 		connVersion: make([]int64, k),
 		order:       make([]int32, n),
-		locked:      make([]bool, n),
 		moved:       make([]bool, n),
 	}
 }
@@ -270,132 +257,6 @@ func greedyRefine(g *graph, part []int, k int, tol float64, maxPasses int, rng *
 		}
 	}
 	return passes
-}
-
-// klRefine runs bounded pairwise Kernighan-Lin passes between every pair of
-// partitions that share cut edges. Within a pair it repeatedly selects the
-// best vertex swap (or single move when it keeps balance) with positive
-// combined gain.
-func klRefine(g *graph, part []int, k int, tol float64, maxPasses int, rng *rand.Rand, s *refineScratch) int {
-	if k < 2 {
-		return 0
-	}
-	b := &s.bal
-	b.reset(g, part, k, tol)
-	passes := 0
-	for pass := 0; pass < maxPasses; pass++ {
-		passes++
-		improved := false
-		for a := 0; a < k; a++ {
-			for c := a + 1; c < k; c++ {
-				if klPair(g, part, a, c, b, s) {
-					improved = true
-				}
-			}
-		}
-		if !improved {
-			break
-		}
-	}
-	return passes
-}
-
-// lock marks v locked for the current KL pair, recording it for sparse reset.
-func (s *refineScratch) lock(v int32) {
-	if !s.locked[v] {
-		s.locked[v] = true
-		s.lockedList = append(s.lockedList, v)
-	}
-}
-
-// unlockAll clears every lock set by the current KL pair.
-func (s *refineScratch) unlockAll() {
-	for _, v := range s.lockedList {
-		s.locked[v] = false
-	}
-	s.lockedList = s.lockedList[:0]
-}
-
-// klPair improves the cut between partitions a and c with greedy pairwise
-// swaps of boundary vertices. Returns whether any swap was applied.
-func klPair(g *graph, part []int, a, c int, b *balance, s *refineScratch) bool {
-	gainOf := func(v, to int) int {
-		s.gather(g, part, v)
-		return s.connOf(to) - s.connOf(part[v])
-	}
-	// Collect the vertices of the pair into reusable side buffers.
-	aSide, cSide := s.sideA[:0], s.sideB[:0]
-	for v := 0; v < g.n; v++ {
-		switch part[v] {
-		case a:
-			aSide = append(aSide, int32(v))
-		case c:
-			cSide = append(cSide, int32(v))
-		}
-	}
-	s.sideA, s.sideB = aSide, cSide
-	if len(aSide) == 0 || len(cSide) == 0 {
-		return false
-	}
-	improvedAny := false
-	// A bounded number of swap rounds; each round picks the best single
-	// swap. This is the classic KL inner loop without tentative negative
-	// moves (sufficient as an ablation comparator and far cheaper).
-	rounds := len(aSide) + len(cSide)
-	if rounds > 64 {
-		rounds = 64
-	}
-	defer s.unlockAll()
-	for r := 0; r < rounds; r++ {
-		bestGain := 0
-		bestV, bestU := int32(-1), int32(-1)
-		for _, v := range aSide {
-			if s.locked[v] || part[v] != a {
-				continue
-			}
-			gv := gainOf(int(v), c)
-			if gv <= -4 {
-				continue // hopeless; pruning keeps the pass near-linear
-			}
-			for _, u := range cSide {
-				if s.locked[u] || part[u] != c {
-					continue
-				}
-				gu := gainOf(int(u), a)
-				// Swapping adjacent vertices double-counts their edge.
-				wvu := edgeWeight(g, int(v), int(u))
-				gain := gv + gu - 2*wvu
-				if gain > bestGain {
-					bestGain, bestV, bestU = gain, v, u
-				}
-			}
-		}
-		if bestV < 0 {
-			break
-		}
-		part[bestV], part[bestU] = c, a
-		b.move(int(g.vwgt[bestV]), a, c)
-		b.move(int(g.vwgt[bestU]), c, a)
-		s.lock(bestV)
-		s.lock(bestU)
-		improvedAny = true
-	}
-	return improvedAny
-}
-
-// edgeWeight returns the undirected weight between v and u (0 when not
-// adjacent). Neighbor lists are sorted, so the scan stops early.
-func edgeWeight(g *graph, v, u int) int {
-	adj, wgt := g.adjOf(v)
-	for i, w := range adj {
-		if int(w) == u {
-			return int(wgt[i])
-		}
-		if int(w) > u {
-			break
-		}
-	}
-	return 0
 }
 
 // maxGainBucket caps the bucket array of the FM gain structure. Gains beyond

@@ -11,7 +11,7 @@ import (
 )
 
 // AblationStudy covers the multilevel partitioner's and the kernel's main
-// design choices: the refiner (greedy vs KL vs FM vs none), the coarsening
+// design choices: the refiner (greedy vs FM vs none), the coarsening
 // scheme (fanout vs heavy-edge vs profiled activity), and the cancellation
 // policy (aggressive vs lazy).
 // Each variant is run end-to-end so both static cut and dynamic behaviour
@@ -63,7 +63,6 @@ func RunAblation(o Options, circuitName string, k int) (*AblationStudy, error) {
 		lazy bool
 	}{
 		{"greedy-refine (paper)", &core.Multilevel{Opts: core.Options{Seed: o.Seed, Refiner: core.GreedyRefine}}, false},
-		{"kl-refine", &core.Multilevel{Opts: core.Options{Seed: o.Seed, Refiner: core.KLRefine}}, false},
 		{"fm-refine", &core.Multilevel{Opts: core.Options{Seed: o.Seed, Refiner: core.FMRefine}}, false},
 		{"no-refine", &core.Multilevel{Opts: core.Options{Seed: o.Seed, Refiner: core.NoRefine}}, false},
 		{"fanout-coarsen (paper)", &core.Multilevel{Opts: core.Options{Seed: o.Seed, Scheme: core.FanoutCoarsen}}, false},

@@ -275,10 +275,10 @@ type cluster struct {
 	// checkMigrate.
 	migMu       sync.Mutex
 	migFlag     int32
-	migOrders   []migOrder   //kernelvet:guarded-by migMu
-	migIn       []migPayload //kernelvet:guarded-by migMu
-	migScratchO []migOrder   //kernelvet:guarded-by migMu
-	migScratchP []migPayload //kernelvet:guarded-by migMu
+	migOrders   []migOrder   // guarded by migMu
+	migIn       []migPayload // guarded by migMu
+	migScratchO []migOrder   // guarded by migMu
+	migScratchP []migPayload // guarded by migMu
 }
 
 // route delivers an event to its destination LP's current home cluster (per

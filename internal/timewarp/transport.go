@@ -73,9 +73,9 @@ type batchHdr struct {
 // as a bitmask; notify (capacity 1) wakes a consumer blocked in waitMail.
 type mailbox struct {
 	mu    sync.Mutex
-	in    []Event    //kernelvet:guarded-by mu
-	hdrIn []batchHdr //kernelvet:guarded-by mu
-	ctrl  uint8      //kernelvet:guarded-by mu
+	in    []Event    // guarded by mu
+	hdrIn []batchHdr // guarded by mu
+	ctrl  uint8      // guarded by mu
 	// flag is 1 whenever events or control bits are queued; the consumer
 	// polls it with one atomic load per main-loop iteration instead of
 	// taking the mutex to find an empty queue.

@@ -148,9 +148,9 @@ type tcpPeer struct {
 	mu sync.Mutex
 	// buf holds encoded frames awaiting the writer (the single FIFO lane);
 	// scratch is the drained buffer handed back at the next swap.
-	buf        []byte //kernelvet:guarded-by mu
-	scratch    []byte //kernelvet:guarded-by mu
-	dataEvents int    //kernelvet:guarded-by mu
+	buf        []byte // guarded by mu
+	scratch    []byte // guarded by mu
+	dataEvents int    // guarded by mu
 	// writing is 1 while the writer goroutine holds swapped-out frames it
 	// has not flushed yet (initQuiet's drain probe).
 	writing int32
