@@ -35,7 +35,7 @@ func main() {
 		doFig6    = flag.Bool("fig6", false, "regenerate Figure 6 (s9234 rollbacks)")
 		doQuality = flag.Bool("quality", false, "partition quality study")
 		doLinear  = flag.Bool("linear", false, "multilevel linear-time study")
-		doAblate  = flag.Bool("ablation", false, "refiner/coarsener/cancellation ablation")
+		doAblate  = flag.Bool("ablation", false, "refiner/coarsener ablation")
 		doDynamic = flag.Bool("dynamic", false, "static-vs-dynamic partitioning study (hotspot workload)")
 		doAll     = flag.Bool("all", false, "run every experiment")
 		paper     = flag.Bool("paper", false, "full-scale (paper-sized) configuration")

@@ -67,7 +67,6 @@ func main() {
 		seed        = flag.Int64("seed", 1, "seed for stimulus and partitioner")
 		grain       = flag.Int("grain", 2000, "busy-loop iterations per gate evaluation")
 		window      = flag.Float64("window", 0.12, "optimism window in clock cycles (0 = unbounded)")
-		lazy        = flag.Bool("lazy", false, "lazy cancellation")
 		bench       = flag.String("bench", "", "built-in benchmark (s5378, s9234, s15850)")
 		scale       = flag.Float64("scale", 0.3, "scale for -bench")
 		noverify    = flag.Bool("noverify", false, "skip the sequential oracle cross-check")
@@ -94,7 +93,7 @@ func main() {
 		// so two processes started with diverging flags are rejected at the
 		// handshake instead of silently desynchronizing.
 		tag := configTag(*bench, *scale, flag.Arg(0), *cycles, *seed, *grain, *algo, *nodes,
-			*window, *lazy, *vectors, *hotspot, *hotspotFrac)
+			*window, *vectors, *hotspot, *hotspotFrac)
 		fp, err := parseFaultPlan(*faultSpec)
 		if err != nil {
 			fail(err)
@@ -128,7 +127,6 @@ func main() {
 		StimulusSeed:          *seed,
 		Grain:                 *grain,
 		OptimismCycles:        *window,
-		LazyCancellation:      *lazy,
 		Hotspot:               *hotspot,
 		HotspotFraction:       *hotspotFrac,
 		DynamicRebalance:      *dynamic,

@@ -27,8 +27,10 @@
 //     load balancing;
 //
 //   - internal/timewarp: an optimistic parallel discrete event simulation
-//     kernel (Time Warp) with clusters, rollback, anti-messages, fossil
-//     collection, a configurable LAN model, and an optimism window.
+//     kernel (Time Warp) with clusters, rollback with aggressive
+//     cancellation (a rolled-back bundle's sends become anti-messages at
+//     once), fossil collection, a configurable LAN model, and an optimism
+//     window.
 //     Inter-cluster transport is batched: per-destination outboxes flush
 //     whole batches into double-buffered, mutex-swapped mailboxes under an
 //     adaptive policy (size threshold, urgency against the destination's

@@ -82,8 +82,7 @@ func BenchmarkHotPaths(b *testing.B) {
 
 	// rollback-heavy: a random partition maximizes the cut, so nearly every
 	// signal change crosses clusters and stragglers (and therefore rollbacks
-	// and anti-messages) dominate the run. Both cancellation policies are
-	// covered because they stress different oldSends paths.
+	// and anti-messages) dominate the run.
 	small, err := circuit.NewBenchmark("s9234", 0.08)
 	if err != nil {
 		b.Fatal(err)
@@ -93,53 +92,47 @@ func BenchmarkHotPaths(b *testing.B) {
 		b.Fatal(err)
 	}
 	for _, vectors := range []bool{false, true} {
-		for _, lazy := range []bool{false, true} {
-			name := "rollback-aggressive"
-			if lazy {
-				name = "rollback-lazy"
+		name := "rollback-aggressive"
+		if vectors {
+			// The vectored row rolls back 128 packed planes per gate
+			// instead of a handful of bytes; the alloc guard holds the
+			// history logs, payloads inline, to the same steady state
+			// as the scalar row.
+			name = "vec-" + name
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			var rollbacks, rolledBack uint64
+			for i := 0; i < b.N; i++ {
+				res, err := logicsim.Run(small, a, logicsim.Config{
+					Cycles:       6,
+					StimulusSeed: 1,
+					Vectors:      vectors,
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				rollbacks += res.Stats.Rollbacks
+				rolledBack += res.Stats.EventsRolledBack
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			// The rollback count varies severalfold between runs, and
+			// allocs/op moves with it: the means over all b.N runs let
+			// an allocs/op change be read against the rollback work
+			// that came with it.
+			b.ReportMetric(float64(rollbacks)/float64(b.N), "rollbacks")
+			b.ReportMetric(float64(rolledBack)/float64(b.N), "rolled-back-events/op")
+			if rolledBack > 0 {
+				b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(rolledBack), "allocs/rolled-back-event")
 			}
 			if vectors {
-				// The vectored rows roll back 128 packed planes per gate
-				// instead of a handful of bytes; the alloc guard holds the
-				// history logs, payloads inline, to the same steady state
-				// as the scalar rows.
-				name = "vec-" + name
+				b.ReportMetric(float64(circuit.W)*float64(b.N)/b.Elapsed().Seconds(), "scenarios/s")
 			}
-			b.Run(name, func(b *testing.B) {
-				b.ReportAllocs()
-				var before, after runtime.MemStats
-				runtime.ReadMemStats(&before)
-				b.ResetTimer()
-				var rollbacks, rolledBack uint64
-				for i := 0; i < b.N; i++ {
-					res, err := logicsim.Run(small, a, logicsim.Config{
-						Cycles:           6,
-						StimulusSeed:     1,
-						LazyCancellation: lazy,
-						Vectors:          vectors,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					rollbacks += res.Stats.Rollbacks
-					rolledBack += res.Stats.EventsRolledBack
-				}
-				b.StopTimer()
-				runtime.ReadMemStats(&after)
-				// The rollback count varies severalfold between runs, and
-				// allocs/op moves with it: the means over all b.N runs let
-				// an allocs/op change be read against the rollback work
-				// that came with it.
-				b.ReportMetric(float64(rollbacks)/float64(b.N), "rollbacks")
-				b.ReportMetric(float64(rolledBack)/float64(b.N), "rolled-back-events/op")
-				if rolledBack > 0 {
-					b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(rolledBack), "allocs/rolled-back-event")
-				}
-				if vectors {
-					b.ReportMetric(float64(circuit.W)*float64(b.N)/b.Elapsed().Seconds(), "scenarios/s")
-				}
-			})
-		}
+		})
 	}
 }
 

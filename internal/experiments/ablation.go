@@ -10,12 +10,12 @@ import (
 	"repro/internal/seqsim"
 )
 
-// AblationStudy covers the multilevel partitioner's and the kernel's main
-// design choices: the refiner (greedy vs FM vs none), the coarsening
-// scheme (fanout vs heavy-edge vs profiled activity), and the cancellation
-// policy (aggressive vs lazy).
-// Each variant is run end-to-end so both static cut and dynamic behaviour
-// (messages, rollbacks, time) are visible.
+// AblationStudy covers the multilevel partitioner's main design choices
+// against the paper's default (greedy refinement, fanout coarsening): the
+// refiner (FM or none) and the coarsening scheme (heavy-edge or profiled
+// activity). Each variant is run end-to-end on the aggressive-cancellation
+// kernel so both static cut and dynamic behaviour (messages, rollbacks,
+// time) are visible.
 type AblationStudy struct {
 	Circuit string
 	K       int
@@ -44,6 +44,25 @@ func ProfileActivity(c *circuit.Circuit, o Options) ([]float64, error) {
 	return act, nil
 }
 
+// ablationVariant is one row of the ablation: a name and the multilevel
+// options it runs.
+type ablationVariant struct {
+	name string
+	opts core.Options
+}
+
+// ablationVariants lists the paper's default configuration first, then one
+// row per deviation from it.
+func ablationVariants(seed int64, activity []float64) []ablationVariant {
+	return []ablationVariant{
+		{"paper default (greedy refine, fanout coarsen)", core.Options{Seed: seed}},
+		{"fm-refine", core.Options{Seed: seed, Refiner: core.FMRefine}},
+		{"no-refine", core.Options{Seed: seed, Refiner: core.NoRefine}},
+		{"heavy-edge-coarsen", core.Options{Seed: seed, Scheme: core.HeavyEdgeCoarsen}},
+		{"activity-coarsen (future work)", core.Options{Seed: seed, Scheme: core.ActivityCoarsen, Activity: activity}},
+	}
+}
+
 // RunAblation measures every variant on one benchmark circuit.
 func RunAblation(o Options, circuitName string, k int) (*AblationStudy, error) {
 	o.setDefaults()
@@ -57,27 +76,12 @@ func RunAblation(o Options, circuitName string, k int) (*AblationStudy, error) {
 	}
 	st := &AblationStudy{Circuit: circuitName, K: k}
 
-	variants := []struct {
-		name string
-		p    partition.Partitioner
-		lazy bool
-	}{
-		{"greedy-refine (paper)", &core.Multilevel{Opts: core.Options{Seed: o.Seed, Refiner: core.GreedyRefine}}, false},
-		{"fm-refine", &core.Multilevel{Opts: core.Options{Seed: o.Seed, Refiner: core.FMRefine}}, false},
-		{"no-refine", &core.Multilevel{Opts: core.Options{Seed: o.Seed, Refiner: core.NoRefine}}, false},
-		{"fanout-coarsen (paper)", &core.Multilevel{Opts: core.Options{Seed: o.Seed, Scheme: core.FanoutCoarsen}}, false},
-		{"heavy-edge-coarsen", &core.Multilevel{Opts: core.Options{Seed: o.Seed, Scheme: core.HeavyEdgeCoarsen}}, false},
-		{"activity-coarsen (future work)", &core.Multilevel{Opts: core.Options{Seed: o.Seed, Scheme: core.ActivityCoarsen, Activity: activity}}, false},
-		{"aggressive-cancel (paper)", core.New(o.Seed), false},
-		{"lazy-cancel", core.New(o.Seed), true},
-	}
-	for _, v := range variants {
-		a, err := v.p.Partition(c, k)
+	cfg := o.simConfig()
+	for _, v := range ablationVariants(o.Seed, activity) {
+		a, err := (&core.Multilevel{Opts: v.opts}).Partition(c, k)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s: %w", v.name, err)
 		}
-		cfg := o.simConfig()
-		cfg.LazyCancellation = v.lazy
 		m := Measurement{Algorithm: v.name, Nodes: k}
 		for r := 0; r < o.Repeats; r++ {
 			if _, err := runTimed(c, a, cfg, &m, r); err != nil {

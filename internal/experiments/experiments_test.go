@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -240,5 +241,40 @@ func TestOptionsDefaults(t *testing.T) {
 	p := PaperOptions()
 	if p.Scale != 1.0 || p.Repeats != 5 {
 		t.Errorf("paper options wrong: %+v", p)
+	}
+}
+
+// TestRunAblation runs the ablation on a small circuit: every row has its
+// own name and its own multilevel configuration, and every partition cuts
+// something, so no row silently repeats another or measures nothing.
+func TestRunAblation(t *testing.T) {
+	o := tinyOptions()
+	o.Repeats = 1
+	o.Grain = 0
+	st, err := RunAblation(o, "s5378", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	variants := ablationVariants(o.Seed, []float64{1})
+	if len(st.Rows) != len(variants) {
+		t.Fatalf("%d rows, want one per variant (%d)", len(st.Rows), len(variants))
+	}
+	names := map[string]bool{}
+	for i, r := range st.Rows {
+		if names[r.Variant] {
+			t.Errorf("row %d: duplicate name %q", i, r.Variant)
+		}
+		names[r.Variant] = true
+		if r.Variant != variants[i].name {
+			t.Errorf("row %d is %q, variant %d is %q", i, r.Variant, i, variants[i].name)
+		}
+		if r.EdgeCut <= 0 {
+			t.Errorf("row %q: edge cut %d, want > 0", r.Variant, r.EdgeCut)
+		}
+		for j := range variants[:i] {
+			if reflect.DeepEqual(variants[i].opts, variants[j].opts) {
+				t.Errorf("rows %q and %q run the same configuration", variants[i].name, variants[j].name)
+			}
+		}
 	}
 }

@@ -11,9 +11,9 @@ import (
 
 // TestBackpressureTinyInbox pins the transport's backpressure behavior at
 // the application level: with mailbox capacities of 1 and 2 — every batch
-// flush refused until the destination drains — a gate-level run under both
-// cancellation policies must neither deadlock nor diverge from the
-// sequential oracle's committed events and output history. A max-cut random
+// flush refused until the destination drains — a gate-level run must
+// neither deadlock nor diverge from the sequential oracle's committed
+// events and output history. A max-cut random
 // partition keeps anti-messages and stragglers flowing through the
 // backpressured mailboxes.
 func TestBackpressureTinyInbox(t *testing.T) {
@@ -29,25 +29,22 @@ func TestBackpressureTinyInbox(t *testing.T) {
 	if err != nil {
 		t.Fatalf("partition: %v", err)
 	}
-	for _, lazy := range []bool{false, true} {
-		for _, inbox := range []int{1, 2} {
-			t.Run(fmt.Sprintf("lazy=%v/inbox=%d", lazy, inbox), func(t *testing.T) {
-				got, err := Run(c, a, Config{
-					Cycles:           cfg.Cycles,
-					StimulusSeed:     cfg.StimulusSeed,
-					LazyCancellation: lazy,
-					InboxSize:        inbox,
-				})
-				if err != nil {
-					t.Fatalf("logicsim: %v", err)
-				}
-				if got.CommittedEvents != want.Events {
-					t.Errorf("committed events = %d, sequential = %d", got.CommittedEvents, want.Events)
-				}
-				if got.OutputHistory != want.OutputHistory {
-					t.Errorf("output history = %#x, sequential = %#x", got.OutputHistory, want.OutputHistory)
-				}
+	for _, inbox := range []int{1, 2} {
+		t.Run(fmt.Sprintf("inbox=%d", inbox), func(t *testing.T) {
+			got, err := Run(c, a, Config{
+				Cycles:       cfg.Cycles,
+				StimulusSeed: cfg.StimulusSeed,
+				InboxSize:    inbox,
 			})
-		}
+			if err != nil {
+				t.Fatalf("logicsim: %v", err)
+			}
+			if got.CommittedEvents != want.Events {
+				t.Errorf("committed events = %d, sequential = %d", got.CommittedEvents, want.Events)
+			}
+			if got.OutputHistory != want.OutputHistory {
+				t.Errorf("output history = %#x, sequential = %#x", got.OutputHistory, want.OutputHistory)
+			}
+		})
 	}
 }

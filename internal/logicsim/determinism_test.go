@@ -15,8 +15,8 @@ import (
 )
 
 // TestDeterminismMatrix is the end-to-end determinism suite for the
-// asynchronous GVT protocol: for every partitioner of the study, both
-// cancellation policies, and 1/2/8 clusters, a parallel run must commit
+// asynchronous GVT protocol: for every partitioner of the study and
+// 1/2/8 clusters, a parallel run must commit
 // exactly the events of the sequential oracle and reproduce its output
 // history, output values, and final gate state. Any protocol race —
 // a message slipping under a GVT cut, a premature fossil collection, a
@@ -37,41 +37,38 @@ func TestDeterminismMatrix(t *testing.T) {
 		t.Fatal("sequential run processed no events")
 	}
 	for _, p := range partitioners() {
-		for _, lazy := range []bool{false, true} {
-			for _, k := range []int{1, 2, 8} {
-				name := fmt.Sprintf("%s/lazy=%v/k=%d", p.Name(), lazy, k)
-				t.Run(name, func(t *testing.T) {
-					a, err := p.Partition(c, k)
-					if err != nil {
-						t.Fatalf("partition: %v", err)
-					}
-					got, err := Run(c, a, Config{
-						Cycles:           cfg.Cycles,
-						StimulusSeed:     cfg.StimulusSeed,
-						LazyCancellation: lazy,
-					})
-					if err != nil {
-						t.Fatalf("logicsim: %v", err)
-					}
-					if got.CommittedEvents != want.Events {
-						t.Errorf("committed events = %d, sequential = %d", got.CommittedEvents, want.Events)
-					}
-					if got.OutputHistory != want.OutputHistory {
-						t.Errorf("output history = %#x, sequential = %#x", got.OutputHistory, want.OutputHistory)
-					}
-					for i := range want.OutputValues {
-						if got.OutputValues[i] != want.OutputValues[i] {
-							t.Errorf("output %d = %v, sequential = %v", i, got.OutputValues[i], want.OutputValues[i])
-						}
-					}
-					for id := range want.FinalValues {
-						if got.FinalValues[id] != want.FinalValues[id] {
-							t.Errorf("gate %d final = %v, sequential = %v", id, got.FinalValues[id], want.FinalValues[id])
-							break
-						}
-					}
+		for _, k := range []int{1, 2, 8} {
+			name := fmt.Sprintf("%s/k=%d", p.Name(), k)
+			t.Run(name, func(t *testing.T) {
+				a, err := p.Partition(c, k)
+				if err != nil {
+					t.Fatalf("partition: %v", err)
+				}
+				got, err := Run(c, a, Config{
+					Cycles:       cfg.Cycles,
+					StimulusSeed: cfg.StimulusSeed,
 				})
-			}
+				if err != nil {
+					t.Fatalf("logicsim: %v", err)
+				}
+				if got.CommittedEvents != want.Events {
+					t.Errorf("committed events = %d, sequential = %d", got.CommittedEvents, want.Events)
+				}
+				if got.OutputHistory != want.OutputHistory {
+					t.Errorf("output history = %#x, sequential = %#x", got.OutputHistory, want.OutputHistory)
+				}
+				for i := range want.OutputValues {
+					if got.OutputValues[i] != want.OutputValues[i] {
+						t.Errorf("output %d = %v, sequential = %v", i, got.OutputValues[i], want.OutputValues[i])
+					}
+				}
+				for id := range want.FinalValues {
+					if got.FinalValues[id] != want.FinalValues[id] {
+						t.Errorf("gate %d final = %v, sequential = %v", id, got.FinalValues[id], want.FinalValues[id])
+						break
+					}
+				}
+			})
 		}
 	}
 }
@@ -186,38 +183,35 @@ func TestDeterminismTCPLoopback(t *testing.T) {
 	if err != nil {
 		t.Fatalf("partition: %v", err)
 	}
-	for _, lazy := range []bool{false, true} {
-		for _, dynamic := range []bool{false, true} {
-			t.Run(fmt.Sprintf("lazy=%v/dynamic=%v", lazy, dynamic), func(t *testing.T) {
-				runCfg := Config{
-					Cycles:           cfg.Cycles,
-					StimulusSeed:     cfg.StimulusSeed,
-					LazyCancellation: lazy,
+	for _, dynamic := range []bool{false, true} {
+		t.Run(fmt.Sprintf("dynamic=%v", dynamic), func(t *testing.T) {
+			runCfg := Config{
+				Cycles:       cfg.Cycles,
+				StimulusSeed: cfg.StimulusSeed,
+			}
+			if dynamic {
+				runCfg.DynamicRebalance = true
+				requireDynamicRefused(t, c, a, runCfg)
+				return
+			}
+			got := runTCPPair(t, c, a, runCfg)
+			if got.CommittedEvents != want.Events {
+				t.Errorf("committed events = %d, sequential = %d", got.CommittedEvents, want.Events)
+			}
+			if got.OutputHistory != want.OutputHistory {
+				t.Errorf("output history = %#x, sequential = %#x", got.OutputHistory, want.OutputHistory)
+			}
+			for i := range want.OutputValues {
+				if got.OutputValues[i] != want.OutputValues[i] {
+					t.Errorf("output %d = %v, sequential = %v", i, got.OutputValues[i], want.OutputValues[i])
 				}
-				if dynamic {
-					runCfg.DynamicRebalance = true
-					requireDynamicRefused(t, c, a, runCfg)
-					return
+			}
+			for id := range want.FinalValues {
+				if got.FinalValues[id] != want.FinalValues[id] {
+					t.Errorf("gate %d final = %v, sequential = %v", id, got.FinalValues[id], want.FinalValues[id])
+					break
 				}
-				got := runTCPPair(t, c, a, runCfg)
-				if got.CommittedEvents != want.Events {
-					t.Errorf("committed events = %d, sequential = %d", got.CommittedEvents, want.Events)
-				}
-				if got.OutputHistory != want.OutputHistory {
-					t.Errorf("output history = %#x, sequential = %#x", got.OutputHistory, want.OutputHistory)
-				}
-				for i := range want.OutputValues {
-					if got.OutputValues[i] != want.OutputValues[i] {
-						t.Errorf("output %d = %v, sequential = %v", i, got.OutputValues[i], want.OutputValues[i])
-					}
-				}
-				for id := range want.FinalValues {
-					if got.FinalValues[id] != want.FinalValues[id] {
-						t.Errorf("gate %d final = %v, sequential = %v", id, got.FinalValues[id], want.FinalValues[id])
-						break
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }

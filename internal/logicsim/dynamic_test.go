@@ -11,8 +11,8 @@ import (
 // TestDynamicHotspotMatrix is the determinism suite for GVT-synchronized LP
 // migration: the hotspot workload (activity in a rotating cone of the
 // circuit) runs with dynamic rebalancing forced on aggressively — rebalance
-// every advancing GVT round, no imbalance threshold — for every partitioner,
-// both cancellation policies, and 2/8 clusters. Whatever the migrations do
+// every advancing GVT round, no imbalance threshold — for every partitioner
+// and 2/8 clusters. Whatever the migrations do
 // to placement, the run must commit exactly the sequential oracle's events
 // and reproduce its output history and final state: migration must never
 // change committed results. The suite also requires that migrations actually
@@ -35,51 +35,48 @@ func TestDynamicHotspotMatrix(t *testing.T) {
 	}
 	var migrations uint64
 	for _, p := range partitioners() {
-		for _, lazy := range []bool{false, true} {
-			for _, k := range []int{2, 8} {
-				name := fmt.Sprintf("%s/lazy=%v/k=%d", p.Name(), lazy, k)
-				t.Run(name, func(t *testing.T) {
-					a, err := p.Partition(c, k)
-					if err != nil {
-						t.Fatalf("partition: %v", err)
-					}
-					got, err := Run(c, a, Config{
-						Cycles:           cfg.Cycles,
-						StimulusSeed:     cfg.StimulusSeed,
-						Hotspot:          true,
-						HotspotFraction:  cfg.HotspotFraction,
-						LazyCancellation: lazy,
-						DynamicRebalance: true,
-						// Migration-heavy settings: frequent GVT rounds, a
-						// rebalance decision at every advance, migrate on any
-						// imbalance.
-						GVTPeriodEvents:       128,
-						RebalancePeriodRounds: 1,
-						RebalanceImbalance:    1.0,
-					})
-					if err != nil {
-						t.Fatalf("logicsim: %v", err)
-					}
-					migrations += got.Stats.Migrations
-					if got.CommittedEvents != want.Events {
-						t.Errorf("committed events = %d, sequential = %d", got.CommittedEvents, want.Events)
-					}
-					if got.OutputHistory != want.OutputHistory {
-						t.Errorf("output history = %#x, sequential = %#x", got.OutputHistory, want.OutputHistory)
-					}
-					for i := range want.OutputValues {
-						if got.OutputValues[i] != want.OutputValues[i] {
-							t.Errorf("output %d = %v, sequential = %v", i, got.OutputValues[i], want.OutputValues[i])
-						}
-					}
-					for id := range want.FinalValues {
-						if got.FinalValues[id] != want.FinalValues[id] {
-							t.Errorf("gate %d final = %v, sequential = %v", id, got.FinalValues[id], want.FinalValues[id])
-							break
-						}
-					}
+		for _, k := range []int{2, 8} {
+			name := fmt.Sprintf("%s/k=%d", p.Name(), k)
+			t.Run(name, func(t *testing.T) {
+				a, err := p.Partition(c, k)
+				if err != nil {
+					t.Fatalf("partition: %v", err)
+				}
+				got, err := Run(c, a, Config{
+					Cycles:           cfg.Cycles,
+					StimulusSeed:     cfg.StimulusSeed,
+					Hotspot:          true,
+					HotspotFraction:  cfg.HotspotFraction,
+					DynamicRebalance: true,
+					// Migration-heavy settings: frequent GVT rounds, a
+					// rebalance decision at every advance, migrate on any
+					// imbalance.
+					GVTPeriodEvents:       128,
+					RebalancePeriodRounds: 1,
+					RebalanceImbalance:    1.0,
 				})
-			}
+				if err != nil {
+					t.Fatalf("logicsim: %v", err)
+				}
+				migrations += got.Stats.Migrations
+				if got.CommittedEvents != want.Events {
+					t.Errorf("committed events = %d, sequential = %d", got.CommittedEvents, want.Events)
+				}
+				if got.OutputHistory != want.OutputHistory {
+					t.Errorf("output history = %#x, sequential = %#x", got.OutputHistory, want.OutputHistory)
+				}
+				for i := range want.OutputValues {
+					if got.OutputValues[i] != want.OutputValues[i] {
+						t.Errorf("output %d = %v, sequential = %v", i, got.OutputValues[i], want.OutputValues[i])
+					}
+				}
+				for id := range want.FinalValues {
+					if got.FinalValues[id] != want.FinalValues[id] {
+						t.Errorf("gate %d final = %v, sequential = %v", id, got.FinalValues[id], want.FinalValues[id])
+						break
+					}
+				}
+			})
 		}
 	}
 	if migrations == 0 {

@@ -165,33 +165,3 @@ func TestShortClockPeriodsMatchSequential(t *testing.T) {
 		}
 	}
 }
-
-// TestLazyCancellationMatches runs the same equivalence under lazy
-// cancellation.
-func TestLazyCancellationMatches(t *testing.T) {
-	if testing.Short() {
-		t.Skip("integration test")
-	}
-	c := circuit.MustGenerate(circuit.GenSpec{
-		Name: "lazy200", Inputs: 6, Gates: 200, Outputs: 5, FlipFlops: 16, Seed: 21,
-	})
-	cfg := seqsim.Config{Cycles: 10, StimulusSeed: 5}
-	want, err := seqsim.Run(c, cfg)
-	if err != nil {
-		t.Fatalf("seqsim: %v", err)
-	}
-	a, err := core.New(3).Partition(c, 4)
-	if err != nil {
-		t.Fatalf("partition: %v", err)
-	}
-	got, err := Run(c, a, Config{Cycles: cfg.Cycles, StimulusSeed: cfg.StimulusSeed, LazyCancellation: true})
-	if err != nil {
-		t.Fatalf("logicsim: %v", err)
-	}
-	if got.CommittedEvents != want.Events {
-		t.Errorf("committed events = %d, sequential = %d", got.CommittedEvents, want.Events)
-	}
-	if got.OutputHistory != want.OutputHistory {
-		t.Errorf("output history = %#x, sequential = %#x", got.OutputHistory, want.OutputHistory)
-	}
-}

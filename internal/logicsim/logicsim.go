@@ -81,15 +81,14 @@ type Config struct {
 	// OptimismWindow. 0 is unbounded; a single cluster never stalls on it.
 	OptimismCycles float64
 
-	// GVTPeriodEvents, LazyCancellation, NetSendBusy, NetRecvBusy,
-	// NetLatency and InboxSize pass through to the Time Warp kernel (the
-	// Net* fields and InboxSize land in timewarp.NetConfig).
-	GVTPeriodEvents  int
-	LazyCancellation bool
-	NetSendBusy      int
-	NetRecvBusy      int
-	NetLatency       time.Duration
-	InboxSize        int
+	// GVTPeriodEvents, NetSendBusy, NetRecvBusy, NetLatency and InboxSize
+	// pass through to the Time Warp kernel (the Net* fields and InboxSize
+	// land in timewarp.NetConfig).
+	GVTPeriodEvents int
+	NetSendBusy     int
+	NetRecvBusy     int
+	NetLatency      time.Duration
+	InboxSize       int
 
 	// Transport selects the kernel's communication fabric: nil runs every
 	// cluster in this process (the in-memory transport); a
@@ -533,11 +532,10 @@ func run[V any](c *circuit.Circuit, a partition.Assignment, cfg Config, ops wire
 		}
 	}
 	twCfg := timewarp.Config{
-		NumClusters:      a.K,
-		ClusterOf:        a.Parts,
-		OptimismWindow:   window,
-		GVTPeriodEvents:  cfg.GVTPeriodEvents,
-		LazyCancellation: cfg.LazyCancellation,
+		NumClusters:     a.K,
+		ClusterOf:       a.Parts,
+		OptimismWindow:  window,
+		GVTPeriodEvents: cfg.GVTPeriodEvents,
 		Net: timewarp.NetConfig{
 			Transport: cfg.Transport,
 			SendBusy:  cfg.NetSendBusy,

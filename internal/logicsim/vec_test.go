@@ -78,8 +78,8 @@ func checkVecResult(t *testing.T, got Result, o vecScalarOracle) {
 
 // TestDeterminismMatrixVectors is the vectored column of the determinism
 // matrix: one 64-scenario parallel run per cell, held bit-identical — per
-// lane — to 64 independent scalar sequential runs, across every partitioner,
-// both cancellation policies, and 1/2/8 clusters. Rollbacks under k>1 must
+// lane — to 64 independent scalar sequential runs, across every partitioner
+// and 1/2/8 clusters. Rollbacks under k>1 must
 // restore all 128 packed planes or a lane diverges here.
 func TestDeterminismMatrixVectors(t *testing.T) {
 	if testing.Short() {
@@ -91,26 +91,23 @@ func TestDeterminismMatrixVectors(t *testing.T) {
 	cfg := seqsim.Config{Cycles: 10, StimulusSeed: 77}
 	oracle := runVecOracle(t, c, cfg)
 	for _, p := range partitioners() {
-		for _, lazy := range []bool{false, true} {
-			for _, k := range []int{1, 2, 8} {
-				name := fmt.Sprintf("%s/lazy=%v/k=%d", p.Name(), lazy, k)
-				t.Run(name, func(t *testing.T) {
-					a, err := p.Partition(c, k)
-					if err != nil {
-						t.Fatalf("partition: %v", err)
-					}
-					got, err := Run(c, a, Config{
-						Cycles:           cfg.Cycles,
-						StimulusSeed:     cfg.StimulusSeed,
-						LazyCancellation: lazy,
-						Vectors:          true,
-					})
-					if err != nil {
-						t.Fatalf("logicsim: %v", err)
-					}
-					checkVecResult(t, got, oracle)
+		for _, k := range []int{1, 2, 8} {
+			name := fmt.Sprintf("%s/k=%d", p.Name(), k)
+			t.Run(name, func(t *testing.T) {
+				a, err := p.Partition(c, k)
+				if err != nil {
+					t.Fatalf("partition: %v", err)
+				}
+				got, err := Run(c, a, Config{
+					Cycles:       cfg.Cycles,
+					StimulusSeed: cfg.StimulusSeed,
+					Vectors:      true,
 				})
-			}
+				if err != nil {
+					t.Fatalf("logicsim: %v", err)
+				}
+				checkVecResult(t, got, oracle)
+			})
 		}
 	}
 }
@@ -132,28 +129,21 @@ func TestVectorsForcedMigration(t *testing.T) {
 	if err != nil {
 		t.Fatalf("partition: %v", err)
 	}
-	var migrations uint64
-	for _, lazy := range []bool{false, true} {
-		t.Run(fmt.Sprintf("lazy=%v", lazy), func(t *testing.T) {
-			got, err := Run(c, a, Config{
-				Cycles:                cfg.Cycles,
-				StimulusSeed:          cfg.StimulusSeed,
-				LazyCancellation:      lazy,
-				Vectors:               true,
-				DynamicRebalance:      true,
-				GVTPeriodEvents:       128,
-				RebalancePeriodRounds: 1,
-				RebalanceImbalance:    1.0,
-			})
-			if err != nil {
-				t.Fatalf("logicsim: %v", err)
-			}
-			migrations += got.Stats.Migrations
-			checkVecResult(t, got, oracle)
-		})
+	got, err := Run(c, a, Config{
+		Cycles:                cfg.Cycles,
+		StimulusSeed:          cfg.StimulusSeed,
+		Vectors:               true,
+		DynamicRebalance:      true,
+		GVTPeriodEvents:       128,
+		RebalancePeriodRounds: 1,
+		RebalanceImbalance:    1.0,
+	})
+	if err != nil {
+		t.Fatalf("logicsim: %v", err)
 	}
-	if migrations == 0 {
-		t.Error("no gate migrated across the dynamic rows")
+	checkVecResult(t, got, oracle)
+	if got.Stats.Migrations == 0 {
+		t.Error("no gate migrated")
 	}
 }
 
@@ -251,28 +241,25 @@ func TestVectorsTCPLoopback(t *testing.T) {
 	if err != nil {
 		t.Fatalf("partition: %v", err)
 	}
-	for _, lazy := range []bool{false, true} {
-		for _, dynamic := range []bool{false, true} {
-			t.Run(fmt.Sprintf("lazy=%v/dynamic=%v", lazy, dynamic), func(t *testing.T) {
-				runCfg := Config{
-					Cycles:           cfg.Cycles,
-					StimulusSeed:     cfg.StimulusSeed,
-					LazyCancellation: lazy,
-					Vectors:          true,
-				}
-				if dynamic {
-					runCfg.DynamicRebalance = true
-					requireDynamicRefused(t, c, a, runCfg)
-					return
-				}
-				checkVecResult(t, runVecTCPPair(t, c, a, runCfg), oracle)
-			})
-		}
+	for _, dynamic := range []bool{false, true} {
+		t.Run(fmt.Sprintf("dynamic=%v", dynamic), func(t *testing.T) {
+			runCfg := Config{
+				Cycles:       cfg.Cycles,
+				StimulusSeed: cfg.StimulusSeed,
+				Vectors:      true,
+			}
+			if dynamic {
+				runCfg.DynamicRebalance = true
+				requireDynamicRefused(t, c, a, runCfg)
+				return
+			}
+			checkVecResult(t, runVecTCPPair(t, c, a, runCfg), oracle)
+		})
 	}
 }
 
 // TestVectorsEquivalenceHotspot covers the workload the throughput study
-// reports on — hotspot stimulus under lazy cancellation — on a second
+// reports on — hotspot stimulus — on a second
 // generated netlist, so the equivalence claim is not specific to det280 or
 // uniform stimulus.
 func TestVectorsEquivalenceHotspot(t *testing.T) {
@@ -289,12 +276,11 @@ func TestVectorsEquivalenceHotspot(t *testing.T) {
 		t.Fatalf("partition: %v", err)
 	}
 	got, err := Run(c, a, Config{
-		Cycles:           cfg.Cycles,
-		StimulusSeed:     cfg.StimulusSeed,
-		Hotspot:          true,
-		HotspotFraction:  0.25,
-		LazyCancellation: true,
-		Vectors:          true,
+		Cycles:          cfg.Cycles,
+		StimulusSeed:    cfg.StimulusSeed,
+		Hotspot:         true,
+		HotspotFraction: 0.25,
+		Vectors:         true,
 	})
 	if err != nil {
 		t.Fatalf("logicsim: %v", err)

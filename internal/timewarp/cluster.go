@@ -231,12 +231,11 @@ type cluster struct {
 	delayed delayedHeap  //kernelvet:owner cluster
 	sched   schedQueue   //kernelvet:owner cluster
 	stats   ClusterStats //kernelvet:owner cluster
-	// hist lists the LPs that may hold processed bundles or oldSends, so
-	// fossil collection visits only them (see lpRuntime.inHist). It may
-	// still name LPs that migrated away, which fossilCollect drops without
-	// touching, and an LP that left and came back before the next pass is
-	// listed twice until its history empties; collecting it twice is a
-	// no-op.
+	// hist lists the LPs that may hold processed bundles, so fossil
+	// collection visits only them (see lpRuntime.inHist). It may still name
+	// LPs that migrated away, which fossilCollect drops without touching,
+	// and an LP that left and came back before the next pass is listed
+	// twice until its history empties; collecting it twice is a no-op.
 	hist []*lpRuntime //kernelvet:owner cluster
 
 	eventsSinceGVT int //kernelvet:owner cluster
@@ -575,21 +574,18 @@ func (c *cluster) waitFloor(need Time) {
 }
 
 // localMin returns the earliest work this cluster is responsible for: the
-// earliest live pending event of its LPs, the earliest rolled-back send that
-// may still turn into an anti-message (lazy cancellation), the earliest
-// event parked in limbo for an LP whose migration payload is still in
-// flight, and the earliest event buffered in the local queue or a
-// per-destination outbox. Buffered events are not yet counted sent (they are
-// private to this goroutine), so the GVT floor must cover them here; delayed
-// batches are NOT folded in — they are counted sent but not yet received,
-// which blocks the cut instead.
+// earliest live pending event of its LPs, the earliest event parked in
+// limbo for an LP whose migration payload is still in flight, and the
+// earliest event buffered in the local queue or a per-destination outbox.
+// Rollback turns rolled-back sends into anti-messages at once, so those
+// are buffered or in flight like any other message. Buffered events are
+// not yet counted sent (they are private to this goroutine), so the GVT
+// floor must cover them here; delayed batches are NOT folded in — they are
+// counted sent but not yet received, which blocks the cut instead.
 func (c *cluster) localMin() Time {
 	min := TimeInfinity
 	for _, lp := range c.lps {
 		if t := lp.nextTime(); t < min {
-			min = t
-		}
-		if t := lp.minPendingCancel(); t < min {
 			min = t
 		}
 	}

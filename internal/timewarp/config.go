@@ -99,10 +99,6 @@ type Config struct {
 	// GVTPeriodEvents requests a GVT round after a cluster has executed
 	// this many events since it last took part in a round. Default 4096.
 	GVTPeriodEvents int
-	// LazyCancellation enables lazy cancellation: rolled-back sends are
-	// annihilated only if re-execution fails to regenerate them. The
-	// default is aggressive cancellation, as in WARPED's default.
-	LazyCancellation bool
 	// OptimismWindow bounds optimistic execution: a cluster does not
 	// execute bundles beyond the progress floor (the minimum next work time
 	// the clusters publish) + OptimismWindow virtual time units, which caps

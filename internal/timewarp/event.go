@@ -4,8 +4,8 @@
 // logical processes (LPs) are grouped into clusters, one goroutine per
 // cluster models one workstation-level simulation process, and clusters
 // exchange timestamped event messages. Each LP keeps input, output and state
-// queues; stragglers trigger rollback with aggressive (or optionally lazy)
-// cancellation via anti-messages.
+// queues; a straggler rolls the LP back, and every send the rolled-back
+// bundles made becomes an anti-message at once (aggressive cancellation).
 //
 // Inter-cluster transport is batched: a cluster accumulates remote events in
 // per-destination outboxes and flushes each as one batch into the

@@ -41,34 +41,32 @@ func TestGVTRoundsProgressWithoutBarrier(t *testing.T) {
 // clusters keeps traffic flowing through many GVT rounds, so both colors
 // carry some.
 func TestTransitCountsDrainToZero(t *testing.T) {
-	for _, lazy := range []bool{false, true} {
-		v := &stragglerVictim{limit: 300}
-		s := &stragglerSender{victim: 0, n: 290}
-		k, err := New(Config{
-			NumClusters: 2, ClusterOf: []int{0, 1, 0, 1},
-			GVTPeriodEvents: 32, LazyCancellation: lazy,
-			Net: NetConfig{Latency: 50 * time.Microsecond},
-		}, []Handler{v, s, &pingLP{peer: 3, limit: 200, delay: 3, start: true}, &pingLP{peer: 2, limit: 200, delay: 3}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := k.Run(); err != nil {
-			t.Fatal(err)
-		}
-		// Both colors must have carried traffic, or a balanced ledger would
-		// show nothing.
-		if sent := checkLedgerBalanced(t, k, fmt.Sprintf("lazy=%v", lazy)); sent[0] == 0 || sent[1] == 0 {
-			t.Errorf("lazy=%v: ledger counted %v sent per color, want both non-zero", lazy, sent)
-		}
+	v := &stragglerVictim{limit: 300}
+	s := &stragglerSender{victim: 0, n: 290}
+	k, err := New(Config{
+		NumClusters: 2, ClusterOf: []int{0, 1, 0, 1},
+		GVTPeriodEvents: 32,
+		Net:             NetConfig{Latency: 50 * time.Microsecond},
+	}, []Handler{v, s, &pingLP{peer: 3, limit: 200, delay: 3, start: true}, &pingLP{peer: 2, limit: 200, delay: 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	// Both colors must have carried traffic, or a balanced ledger would
+	// show nothing.
+	if sent := checkLedgerBalanced(t, k, "run"); sent[0] == 0 || sent[1] == 0 {
+		t.Errorf("ledger counted %v sent per color, want both non-zero", sent)
 	}
 }
 
 // TestGVTStressEightClusters is the configuration CI runs under
 // -race -count=3: eight clusters, modeled wire latency (so white messages
-// straddle cuts), lazy cancellation (so minPendingCancel feeds the
-// reports), and a small GVT period (so rounds overlap execution
-// constantly). It asserts termination, the commit invariant, and
-// run-to-run determinism of the rolled-back state.
+// straddle cuts), straggler pairs (so anti-messages cross every cut), and
+// a small GVT period (so rounds overlap execution constantly). It asserts
+// termination, the commit invariant, and run-to-run determinism of the
+// rolled-back state.
 func TestGVTStressEightClusters(t *testing.T) {
 	run := func() (int64, RunStats) {
 		const chains = 16
@@ -86,11 +84,10 @@ func TestGVTStressEightClusters(t *testing.T) {
 		)
 		clusterOf = append(clusterOf, 0, 7, 3, 5)
 		k, err := New(Config{
-			NumClusters:      8,
-			ClusterOf:        clusterOf,
-			GVTPeriodEvents:  64,
-			LazyCancellation: true,
-			Net:              NetConfig{Latency: 100 * time.Microsecond},
+			NumClusters:     8,
+			ClusterOf:       clusterOf,
+			GVTPeriodEvents: 64,
+			Net:             NetConfig{Latency: 100 * time.Microsecond},
 		}, handlers)
 		if err != nil {
 			t.Fatal(err)

@@ -58,8 +58,8 @@ const (
 //     hanging it.
 //   - Wave 2 (report): the coordinator opens reportRound and posts
 //     ctrlReport bits. Each cluster reports min(its local min over pending
-//     events, lazily-cancellable rolled-back sends, and events still
-//     buffered in its outboxes and local queue, its redMin) — redMin covers
+//     events and events still buffered in its outboxes and local queue,
+//     its redMin) — redMin covers
 //     red batches still in transit across the second cut, and the buffered
 //     terms cover events no sent counter covers yet because they have not
 //     been flushed (see transport.go). When all reports are in,
@@ -643,11 +643,11 @@ func (k *Kernel) dumpStuck(headline string) {
 	}
 	for _, lp := range k.lps {
 		nt := lp.nextTime()
-		if nt == TimeInfinity && len(lp.oldSends) == 0 {
+		if nt == TimeInfinity {
 			continue
 		}
-		add("  lp %d (cluster %d): next=%d lvt=%d pending=%d cancelled=%d processed=%d oldSends=%d\n",
-			lp.id, k.RouteOf(lp.id), nt, lp.lvt, len(lp.pending), len(lp.cancelled), len(lp.processed), len(lp.oldSends))
+		add("  lp %d (cluster %d): next=%d lvt=%d pending=%d cancelled=%d processed=%d\n",
+			lp.id, k.RouteOf(lp.id), nt, lp.lvt, len(lp.pending), len(lp.cancelled), len(lp.processed))
 	}
 	panic(string(sb))
 }

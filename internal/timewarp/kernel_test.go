@@ -280,26 +280,6 @@ func TestRollbacksProduceDeterministicState(t *testing.T) {
 	}
 }
 
-func TestLazyCancellationKernel(t *testing.T) {
-	v := &stragglerVictim{limit: 300}
-	s := &stragglerSender{victim: 0, n: 290}
-	k, err := New(Config{
-		NumClusters: 2, ClusterOf: []int{0, 1},
-		GVTPeriodEvents: 64, LazyCancellation: true,
-	}, []Handler{v, s})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats, err := k.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.EventsProcessed-stats.EventsRolledBack != stats.EventsCommitted {
-		t.Errorf("lazy: processed-rolledback=%d != committed=%d",
-			stats.EventsProcessed-stats.EventsRolledBack, stats.EventsCommitted)
-	}
-}
-
 // trailLP is a stragglerVictim whose encoded state changes length from
 // bundle to bundle: besides the running sum it keeps the sums after its last
 // now%5 bundles. The encoding counts the trail, so DecodeState rejects a
@@ -417,93 +397,77 @@ func TestStatesLogMidHistoryRollback(t *testing.T) {
 	// then rolls back into the rebased logs, and one for 24, queued before
 	// anything re-executes, to the bundle the first rollback left last. The
 	// reference has both events queued before it executes anything. Every
-	// rolled-back bundle sent one event, and re-execution sends the same
-	// ones: aggressive cancellation sends 26 + 1 anti-messages, lazy
-	// cancellation keeps the sends sorted through both rollbacks and
-	// regenerates every one of them.
+	// rolled-back bundle sent one event, so the two rollbacks send 26 + 1
+	// anti-messages.
 	t.Run("by-hand", func(t *testing.T) {
-		for _, lazy := range []bool{false, true} {
-			t.Run(map[bool]string{false: "aggressive", true: "lazy"}[lazy], func(t *testing.T) {
-				drive := func(rollback bool) *trailLP {
-					v := &trailLP{stragglerVictim: stragglerVictim{limit: 60}}
-					k, err := New(Config{NumClusters: 1, ClusterOf: []int{0}, LazyCancellation: lazy}, []Handler{v})
-					if err != nil {
-						t.Fatal(err)
-					}
-					lp, c := k.lps[0], k.clusters[0]
-					v.Init(&Context{lp: lp, now: -1, inInit: true})
+		drive := func(rollback bool) *trailLP {
+			v := &trailLP{stragglerVictim: stragglerVictim{limit: 60}}
+			k, err := New(Config{NumClusters: 1, ClusterOf: []int{0}}, []Handler{v})
+			if err != nil {
+				t.Fatal(err)
+			}
+			lp, c := k.lps[0], k.clusters[0]
+			v.Init(&Context{lp: lp, now: -1, inInit: true})
+			c.drainLocal()
+			late := []Event{
+				{ID: k.nextEventID(), Sender: NoLP, RecvTime: 25, Kind: 1, Value: 7},
+				{ID: k.nextEventID(), Sender: NoLP, RecvTime: 24, Kind: 1, Value: 9},
+			}
+			execute := func(through Time) {
+				for lp.lvt < through && lp.executeNext() > 0 {
 					c.drainLocal()
-					late := []Event{
-						{ID: k.nextEventID(), Sender: NoLP, RecvTime: 25, Kind: 1, Value: 7},
-						{ID: k.nextEventID(), Sender: NoLP, RecvTime: 24, Kind: 1, Value: 9},
-					}
-					execute := func(through Time) {
-						for lp.lvt < through && lp.executeNext() > 0 {
-							c.drainLocal()
-						}
-						checkLogs(t, lp)
-					}
-					if !rollback {
-						for _, ev := range late {
-							lp.enqueue(ev)
-						}
-					}
-					execute(40)
-					if rollback {
-						lp.fossilCollect(20)
-						// Bundles 20..40 are left, one event in and one sent
-						// each, rebased to the start of every log.
-						if len(lp.processed) != 21 || len(lp.inLog) != 21 || len(lp.outLog) != 21 {
-							t.Fatalf("after committing below 20: %d bundles, %d input events, %d sends; want 21 each",
-								len(lp.processed), len(lp.inLog), len(lp.outLog))
-						}
-						for i, b := range lp.processed {
-							if b.time != Time(20+i) || b.evAt != i || b.sentAt != i {
-								t.Fatalf("bundle %d after the rebase: %+v, want time %d at offsets %d", i, b, 20+i, i)
-							}
-						}
-					}
-					execute(50)
-					if rollback {
-						for i, ev := range late {
-							lp.enqueue(ev)
-							c.drainLocal()
-							want := 0
-							if lazy {
-								want = 26 + i // the sends of bundles 25..50, then 24
-							}
-							if len(lp.oldSends) != want || !slices.IsSortedFunc(lp.oldSends, func(a, b Event) int { return int(a.SendTime - b.SendTime) }) {
-								t.Fatalf("after rollback %d: %d old sends, want %d, sorted by SendTime", i+1, len(lp.oldSends), want)
-							}
-						}
-					}
-					execute(TimeInfinity)
-					lp.fossilCollect(TimeInfinity)
-					if len(lp.states) != 0 || len(lp.inLog) != 0 || len(lp.outLog) != 0 || len(lp.oldSends) != 0 {
-						t.Errorf("rollback=%v: %d bytes of saved state, %d input events, %d sends, %d old sends after committing everything",
-							rollback, len(lp.states), len(lp.inLog), len(lp.outLog), len(lp.oldSends))
-					}
-					var wantRollbacks, wantAnti uint64
-					if rollback {
-						wantRollbacks = 2
-						if !lazy {
-							wantAnti = 27
-						}
-					}
-					if c.stats.Rollbacks != wantRollbacks || c.stats.AntiMessages != wantAnti {
-						t.Errorf("rollback=%v: %d rollbacks, %d anti-messages, want %d, %d",
-							rollback, c.stats.Rollbacks, c.stats.AntiMessages, wantRollbacks, wantAnti)
-					}
-					return v
 				}
-				want, got := drive(false), drive(true)
-				if got.midRestores != 2 {
-					t.Errorf("%d mid-history restores, want 2", got.midRestores)
+				checkLogs(t, lp)
+			}
+			if !rollback {
+				for _, ev := range late {
+					lp.enqueue(ev)
 				}
-				if got.sum != want.sum || !slices.Equal(got.trail, want.trail) {
-					t.Errorf("committed state sum=%d trail=%v, rollback-free sum=%d trail=%v", got.sum, got.trail, want.sum, want.trail)
+			}
+			execute(40)
+			if rollback {
+				lp.fossilCollect(20)
+				// Bundles 20..40 are left, one event in and one sent
+				// each, rebased to the start of every log.
+				if len(lp.processed) != 21 || len(lp.inLog) != 21 || len(lp.outLog) != 21 {
+					t.Fatalf("after committing below 20: %d bundles, %d input events, %d sends; want 21 each",
+						len(lp.processed), len(lp.inLog), len(lp.outLog))
 				}
-			})
+				for i, b := range lp.processed {
+					if b.time != Time(20+i) || b.evAt != i || b.sentAt != i {
+						t.Fatalf("bundle %d after the rebase: %+v, want time %d at offsets %d", i, b, 20+i, i)
+					}
+				}
+			}
+			execute(50)
+			if rollback {
+				for _, ev := range late {
+					lp.enqueue(ev)
+					c.drainLocal()
+				}
+			}
+			execute(TimeInfinity)
+			lp.fossilCollect(TimeInfinity)
+			if len(lp.states) != 0 || len(lp.inLog) != 0 || len(lp.outLog) != 0 {
+				t.Errorf("rollback=%v: %d bytes of saved state, %d input events, %d sends after committing everything",
+					rollback, len(lp.states), len(lp.inLog), len(lp.outLog))
+			}
+			var wantRollbacks, wantAnti uint64
+			if rollback {
+				wantRollbacks, wantAnti = 2, 27
+			}
+			if c.stats.Rollbacks != wantRollbacks || c.stats.AntiMessages != wantAnti {
+				t.Errorf("rollback=%v: %d rollbacks, %d anti-messages, want %d, %d",
+					rollback, c.stats.Rollbacks, c.stats.AntiMessages, wantRollbacks, wantAnti)
+			}
+			return v
+		}
+		want, got := drive(false), drive(true)
+		if got.midRestores != 2 {
+			t.Errorf("%d mid-history restores, want 2", got.midRestores)
+		}
+		if got.sum != want.sum || !slices.Equal(got.trail, want.trail) {
+			t.Errorf("committed state sum=%d trail=%v, rollback-free sum=%d trail=%v", got.sum, got.trail, want.sum, want.trail)
 		}
 	})
 }

@@ -73,8 +73,8 @@ func (ctx *Context) SendP(to LPID, recvTime Time, kind, value int32, pay Payload
 		ctx.lp.send(ev)
 		return
 	}
-	// Dispatch waits until the handler returns, so lazy cancellation can
-	// compare the complete regenerated set (dispatchSends).
+	// The send is logged for rollback to cancel; executeNext routes the
+	// bundle's sends once the handler returns (dispatchSends).
 	ctx.lp.outLog = append(ctx.lp.outLog, ev)
 }
 
@@ -88,8 +88,9 @@ type lpRuntime struct {
 
 	pending eventHeap //kernelvet:owner cluster
 	// cancelled holds IDs of positive events annihilated before they were
-	// popped from pending (lazy annihilation). It is nil until the first
-	// such annihilation: most LPs never need it.
+	// popped from pending: the heap entry stays and is discarded when it
+	// reaches the top (deferred removal). It is nil until the first such
+	// annihilation: most LPs never need it.
 	cancelled map[uint64]struct{} //kernelvet:owner cluster
 
 	// processed bundles in chronological order. Each indexes its share of
@@ -119,9 +120,9 @@ type lpRuntime struct {
 	schedT Time //kernelvet:owner cluster
 
 	// inHist reports whether the owning cluster's history list (cluster.hist)
-	// names this LP. Invariant: an owned LP with processed bundles or
-	// oldSends is on the list; executeNext registers it, and migrateIn
-	// re-registers it after a move.
+	// names this LP. Invariant: an owned LP with processed bundles is on the
+	// list; executeNext registers it, and migrateIn re-registers it after a
+	// move.
 	inHist bool //kernelvet:owner cluster
 
 	// idNext/idEnd bound this LP's private event-ID space,
@@ -136,14 +137,6 @@ type lpRuntime struct {
 	// committedThrough is the latest fossil-collected bundle time, or -1
 	// before the first commit; it only backs the rollback invariant check.
 	committedThrough Time //kernelvet:owner cluster
-
-	// oldSends holds, under lazy cancellation, the sends of rolled-back
-	// bundles awaiting regeneration or cancellation, sorted by SendTime (a
-	// send's SendTime is its bundle's time). Every entry's SendTime is
-	// strictly above lvt (entries at or below it are taken or flushed as
-	// execution passes them), so the sends of one bundle time are a run at
-	// the head and rollback prepends without sorting.
-	oldSends []Event //kernelvet:owner cluster
 
 	// Load profile for dynamic rebalancing, owner-goroutine only, reset at
 	// every load round (captureLoad). loadCommitted counts the events
@@ -198,7 +191,7 @@ func (lp *lpRuntime) nextEventID() uint64 {
 }
 
 // nextTime returns the receive time of the earliest live pending event, or
-// TimeInfinity. It lazily discards annihilated events from the heap top.
+// TimeInfinity. It discards annihilated events that reached the heap top.
 //
 //kernelvet:noalloc
 func (lp *lpRuntime) nextTime() Time {
@@ -216,10 +209,10 @@ func (lp *lpRuntime) nextTime() Time {
 	return TimeInfinity
 }
 
-// hasHistory reports whether the LP holds processed bundles or rolled-back
-// sends, the state fossil collection releases.
+// hasHistory reports whether the LP holds processed bundles, the state
+// fossil collection releases.
 func (lp *lpRuntime) hasHistory() bool {
-	return len(lp.processed) > 0 || len(lp.oldSends) > 0
+	return len(lp.processed) > 0
 }
 
 // register puts the LP on its owning cluster's history list unless it is
@@ -251,9 +244,6 @@ func (lp *lpRuntime) annihilate(anti Event) {
 		lp.cancelled = make(map[uint64]struct{})
 	}
 	lp.cancelled[anti.ID] = struct{}{}
-	// If the LP went idle, sends staged for lazily-cancelled regeneration
-	// can never be regenerated; flush them now.
-	lp.flushOldSends(lp.nextTime())
 }
 
 // straggler rolls the LP back for ev, an arrival at or before lvt. GVT
@@ -275,9 +265,9 @@ func (lp *lpRuntime) straggler(ev *Event) {
 
 // rollback undoes every processed bundle with time >= t: the LP state is
 // restored to just before the earliest such bundle, the bundles' input
-// events return to the pending queue, and their sends are cancelled
-// (immediately under aggressive cancellation, lazily otherwise). The three
-// logs are truncated where that bundle's share begins. Rollback must replay
+// events return to the pending queue, and every send they made becomes an
+// anti-message at once (aggressive cancellation). The three logs are
+// truncated where that bundle's share begins. Rollback must replay
 // identically on every run, or diverged replicas commit different states.
 //
 //kernelvet:deterministic
@@ -294,18 +284,8 @@ func (lp *lpRuntime) rollback(t Time) {
 	for _, ev := range events {
 		lp.pending.push(ev)
 	}
-	if c.kernel.cfg.LazyCancellation {
-		// The rolled-back sends are at or below lvt and every surviving
-		// oldSends entry is above it, so prepending keeps the order: grow
-		// by len(sent), shift the survivors up, copy the sends in front.
-		m := len(lp.oldSends)
-		lp.oldSends = append(lp.oldSends, sent...)
-		copy(lp.oldSends[len(sent):], lp.oldSends[:m])
-		copy(lp.oldSends, sent)
-	} else {
-		for _, s := range sent {
-			c.sendAnti(s)
-		}
+	for _, s := range sent {
+		c.sendAnti(s)
 	}
 	end := len(lp.states)
 	if idx+1 < len(lp.processed) {
@@ -339,11 +319,6 @@ func (lp *lpRuntime) executeNext() int {
 	if t == TimeInfinity {
 		return 0
 	}
-	// Under lazy cancellation, rolled-back sends from bundle times that can
-	// no longer be re-executed must be cancelled before we advance past
-	// them.
-	lp.flushOldSends(t)
-
 	evAt := len(lp.inLog)
 	for len(lp.pending) > 0 && lp.pending[0].RecvTime == t {
 		ev := lp.pending.pop()
@@ -365,7 +340,7 @@ func (lp *lpRuntime) executeNext() int {
 	lp.ctx = Context{lp: lp, now: t}
 	end := len(lp.inLog)
 	lp.handler.Execute(&lp.ctx, t, lp.inLog[evAt:end:end])
-	lp.dispatchSends(t, lp.outLog[b.sentAt:])
+	lp.dispatchSends(lp.outLog[b.sentAt:])
 
 	lp.processed = append(lp.processed, b)
 	lp.register()
@@ -407,105 +382,24 @@ func (lp *lpRuntime) noteSend(dst LPID) {
 	lp.sendCur = 0
 }
 
-// dispatchSends routes the bundle's sends. Under lazy cancellation, sends
-// identical to a rolled-back send from the same bundle time are suppressed
-// (the original event is still valid at the receiver) and unmatched old
-// sends are annihilated.
+// dispatchSends routes the bundle's sends.
 //
 //kernelvet:noalloc
-func (lp *lpRuntime) dispatchSends(t Time, sent []Event) {
-	old := lp.takeOldSends(t)
-	// Each match is swapped to the front of the run, so old[:m] are the
-	// matched sends and the search covers only old[m:].
-	m := 0
+func (lp *lpRuntime) dispatchSends(sent []Event) {
 	for i := range sent {
-		ev := &sent[i]
-		found := -1
-		for j := m; j < len(old); j++ {
-			o := &old[j]
-			if o.Receiver == ev.Receiver && o.RecvTime == ev.RecvTime && o.Kind == ev.Kind && o.Value == ev.Value && o.Pay == ev.Pay {
-				found = j
-				break
-			}
-		}
-		if found < 0 {
-			lp.send(*ev)
-			continue
-		}
-		old[m], old[found] = old[found], old[m]
-		// Keep the original event's identity so the receiver's copy stays
-		// valid; record it as this bundle's send.
-		*ev = old[m]
-		m++
+		lp.send(sent[i])
 	}
-	if len(old) > 0 {
-		for _, o := range old[m:] {
-			lp.cluster.sendAnti(o)
-		}
-		lp.oldSends = lp.oldSends[:copy(lp.oldSends, lp.oldSends[len(old):])]
-	}
-}
-
-// takeOldSends returns the rolled-back sends of bundle time t, the run at
-// the head of oldSends (flushOldSends(t) has already dropped everything
-// earlier). The caller drops the run once it has dispatched.
-//
-//kernelvet:noalloc
-func (lp *lpRuntime) takeOldSends(t Time) []Event {
-	n := 0
-	for n < len(lp.oldSends) && lp.oldSends[n].SendTime == t {
-		n++
-	}
-	return lp.oldSends[:n]
-}
-
-// flushOldSends cancels every rolled-back send whose bundle time is before
-// `next`, because execution has provably advanced past any chance of
-// regenerating it (for executeNext, `next` is the bundle about to run; for
-// fossil collection it is GVT). Those sends are a prefix of oldSends.
-//
-//kernelvet:noalloc
-func (lp *lpRuntime) flushOldSends(next Time) {
-	n := 0
-	for n < len(lp.oldSends) && lp.oldSends[n].SendTime < next {
-		lp.cluster.sendAnti(lp.oldSends[n])
-		n++
-	}
-	if n > 0 {
-		lp.oldSends = lp.oldSends[:copy(lp.oldSends, lp.oldSends[n:])]
-	}
-}
-
-// minPendingCancel returns the earliest receive time of a rolled-back send
-// that lazy cancellation may still annihilate. These unsent anti-messages
-// bound GVT exactly like in-flight messages do: cluster.localMin folds this
-// value into every wave-2 GVT report, so the asynchronous protocol keeps a
-// continuous floor under lazy cancellation even though entries appear
-// (rollback) and drain (regeneration, flush) between cuts.
-func (lp *lpRuntime) minPendingCancel() Time {
-	min := TimeInfinity
-	for i := range lp.oldSends {
-		if t := lp.oldSends[i].RecvTime; t < min {
-			min = t
-		}
-	}
-	return min
 }
 
 // fossilCollect discards history strictly before gvt and returns the number
-// of input events committed. Lazy-cancellation entries whose bundle time
-// lies below gvt can never be regenerated (no execution happens below GVT),
-// so their sends are annihilated now — without this, an unregenerable entry
-// would hold the GVT floor at its send times forever and wedge the run.
-// The collectable bundles are a prefix of the history and their shares a
-// prefix of each log, so each log is compacted with one copy-down and the
-// surviving bundles' offsets are rebased; steady-state fossil collection
-// allocates nothing.
+// of input events committed. The collectable bundles are a prefix of the
+// history and their shares a prefix of each log, so each log is compacted
+// with one copy-down and the surviving bundles' offsets are rebased;
+// steady-state fossil collection allocates nothing.
 //
 //kernelvet:deterministic
 //kernelvet:noalloc
 func (lp *lpRuntime) fossilCollect(gvt Time) uint64 {
-	lp.flushOldSends(gvt)
 	idx := 0
 	for idx < len(lp.processed) && lp.processed[idx].time < gvt {
 		idx++

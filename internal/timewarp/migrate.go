@@ -105,12 +105,8 @@ func (c *cluster) migrateOut(o migOrder) {
 	// by redMin now and count it sent under the current color once it is
 	// handed off, so the GVT cuts that race the handoff stay sound.
 	color := uint8(c.color & 1)
-	min := lp.nextTime()
-	if t := lp.minPendingCancel(); t < min {
-		min = t
-	}
-	if min < c.redMin {
-		c.redMin = min
+	if t := lp.nextTime(); t < c.redMin {
+		c.redMin = t
 	}
 	// Route first, then drop ownership: after this store new sends go to the
 	// destination, while events already queued here are forwarded by the

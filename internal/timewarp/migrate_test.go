@@ -1,7 +1,6 @@
 package timewarp
 
 import (
-	"fmt"
 	"reflect"
 	"sync/atomic"
 	"testing"
@@ -69,70 +68,66 @@ func TestMigrationPingPong(t *testing.T) {
 }
 
 // TestMigrationUnderRollbacks rotates LPs between eight clusters while
-// straggler pairs force rollbacks and lazy cancellation keeps unsent
-// anti-messages alive across cuts; two runs must commit the same total and
-// reach the same handler state, and migration-specific invariants (transit
-// drain, epoch advance) must hold.
+// straggler pairs force rollbacks and send anti-messages across cuts; two
+// runs must commit the same total and reach the same handler state, and
+// migration-specific invariants (transit drain, epoch advance) must hold.
 func TestMigrationUnderRollbacks(t *testing.T) {
-	for _, lazy := range []bool{false, true} {
-		run := func() (int64, RunStats) {
-			const chains = 12
-			var rounds int32
-			handlers := make([]Handler, 0, chains+4)
-			clusterOf := make([]int, 0, chains+4)
-			// Long chains keep the run alive across several GVT rounds:
-			// with eight clusters sharing fewer cores a round waits for
-			// every cluster goroutine to be scheduled, and migrations
-			// need a completed round followed by a load round.
-			for i := 0; i < chains; i++ {
-				handlers = append(handlers, &chainLP{limit: 1500})
-				clusterOf = append(clusterOf, i%8)
-			}
-			handlers = append(handlers,
-				&stragglerVictim{limit: 300}, &stragglerSender{victim: LPID(chains), n: 290},
-				&stragglerVictim{limit: 300}, &stragglerSender{victim: LPID(chains + 2), n: 290},
-			)
-			clusterOf = append(clusterOf, 0, 7, 3, 5)
-			k, err := New(Config{
-				NumClusters:      8,
-				ClusterOf:        clusterOf,
-				GVTPeriodEvents:  48,
-				LazyCancellation: lazy,
-				Net:              NetConfig{Latency: 50 * time.Microsecond},
-				Dynamic: DynamicConfig{
-					Rebalance:    rotatingRebalance(len(handlers), 8, &rounds),
-					PeriodRounds: 1,
-				},
-			}, handlers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			stats, err := k.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if stats.FinalGVT != TimeInfinity {
-				t.Fatalf("lazy=%v: run did not terminate (GVT=%d)", lazy, stats.FinalGVT)
-			}
-			if stats.EventsProcessed-stats.EventsRolledBack != stats.EventsCommitted {
-				t.Fatalf("lazy=%v: processed-rolledback=%d != committed=%d",
-					lazy, stats.EventsProcessed-stats.EventsRolledBack, stats.EventsCommitted)
-			}
-			checkLedgerBalanced(t, k, fmt.Sprintf("lazy=%v", lazy))
-			sum := handlers[chains].(*stragglerVictim).sum + handlers[chains+2].(*stragglerVictim).sum
-			return sum, stats
+	run := func() (int64, RunStats) {
+		const chains = 12
+		var rounds int32
+		handlers := make([]Handler, 0, chains+4)
+		clusterOf := make([]int, 0, chains+4)
+		// Long chains keep the run alive across several GVT rounds:
+		// with eight clusters sharing fewer cores a round waits for
+		// every cluster goroutine to be scheduled, and migrations
+		// need a completed round followed by a load round.
+		for i := 0; i < chains; i++ {
+			handlers = append(handlers, &chainLP{limit: 1500})
+			clusterOf = append(clusterOf, i%8)
 		}
-		sum1, stats1 := run()
-		sum2, stats2 := run()
-		if sum1 != sum2 {
-			t.Errorf("lazy=%v: straggler state differs across runs: %d vs %d", lazy, sum1, sum2)
+		handlers = append(handlers,
+			&stragglerVictim{limit: 300}, &stragglerSender{victim: LPID(chains), n: 290},
+			&stragglerVictim{limit: 300}, &stragglerSender{victim: LPID(chains + 2), n: 290},
+		)
+		clusterOf = append(clusterOf, 0, 7, 3, 5)
+		k, err := New(Config{
+			NumClusters:     8,
+			ClusterOf:       clusterOf,
+			GVTPeriodEvents: 48,
+			Net:             NetConfig{Latency: 50 * time.Microsecond},
+			Dynamic: DynamicConfig{
+				Rebalance:    rotatingRebalance(len(handlers), 8, &rounds),
+				PeriodRounds: 1,
+			},
+		}, handlers)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if stats1.EventsCommitted != stats2.EventsCommitted {
-			t.Errorf("lazy=%v: committed differs across runs: %d vs %d", lazy, stats1.EventsCommitted, stats2.EventsCommitted)
+		stats, err := k.Run()
+		if err != nil {
+			t.Fatal(err)
 		}
-		if stats1.Migrations == 0 {
-			t.Errorf("lazy=%v: no migrations happened", lazy)
+		if stats.FinalGVT != TimeInfinity {
+			t.Fatalf("run did not terminate (GVT=%d)", stats.FinalGVT)
 		}
+		if stats.EventsProcessed-stats.EventsRolledBack != stats.EventsCommitted {
+			t.Fatalf("processed-rolledback=%d != committed=%d",
+				stats.EventsProcessed-stats.EventsRolledBack, stats.EventsCommitted)
+		}
+		checkLedgerBalanced(t, k, "run")
+		sum := handlers[chains].(*stragglerVictim).sum + handlers[chains+2].(*stragglerVictim).sum
+		return sum, stats
+	}
+	sum1, stats1 := run()
+	sum2, stats2 := run()
+	if sum1 != sum2 {
+		t.Errorf("straggler state differs across runs: %d vs %d", sum1, sum2)
+	}
+	if stats1.EventsCommitted != stats2.EventsCommitted {
+		t.Errorf("committed differs across runs: %d vs %d", stats1.EventsCommitted, stats2.EventsCommitted)
+	}
+	if stats1.Migrations == 0 {
+		t.Errorf("no migrations happened")
 	}
 }
 

@@ -317,19 +317,12 @@ func (t *TCPTransport) configDigest() uint64 {
 			h *= fnvPrime64
 		}
 	}
-	b01 := func(b bool) uint64 {
-		if b {
-			return 1
-		}
-		return 0
-	}
 	cfg := &t.k.cfg
 	mix(uint64(len(t.opt.Peers)))
 	mix(uint64(cfg.NumClusters))
 	mix(uint64(len(t.k.lps)))
 	mix(uint64(cfg.GVTPeriodEvents))
 	mix(uint64(cfg.OptimismWindow))
-	mix(b01(cfg.LazyCancellation))
 	mix(uint64(cfg.Net.InboxSize))
 	mix(uint64(cfg.Net.SendBusy))
 	mix(uint64(cfg.Net.RecvBusy))

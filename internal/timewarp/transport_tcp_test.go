@@ -361,3 +361,50 @@ func TestTCPSingleNode(t *testing.T) {
 		t.Errorf("GatherSum = %v", sum)
 	}
 }
+
+// TestConfigDigestCoversEveryTerm is the handshake digest's case matrix.
+// D01 pins that identical configs agree; every other case changes one term
+// the digest folds in and requires the digest to change with it, so a term
+// dropped from configDigest fails its row here instead of letting two
+// diverging nodes mesh.
+func TestConfigDigestCoversEveryTerm(t *testing.T) {
+	base := func() *TCPTransport {
+		return &TCPTransport{
+			opt: TCPOptions{Peers: []string{"a:1", "b:2"}, ConfigTag: 7},
+			k: &Kernel{
+				cfg: Config{
+					NumClusters: 2, GVTPeriodEvents: 4096, OptimismWindow: 120,
+					Net: NetConfig{InboxSize: 64, SendBusy: 10, RecvBusy: 20, Latency: time.Millisecond},
+				},
+				lps: make([]*lpRuntime, 4),
+			},
+		}
+	}
+	want := base().configDigest()
+	cases := []struct {
+		id, term string
+		change   func(tr *TCPTransport)
+		differs  bool
+	}{
+		{"D01", "identical config", func(*TCPTransport) {}, false},
+		{"D02", "GVTPeriodEvents", func(tr *TCPTransport) { tr.k.cfg.GVTPeriodEvents++ }, true},
+		{"D03", "OptimismWindow", func(tr *TCPTransport) { tr.k.cfg.OptimismWindow++ }, true},
+		{"D04", "Net.InboxSize", func(tr *TCPTransport) { tr.k.cfg.Net.InboxSize++ }, true},
+		{"D05", "Net.SendBusy", func(tr *TCPTransport) { tr.k.cfg.Net.SendBusy++ }, true},
+		{"D06", "Net.RecvBusy", func(tr *TCPTransport) { tr.k.cfg.Net.RecvBusy++ }, true},
+		{"D07", "Net.Latency", func(tr *TCPTransport) { tr.k.cfg.Net.Latency++ }, true},
+		{"D08", "NumClusters", func(tr *TCPTransport) { tr.k.cfg.NumClusters++ }, true},
+		{"D09", "ConfigTag", func(tr *TCPTransport) { tr.opt.ConfigTag++ }, true},
+		{"D10", "peer count", func(tr *TCPTransport) { tr.opt.Peers = append(tr.opt.Peers, "c:3") }, true},
+		{"D11", "LP count", func(tr *TCPTransport) { tr.k.lps = append(tr.k.lps, nil) }, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.id, func(t *testing.T) {
+			tr := base()
+			tc.change(tr)
+			if got := tr.configDigest(); (got != want) != tc.differs {
+				t.Errorf("%s %s: digest %#x, base %#x, want differs=%v", tc.id, tc.term, got, want, tc.differs)
+			}
+		})
+	}
+}

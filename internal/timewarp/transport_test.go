@@ -170,13 +170,13 @@ func TestFlushRejectionKeepsAccounting(t *testing.T) {
 }
 
 // TestTinyMailboxBackpressure is the backpressure stress: mailbox capacities
-// of 1 and 2 under both cancellation policies, with straggler pairs forcing
-// rollbacks and anti-messages through constantly-refused flushes. The run
-// must terminate (no deadlock), keep the commit invariant, drain the transit
-// counters, and commit identical totals across capacities (the transport
-// must not change results, only timing).
+// of 1 and 2, with straggler pairs forcing rollbacks and anti-messages
+// through constantly-refused flushes. The run must terminate (no deadlock),
+// keep the commit invariant, drain the transit counters, and commit
+// identical totals across capacities (the transport must not change
+// results, only timing).
 func TestTinyMailboxBackpressure(t *testing.T) {
-	run := func(inbox int, lazy bool) RunStats {
+	run := func(inbox int) RunStats {
 		const chains = 6
 		handlers := make([]Handler, 0, chains+4)
 		clusterOf := make([]int, 0, chains+4)
@@ -190,11 +190,10 @@ func TestTinyMailboxBackpressure(t *testing.T) {
 		)
 		clusterOf = append(clusterOf, 0, 3, 1, 2)
 		k, err := New(Config{
-			NumClusters:      4,
-			ClusterOf:        clusterOf,
-			GVTPeriodEvents:  32,
-			LazyCancellation: lazy,
-			Net:              NetConfig{InboxSize: inbox},
+			NumClusters:     4,
+			ClusterOf:       clusterOf,
+			GVTPeriodEvents: 32,
+			Net:             NetConfig{InboxSize: inbox},
 		}, handlers)
 		if err != nil {
 			t.Fatal(err)
@@ -204,23 +203,21 @@ func TestTinyMailboxBackpressure(t *testing.T) {
 			t.Fatal(err)
 		}
 		if stats.FinalGVT != TimeInfinity {
-			t.Fatalf("inbox=%d lazy=%v: run did not terminate (GVT=%d)", inbox, lazy, stats.FinalGVT)
+			t.Fatalf("inbox=%d: run did not terminate (GVT=%d)", inbox, stats.FinalGVT)
 		}
 		if stats.EventsProcessed-stats.EventsRolledBack != stats.EventsCommitted {
-			t.Fatalf("inbox=%d lazy=%v: processed-rolledback=%d != committed=%d",
-				inbox, lazy, stats.EventsProcessed-stats.EventsRolledBack, stats.EventsCommitted)
+			t.Fatalf("inbox=%d: processed-rolledback=%d != committed=%d",
+				inbox, stats.EventsProcessed-stats.EventsRolledBack, stats.EventsCommitted)
 		}
-		checkLedgerBalanced(t, k, fmt.Sprintf("inbox=%d lazy=%v", inbox, lazy))
+		checkLedgerBalanced(t, k, fmt.Sprintf("inbox=%d", inbox))
 		return stats
 	}
-	for _, lazy := range []bool{false, true} {
-		wide := run(0, lazy) // default capacity: the reference result
-		for _, inbox := range []int{1, 2} {
-			tiny := run(inbox, lazy)
-			if tiny.EventsCommitted != wide.EventsCommitted {
-				t.Errorf("lazy=%v: inbox=%d committed %d, default committed %d",
-					lazy, inbox, tiny.EventsCommitted, wide.EventsCommitted)
-			}
+	wide := run(0) // default capacity: the reference result
+	for _, inbox := range []int{1, 2} {
+		tiny := run(inbox)
+		if tiny.EventsCommitted != wide.EventsCommitted {
+			t.Errorf("inbox=%d committed %d, default committed %d",
+				inbox, tiny.EventsCommitted, wide.EventsCommitted)
 		}
 	}
 }

@@ -115,37 +115,6 @@ func TestNetLatencyDeterministicResult(t *testing.T) {
 	}
 }
 
-// TestLazyFossilFlushRegression reproduces the configuration that once
-// wedged the kernel: lazy cancellation entries below GVT must be flushed by
-// fossil collection, or GVT stalls forever on their receive times. The test
-// simply requires termination across many seeds.
-func TestLazyFossilFlushRegression(t *testing.T) {
-	for trial := 0; trial < 20; trial++ {
-		v := &stragglerVictim{limit: Time(200 + trial*13)}
-		s := &stragglerSender{victim: 0, n: Time(190 + trial*13)}
-		k, err := New(Config{
-			NumClusters:      2,
-			ClusterOf:        []int{0, 1},
-			GVTPeriodEvents:  64,
-			LazyCancellation: true,
-		}, []Handler{v, s})
-		if err != nil {
-			t.Fatal(err)
-		}
-		stats, err := k.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if stats.FinalGVT != TimeInfinity {
-			t.Fatalf("trial %d: run did not terminate (GVT=%d)", trial, stats.FinalGVT)
-		}
-		if stats.EventsProcessed-stats.EventsRolledBack != stats.EventsCommitted {
-			t.Fatalf("trial %d: processed-rolledback=%d != committed=%d",
-				trial, stats.EventsProcessed-stats.EventsRolledBack, stats.EventsCommitted)
-		}
-	}
-}
-
 // TestPerClusterStats: per-cluster counters must sum to the aggregate.
 func TestPerClusterStats(t *testing.T) {
 	a := &pingLP{peer: 1, limit: 150, delay: 2, start: true}
