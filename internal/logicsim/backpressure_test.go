@@ -30,7 +30,7 @@ func TestBackpressureTinyInbox(t *testing.T) {
 		t.Fatalf("partition: %v", err)
 	}
 	for _, inbox := range []int{1, 2} {
-		t.Run(fmt.Sprintf("inbox=%d", inbox), func(t *testing.T) {
+		t.Run(fmt.Sprintf("%s/inbox=%d", aggressiveRow, inbox), func(t *testing.T) {
 			got, err := Run(c, a, Config{
 				Cycles:       cfg.Cycles,
 				StimulusSeed: cfg.StimulusSeed,

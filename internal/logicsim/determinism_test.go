@@ -14,6 +14,12 @@ import (
 	"repro/internal/timewarp"
 )
 
+// aggressiveRow names the cancellation-policy level of the matrices'
+// subtests. The kernel cancels aggressively only; the level keeps the
+// "lazy=false" name these rows had while lazy cancellation existed, so a
+// row's name means the same run across versions of the suite.
+const aggressiveRow = "lazy=false"
+
 // TestDeterminismMatrix is the end-to-end determinism suite for the
 // asynchronous GVT protocol: for every partitioner of the study and
 // 1/2/8 clusters, a parallel run must commit
@@ -38,7 +44,7 @@ func TestDeterminismMatrix(t *testing.T) {
 	}
 	for _, p := range partitioners() {
 		for _, k := range []int{1, 2, 8} {
-			name := fmt.Sprintf("%s/k=%d", p.Name(), k)
+			name := fmt.Sprintf("%s/%s/k=%d", p.Name(), aggressiveRow, k)
 			t.Run(name, func(t *testing.T) {
 				a, err := p.Partition(c, k)
 				if err != nil {
@@ -184,7 +190,7 @@ func TestDeterminismTCPLoopback(t *testing.T) {
 		t.Fatalf("partition: %v", err)
 	}
 	for _, dynamic := range []bool{false, true} {
-		t.Run(fmt.Sprintf("dynamic=%v", dynamic), func(t *testing.T) {
+		t.Run(fmt.Sprintf("%s/dynamic=%v", aggressiveRow, dynamic), func(t *testing.T) {
 			runCfg := Config{
 				Cycles:       cfg.Cycles,
 				StimulusSeed: cfg.StimulusSeed,

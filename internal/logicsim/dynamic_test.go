@@ -36,7 +36,7 @@ func TestDynamicHotspotMatrix(t *testing.T) {
 	var migrations uint64
 	for _, p := range partitioners() {
 		for _, k := range []int{2, 8} {
-			name := fmt.Sprintf("%s/k=%d", p.Name(), k)
+			name := fmt.Sprintf("%s/%s/k=%d", p.Name(), aggressiveRow, k)
 			t.Run(name, func(t *testing.T) {
 				a, err := p.Partition(c, k)
 				if err != nil {

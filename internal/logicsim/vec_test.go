@@ -92,7 +92,7 @@ func TestDeterminismMatrixVectors(t *testing.T) {
 	oracle := runVecOracle(t, c, cfg)
 	for _, p := range partitioners() {
 		for _, k := range []int{1, 2, 8} {
-			name := fmt.Sprintf("%s/k=%d", p.Name(), k)
+			name := fmt.Sprintf("%s/%s/k=%d", p.Name(), aggressiveRow, k)
 			t.Run(name, func(t *testing.T) {
 				a, err := p.Partition(c, k)
 				if err != nil {
@@ -129,22 +129,24 @@ func TestVectorsForcedMigration(t *testing.T) {
 	if err != nil {
 		t.Fatalf("partition: %v", err)
 	}
-	got, err := Run(c, a, Config{
-		Cycles:                cfg.Cycles,
-		StimulusSeed:          cfg.StimulusSeed,
-		Vectors:               true,
-		DynamicRebalance:      true,
-		GVTPeriodEvents:       128,
-		RebalancePeriodRounds: 1,
-		RebalanceImbalance:    1.0,
+	t.Run(aggressiveRow, func(t *testing.T) {
+		got, err := Run(c, a, Config{
+			Cycles:                cfg.Cycles,
+			StimulusSeed:          cfg.StimulusSeed,
+			Vectors:               true,
+			DynamicRebalance:      true,
+			GVTPeriodEvents:       128,
+			RebalancePeriodRounds: 1,
+			RebalanceImbalance:    1.0,
+		})
+		if err != nil {
+			t.Fatalf("logicsim: %v", err)
+		}
+		checkVecResult(t, got, oracle)
+		if got.Stats.Migrations == 0 {
+			t.Error("no gate migrated")
+		}
 	})
-	if err != nil {
-		t.Fatalf("logicsim: %v", err)
-	}
-	checkVecResult(t, got, oracle)
-	if got.Stats.Migrations == 0 {
-		t.Error("no gate migrated")
-	}
 }
 
 // runVecTCPPair runs one vectored simulation as two in-process "nodes" over
@@ -242,7 +244,7 @@ func TestVectorsTCPLoopback(t *testing.T) {
 		t.Fatalf("partition: %v", err)
 	}
 	for _, dynamic := range []bool{false, true} {
-		t.Run(fmt.Sprintf("dynamic=%v", dynamic), func(t *testing.T) {
+		t.Run(fmt.Sprintf("%s/dynamic=%v", aggressiveRow, dynamic), func(t *testing.T) {
 			runCfg := Config{
 				Cycles:       cfg.Cycles,
 				StimulusSeed: cfg.StimulusSeed,

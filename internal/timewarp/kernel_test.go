@@ -400,75 +400,79 @@ func TestStatesLogMidHistoryRollback(t *testing.T) {
 	// rolled-back bundle sent one event, so the two rollbacks send 26 + 1
 	// anti-messages.
 	t.Run("by-hand", func(t *testing.T) {
-		drive := func(rollback bool) *trailLP {
-			v := &trailLP{stragglerVictim: stragglerVictim{limit: 60}}
-			k, err := New(Config{NumClusters: 1, ClusterOf: []int{0}}, []Handler{v})
-			if err != nil {
-				t.Fatal(err)
-			}
-			lp, c := k.lps[0], k.clusters[0]
-			v.Init(&Context{lp: lp, now: -1, inInit: true})
-			c.drainLocal()
-			late := []Event{
-				{ID: k.nextEventID(), Sender: NoLP, RecvTime: 25, Kind: 1, Value: 7},
-				{ID: k.nextEventID(), Sender: NoLP, RecvTime: 24, Kind: 1, Value: 9},
-			}
-			execute := func(through Time) {
-				for lp.lvt < through && lp.executeNext() > 0 {
-					c.drainLocal()
+		// The one case runs under the cancellation policy's name, as
+		// it did while the kernel also had lazy cancellation.
+		t.Run("aggressive", func(t *testing.T) {
+			drive := func(rollback bool) *trailLP {
+				v := &trailLP{stragglerVictim: stragglerVictim{limit: 60}}
+				k, err := New(Config{NumClusters: 1, ClusterOf: []int{0}}, []Handler{v})
+				if err != nil {
+					t.Fatal(err)
 				}
-				checkLogs(t, lp)
-			}
-			if !rollback {
-				for _, ev := range late {
-					lp.enqueue(ev)
+				lp, c := k.lps[0], k.clusters[0]
+				v.Init(&Context{lp: lp, now: -1, inInit: true})
+				c.drainLocal()
+				late := []Event{
+					{ID: k.nextEventID(), Sender: NoLP, RecvTime: 25, Kind: 1, Value: 7},
+					{ID: k.nextEventID(), Sender: NoLP, RecvTime: 24, Kind: 1, Value: 9},
 				}
-			}
-			execute(40)
-			if rollback {
-				lp.fossilCollect(20)
-				// Bundles 20..40 are left, one event in and one sent
-				// each, rebased to the start of every log.
-				if len(lp.processed) != 21 || len(lp.inLog) != 21 || len(lp.outLog) != 21 {
-					t.Fatalf("after committing below 20: %d bundles, %d input events, %d sends; want 21 each",
-						len(lp.processed), len(lp.inLog), len(lp.outLog))
+				execute := func(through Time) {
+					for lp.lvt < through && lp.executeNext() > 0 {
+						c.drainLocal()
+					}
+					checkLogs(t, lp)
 				}
-				for i, b := range lp.processed {
-					if b.time != Time(20+i) || b.evAt != i || b.sentAt != i {
-						t.Fatalf("bundle %d after the rebase: %+v, want time %d at offsets %d", i, b, 20+i, i)
+				if !rollback {
+					for _, ev := range late {
+						lp.enqueue(ev)
 					}
 				}
-			}
-			execute(50)
-			if rollback {
-				for _, ev := range late {
-					lp.enqueue(ev)
-					c.drainLocal()
+				execute(40)
+				if rollback {
+					lp.fossilCollect(20)
+					// Bundles 20..40 are left, one event in and one sent
+					// each, rebased to the start of every log.
+					if len(lp.processed) != 21 || len(lp.inLog) != 21 || len(lp.outLog) != 21 {
+						t.Fatalf("after committing below 20: %d bundles, %d input events, %d sends; want 21 each",
+							len(lp.processed), len(lp.inLog), len(lp.outLog))
+					}
+					for i, b := range lp.processed {
+						if b.time != Time(20+i) || b.evAt != i || b.sentAt != i {
+							t.Fatalf("bundle %d after the rebase: %+v, want time %d at offsets %d", i, b, 20+i, i)
+						}
+					}
 				}
+				execute(50)
+				if rollback {
+					for _, ev := range late {
+						lp.enqueue(ev)
+						c.drainLocal()
+					}
+				}
+				execute(TimeInfinity)
+				lp.fossilCollect(TimeInfinity)
+				if len(lp.states) != 0 || len(lp.inLog) != 0 || len(lp.outLog) != 0 {
+					t.Errorf("rollback=%v: %d bytes of saved state, %d input events, %d sends after committing everything",
+						rollback, len(lp.states), len(lp.inLog), len(lp.outLog))
+				}
+				var wantRollbacks, wantAnti uint64
+				if rollback {
+					wantRollbacks, wantAnti = 2, 27
+				}
+				if c.stats.Rollbacks != wantRollbacks || c.stats.AntiMessages != wantAnti {
+					t.Errorf("rollback=%v: %d rollbacks, %d anti-messages, want %d, %d",
+						rollback, c.stats.Rollbacks, c.stats.AntiMessages, wantRollbacks, wantAnti)
+				}
+				return v
 			}
-			execute(TimeInfinity)
-			lp.fossilCollect(TimeInfinity)
-			if len(lp.states) != 0 || len(lp.inLog) != 0 || len(lp.outLog) != 0 {
-				t.Errorf("rollback=%v: %d bytes of saved state, %d input events, %d sends after committing everything",
-					rollback, len(lp.states), len(lp.inLog), len(lp.outLog))
+			want, got := drive(false), drive(true)
+			if got.midRestores != 2 {
+				t.Errorf("%d mid-history restores, want 2", got.midRestores)
 			}
-			var wantRollbacks, wantAnti uint64
-			if rollback {
-				wantRollbacks, wantAnti = 2, 27
+			if got.sum != want.sum || !slices.Equal(got.trail, want.trail) {
+				t.Errorf("committed state sum=%d trail=%v, rollback-free sum=%d trail=%v", got.sum, got.trail, want.sum, want.trail)
 			}
-			if c.stats.Rollbacks != wantRollbacks || c.stats.AntiMessages != wantAnti {
-				t.Errorf("rollback=%v: %d rollbacks, %d anti-messages, want %d, %d",
-					rollback, c.stats.Rollbacks, c.stats.AntiMessages, wantRollbacks, wantAnti)
-			}
-			return v
-		}
-		want, got := drive(false), drive(true)
-		if got.midRestores != 2 {
-			t.Errorf("%d mid-history restores, want 2", got.midRestores)
-		}
-		if got.sum != want.sum || !slices.Equal(got.trail, want.trail) {
-			t.Errorf("committed state sum=%d trail=%v, rollback-free sum=%d trail=%v", got.sum, got.trail, want.sum, want.trail)
-		}
+		})
 	})
 }
 
