@@ -30,7 +30,14 @@
 //     kernel (Time Warp) with clusters, rollback with aggressive
 //     cancellation (a rolled-back bundle's sends become anti-messages at
 //     once), fossil collection, a configurable LAN model, and an optimism
-//     window.
+//     window. Each cluster goroutine runs its loop in passes
+//     (cluster.step): the housekeeping once (cluster 0's GVT coordinator
+//     step, the mailbox drain, the flush triggers, the GVT and migration
+//     probes), then up to passBundles (16) bundles, delivering local
+//     messages after each and stopping early on an empty scheduler, a
+//     window stall or mail; fossil collection, the GVT request count and
+//     the progress publish (stored only when it changed) follow once per
+//     pass, and the loop itself (cluster.run) only waits between passes.
 //     Inter-cluster transport is batched: per-destination outboxes flush
 //     whole batches into double-buffered, mutex-swapped mailboxes under an
 //     adaptive policy (size threshold, urgency against the destination's

@@ -240,6 +240,11 @@ type cluster struct {
 
 	eventsSinceGVT int //kernelvet:owner cluster
 	idleLoops      int //kernelvet:owner cluster
+	// published is the next work time this cluster last stored into
+	// Kernel.published (seeded, like that entry, to TimeInfinity), so
+	// Kernel.publish can skip an unchanged store without reading the shared
+	// cache line.
+	published Time //kernelvet:owner cluster
 
 	// color is the GVT round this cluster has joined; its parity stamps
 	// every flushed batch and picks the sentCum it is counted in.
@@ -254,7 +259,7 @@ type cluster struct {
 	// fossilAt is the GVT this cluster last fossil-collected at.
 	fossilAt Time //kernelvet:owner cluster
 	// idleTimer is the reusable timer behind waitMail; time.After would
-	// allocate a fresh timer channel on every idle iteration.
+	// allocate a fresh timer channel on every idle wait.
 	idleTimer *time.Timer //kernelvet:owner cluster
 
 	// owned[lp] reports whether this cluster currently owns lp. Only this
@@ -369,8 +374,8 @@ func (c *cluster) schedule(lp *lpRuntime) {
 
 // checkGVT runs the cluster-side half of the asynchronous GVT protocol:
 // join a newly opened round (wave 1) and report once the coordinator opens
-// wave 2. Both steps are cheap atomic probes; the main loop calls this every
-// iteration and control bits trigger it early on idle clusters.
+// wave 2. Both steps are cheap atomic probes; every pass of the cluster loop
+// (step) calls this once and control bits trigger it early on idle clusters.
 func (c *cluster) checkGVT() {
 	k := c.kernel
 	if r := atomic.LoadInt64(&k.round); r > c.color {
@@ -489,44 +494,105 @@ func (c *cluster) nextWork() Time {
 	return TimeInfinity
 }
 
-// run is the cluster's main loop. GVT rounds happen asynchronously around
-// it: the loop keeps draining and executing events while a round is in
-// flight, and the round's cut/report steps are single checkGVT probes. It is
-// the entry point of the cluster goroutine domain: everything it reaches
-// (scheduling, delivery, rollback, fossil collection) runs on this goroutine
-// and may touch cluster- and LP-owned state freely.
+// passBundles is the most bundles one pass of the cluster loop (step) runs
+// between housekeeping steps. At grain 0 a bundle is about one event, and
+// run once per bundle the housekeeping (coordinator step, mailbox drain,
+// flush triggers, GVT and migration probes, progress publish) took about
+// 9 % of the CPU at k=1 and the publish alone 10 % at k=2 (s9234). A pass
+// amortizes it over up to passBundles bundles, while the mail-flag check
+// after each bundle keeps straggler receipt prompt. Chosen by the sweep in
+// README's Benchmarks section; 1 is the loop of one bundle per pass.
+const passBundles = 16
+
+// stepResult is what one pass of the cluster loop reports to its driver.
+type stepResult uint8
+
+const (
+	// stepBusy: the pass executed a bundle or delivered a message; run the
+	// next pass at once.
+	stepBusy stepResult = iota
+	// stepIdle: nothing to execute and nothing delivered.
+	stepIdle
+	// stepStalled: no bundle ran because all local work lies beyond the
+	// optimism window's horizon.
+	stepStalled
+)
+
+// step runs one pass of the cluster loop without blocking: the housekeeping
+// once (cluster 0's coordinator step, local and mailbox drains, the flush
+// triggers, the GVT and migration probes), then up to passBundles bundles,
+// delivering local messages after each. The pass ends early when a bundle
+// comes back empty (idle or window-stalled) or when the mailbox flag is set,
+// so a straggler waits behind at most one bundle; the flag probe is the one
+// atomic load drainMail makes. The pass then fossil-collects, requests GVT
+// on the events it executed and publishes its next work time, each once.
+// A stall after at least one bundle ends the pass as busy: only a pass that
+// ran no bundle reports the stall, so the driver re-probes the horizon
+// before it parks.
+func (c *cluster) step() stepResult {
+	k := c.kernel
+	if c.id == 0 {
+		k.coordinate()
+	}
+	moved := c.drainLocal() + c.drainMail()
+	c.maybeFlush()
+	c.checkGVT()
+	c.checkMigrate()
+	bundles, stalled := 0, false
+	for bundles < passBundles {
+		n, windowStalled := c.executeOne()
+		c.drainLocal()
+		if n == 0 {
+			stalled = windowStalled
+			break
+		}
+		bundles++
+		c.eventsSinceGVT += n
+		if atomic.LoadInt32(&c.mail.flag) != 0 {
+			break
+		}
+	}
+	c.maybeFossil()
+	if c.eventsSinceGVT >= k.cfg.GVTPeriodEvents {
+		c.eventsSinceGVT = 0
+		k.requestGVT()
+	}
+	// Publish progress: this cluster's next work time (the scheduler top is
+	// accurate after the last executeOne). The optimism throttle reads the
+	// floor over these, and senders read individual entries for the urgency
+	// flush trigger; publishing before the driver waits keeps both fresh.
+	k.publish(c, c.nextWork())
+	switch {
+	case bundles > 0 || moved > 0:
+		c.idleLoops = 0
+		return stepBusy
+	case stalled:
+		return stepStalled
+	}
+	c.idleLoops++
+	if c.idleLoops >= 16 {
+		// Idle clusters nudge the run toward a GVT round so termination
+		// (GVT = infinity) is detected promptly.
+		k.requestGVTIfStale()
+		c.idleLoops = 0
+	}
+	return stepIdle
+}
+
+// run is the cluster's main loop: it calls step until the run is done and
+// does the only blocking, the waits between passes. GVT rounds happen
+// asynchronously around it: passes keep draining and executing events while
+// a round is in flight, and the round's cut/report steps are single checkGVT
+// probes. It is the entry point of the cluster goroutine domain: everything
+// it reaches (scheduling, delivery, rollback, fossil collection) runs on
+// this goroutine and may touch cluster- and LP-owned state freely.
 //
 //kernelvet:goroutine cluster
 func (c *cluster) run() {
 	k := c.kernel
 	for atomic.LoadInt32(&k.done) == 0 {
-		if c.id == 0 {
-			k.coordinate()
-		}
-		moved := c.drainLocal() + c.drainMail()
-		c.maybeFlush()
-		c.checkGVT()
-		c.checkMigrate()
-		n, windowStalled := c.executeOne()
-		c.drainLocal()
-		c.maybeFossil()
-		c.eventsSinceGVT += n
-		if c.eventsSinceGVT >= k.cfg.GVTPeriodEvents {
-			c.eventsSinceGVT = 0
-			k.requestGVT()
-		}
-		// Publish progress: this cluster's next work time (the scheduler
-		// top is accurate after executeOne). The optimism throttle reads
-		// the floor over these, and senders read individual entries for the
-		// urgency flush trigger; publishing before any idle wait keeps both
-		// fresh. One atomic store, plus the wake scan of publishProgress
-		// while some cluster is window-stalled.
-		next := c.nextWork()
-		k.publish(c, next)
-		switch {
-		case n > 0 || moved > 0:
-			c.idleLoops = 0
-		case windowStalled:
+		switch c.step() {
+		case stepStalled:
 			// All local work lies beyond the optimism horizon. Flush held
 			// batches (they may be what lets the floor advance elsewhere)
 			// and park until the floor reaches next − window; stragglers
@@ -534,15 +600,8 @@ func (c *cluster) run() {
 			// request: the window throttles against the published progress
 			// floor, not GVT.
 			c.flushAll()
-			c.waitFloor(next - k.cfg.OptimismWindow)
-		default:
-			c.idleLoops++
-			if c.idleLoops >= 16 {
-				// Idle clusters nudge the run toward a GVT round so
-				// termination (GVT = infinity) is detected promptly.
-				k.requestGVTIfStale()
-				c.idleLoops = 0
-			}
+			c.waitFloor(c.nextWork() - k.cfg.OptimismWindow)
+		case stepIdle:
 			// The idleness flush trigger: never block on held batches.
 			c.flushAll()
 			c.waitMail()

@@ -203,13 +203,14 @@ func New(cfg Config, handlers []Handler) (*Kernel, error) {
 	k.clusters = make([]*cluster, cfg.NumClusters)
 	for i := range k.clusters {
 		k.clusters[i] = &cluster{
-			kernel:   k,
-			id:       i,
-			mail:     mailbox{notify: make(chan struct{}, 1)},
-			out:      make([]outbox, cfg.NumClusters),
-			redMin:   TimeInfinity,
-			fossilAt: -1,
-			owned:    make([]bool, len(handlers)),
+			kernel:    k,
+			id:        i,
+			mail:      mailbox{notify: make(chan struct{}, 1)},
+			out:       make([]outbox, cfg.NumClusters),
+			redMin:    TimeInfinity,
+			fossilAt:  -1,
+			published: TimeInfinity,
+			owned:     make([]bool, len(handlers)),
 		}
 	}
 	if err := tr.bind(k); err != nil {
@@ -305,9 +306,19 @@ type paddedCount struct {
 }
 
 // publish records local cluster c's next work time and, under a
-// multi-process transport, has it mirrored to the other nodes.
+// multi-process transport, has it mirrored to the other nodes. An unchanged
+// time is neither stored nor scanned for waiters: most publishes repeat the
+// value already there (about 96 % at k=2 when every bundle published), and
+// each store moves a cache line every other cluster's progressFloor reads
+// on every bundle. No wake is lost, because the floor only advances when
+// some entry changes, and every change is a store followed by
+// publishProgress's wake scan. The transport is still called every pass:
+// TCP also mirrors the received counters, which change on their own.
 func (k *Kernel) publish(c *cluster, t Time) {
-	k.publishProgress(c.id, t)
+	if t != c.published {
+		c.published = t
+		k.publishProgress(c.id, t)
+	}
 	if k.remote {
 		k.tr.publish(c, t)
 	}
@@ -389,56 +400,8 @@ func (k *Kernel) Run() (RunStats, error) {
 		return RunStats{}, fmt.Errorf("timewarp: kernel already ran")
 	}
 	k.ran = true
-
-	// The fabric must be up before handlers run: init-time sends can target
-	// LPs hosted by other processes.
-	if err := k.tr.start(); err != nil {
+	if err := k.initRun(); err != nil {
 		return RunStats{}, err
-	}
-
-	// Initialization happens single-threaded per node: handlers may send
-	// initial events to any LP; they are routed directly into pending
-	// queues (local) or onto the wire (remote).
-	for _, lp := range k.lps {
-		if !lp.cluster.here {
-			continue
-		}
-		ctx := &Context{lp: lp, now: -1, inInit: true}
-		lp.handler.Init(ctx)
-	}
-	// Initial events must land in LP queues before the clusters start:
-	// flush every outbox and drain every queue until the local transport is
-	// quiescent. A flush into a tiny, already-loaded mailbox can be refused
-	// and is simply retried on the next pass, after its consumer drained.
-	// Across processes there is no init barrier: this node settles once its
-	// own buffers drained, and init events still inbound from peers are
-	// handled by the running clusters as ordinary (white round-1) traffic.
-	for {
-		moved := 0
-		buffered := 0
-		for _, c := range k.local {
-			c.flushAll()
-			moved += c.drainLocal() + c.drainAllInit()
-			buffered += c.outboxed() + (len(c.localQ) - c.localHead)
-		}
-		if moved == 0 && buffered == 0 && k.tr.initQuiet() {
-			break
-		}
-		if atomic.LoadInt32(&k.done) == 1 {
-			// The transport turned fatal during init (a peer died or the
-			// mesh aborted): its lanes may never drain. Proceed — the
-			// cluster loops exit immediately and finishRun reports why.
-			break
-		}
-	}
-	// Seed each cluster's scheduler and publish its first work time, so the
-	// optimism window holds from the first event on rather than from the
-	// moment the slower-starting goroutine first publishes.
-	for _, c := range k.local {
-		for _, lp := range c.lps {
-			c.schedule(lp)
-		}
-		k.publish(c, c.nextWork())
 	}
 
 	start := time.Now()
@@ -491,6 +454,65 @@ func (k *Kernel) Run() (RunStats, error) {
 	return stats, err
 }
 
+// initRun brings a kernel to the state its cluster loops start from: the
+// transport up, every local LP initialized, the initial events delivered
+// and each local scheduler seeded and published. Run calls it before
+// starting the cluster goroutines; tests call it to drive cluster.step
+// directly.
+func (k *Kernel) initRun() error {
+	// The fabric must be up before handlers run: init-time sends can target
+	// LPs hosted by other processes.
+	if err := k.tr.start(); err != nil {
+		return err
+	}
+
+	// Initialization happens single-threaded per node: handlers may send
+	// initial events to any LP; they are routed directly into pending
+	// queues (local) or onto the wire (remote).
+	for _, lp := range k.lps {
+		if !lp.cluster.here {
+			continue
+		}
+		lp.ctx = Context{lp: lp, now: -1, inInit: true}
+		lp.handler.Init(&lp.ctx)
+	}
+	// Initial events must land in LP queues before the clusters start:
+	// flush every outbox and drain every queue until the local transport is
+	// quiescent. A flush into a tiny, already-loaded mailbox can be refused
+	// and is simply retried on the next pass, after its consumer drained.
+	// Across processes there is no init barrier: this node settles once its
+	// own buffers drained, and init events still inbound from peers are
+	// handled by the running clusters as ordinary (white round-1) traffic.
+	for {
+		moved := 0
+		buffered := 0
+		for _, c := range k.local {
+			c.flushAll()
+			moved += c.drainLocal() + c.drainAllInit()
+			buffered += c.outboxed() + (len(c.localQ) - c.localHead)
+		}
+		if moved == 0 && buffered == 0 && k.tr.initQuiet() {
+			break
+		}
+		if atomic.LoadInt32(&k.done) == 1 {
+			// The transport turned fatal during init (a peer died or the
+			// mesh aborted): its lanes may never drain. Proceed — the
+			// cluster loops exit immediately and finishRun reports why.
+			break
+		}
+	}
+	// Seed each cluster's scheduler and publish its first work time, so the
+	// optimism window holds from the first event on rather than from the
+	// moment the slower-starting goroutine first publishes.
+	for _, c := range k.local {
+		for _, lp := range c.lps {
+			c.schedule(lp)
+		}
+		k.publish(c, c.nextWork())
+	}
+	return nil
+}
+
 // recoverCluster turns a panic on cluster c's goroutine — a kernel fault such
 // as the stuck-GVT dump, or a handler's own panic — into the error Run
 // returns, naming the cluster and carrying the panic's stack.
@@ -513,7 +535,7 @@ func (k *Kernel) fail(err error) {
 }
 
 // coordinate advances the GVT round state machine by at most one step.
-// Cluster 0 calls it once per main-loop iteration; every step is
+// Cluster 0 calls it once per pass of its loop (cluster.step); every step is
 // non-blocking, so the coordinator keeps draining and executing events
 // while a round is in flight. The coordinator runs inside cluster 0's loop
 // yet is its own ownership domain: only code reached from here may touch the

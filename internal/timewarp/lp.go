@@ -13,8 +13,9 @@ import (
 // EncodeState before every bundle and rolls it back with DecodeState, so
 // Execute must confine all mutable simulation state to what EncodeState
 // captures. The events slice is a window on the LP's input log, valid only
-// during the call, and the Context is reused between bundles: Execute must
-// not retain either beyond the call.
+// during the call, and the Context is the LP's own, reused for Init and then
+// for every bundle: neither Init nor Execute may retain it (nor Execute the
+// events) beyond the call.
 type Handler interface {
 	// Init runs once before the simulation starts; it may send initial
 	// events (including to the LP itself) with any recvTime >= 0.
@@ -142,7 +143,8 @@ type lpRuntime struct {
 	// every load round (captureLoad). loadCommitted counts the events
 	// committed since the last snapshot; sendDst/sendCnt accumulate
 	// the LP's row of the observed send matrix (destinations discovered on
-	// first send, so the steady state appends nothing). sendCur remembers
+	// first send, so the steady state appends nothing; static runs never
+	// fill it, see send). sendCur remembers
 	// the last matched slot: handlers emit to their fanout in a fixed
 	// order, so the cyclic probe in noteSend usually hits immediately.
 	loadCommitted uint64   //kernelvet:owner cluster
@@ -150,8 +152,8 @@ type lpRuntime struct {
 	sendCnt       []uint64 //kernelvet:owner cluster
 	sendCur       int      //kernelvet:owner cluster
 
-	// ctx is the reusable handler context (one live Execute per LP at a
-	// time, so a single context per LP suffices).
+	// ctx is the reusable handler context of Init and every Execute (one
+	// live handler call per LP at a time, so a single context suffices).
 	ctx Context //kernelvet:owner cluster
 }
 
@@ -349,11 +351,15 @@ func (lp *lpRuntime) executeNext() int {
 	return n
 }
 
-// send routes one positive event originated by this LP and records it in the
-// LP's load profile (the observed send matrix driving dynamic rebalancing).
+// send routes one positive event originated by this LP and, under dynamic
+// rebalancing, records it in the LP's load profile (the observed send matrix
+// only load rounds read).
 func (lp *lpRuntime) send(ev Event) {
-	lp.cluster.route(ev, true)
-	lp.noteSend(ev.Receiver)
+	c := lp.cluster
+	c.route(ev, true)
+	if c.kernel.cfg.Dynamic.Rebalance != nil {
+		lp.noteSend(ev.Receiver)
+	}
 }
 
 // noteSend accumulates one send into the LP's row of the send matrix. The

@@ -64,8 +64,8 @@ func (c *cluster) enqueueOrder(o migOrder) {
 
 // checkMigrate runs both cold halves of the migration protocol if the flag
 // is raised: hand off LPs this cluster was ordered to give up, adopt LPs
-// handed to it, then retry parked events. One atomic load per main-loop
-// iteration when idle.
+// handed to it, then retry parked events. One atomic load per pass of the
+// cluster loop when idle.
 func (c *cluster) checkMigrate() {
 	if atomic.LoadInt32(&c.migFlag) == 0 {
 		return

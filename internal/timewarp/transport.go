@@ -77,8 +77,9 @@ type mailbox struct {
 	hdrIn []batchHdr // guarded by mu
 	ctrl  uint8      // guarded by mu
 	// flag is 1 whenever events or control bits are queued; the consumer
-	// polls it with one atomic load per main-loop iteration instead of
-	// taking the mutex to find an empty queue.
+	// polls it with one atomic load at the start of every pass of its loop
+	// (drainMail) and after every bundle of the pass (cluster.step), instead
+	// of taking the mutex to find an empty queue.
 	flag   int32
 	notify chan struct{}
 }
@@ -162,7 +163,7 @@ type outbox struct {
 // published progress, a plain load, not a RMW) runs only when this event
 // lowers the outbox minimum: an unchanged minimum was already compared at
 // the previous stage, and maybeFlush re-checks every non-empty outbox once
-// per main-loop iteration as the destination advances.
+// per pass of the cluster loop as the destination advances.
 //
 //kernelvet:noalloc
 func (c *cluster) stageRemote(dst int, ev Event) {
@@ -177,7 +178,7 @@ func (c *cluster) stageRemote(dst int, ev Event) {
 	}
 	ob.buf = append(ob.buf, ev)
 	// A flush the destination already refused (wantFlush) is retried by
-	// maybeFlush once per main-loop iteration, not per staged event —
+	// maybeFlush once per pass of the cluster loop, not per staged event —
 	// re-trying here would reintroduce per-event lock traffic against a
 	// full mailbox, exactly the cost batching removes.
 	if (urgent || len(ob.buf) >= flushBatch) && !ob.wantFlush {
@@ -231,8 +232,9 @@ func (k *Kernel) push(dst int, events []Event, hdr batchHdr) bool {
 }
 
 // maybeFlush applies the urgency trigger to every non-empty outbox and
-// retries batches a full mailbox rejected. The main loop calls it once per
-// iteration; the scan is len(clusters) branch-predictable length checks.
+// retries batches a full mailbox rejected. Every pass of the cluster loop
+// (cluster.step) calls it once, before its bundles; the scan is
+// len(clusters) branch-predictable length checks.
 func (c *cluster) maybeFlush() {
 	for dst := range c.out {
 		ob := &c.out[dst]

@@ -196,7 +196,10 @@ func TestNetBusyCostsDoNotChangeResults(t *testing.T) {
 // TestPublishProgressWakesStalledCluster: publishing progress wakes a
 // window-stalled cluster exactly when the progress floor reaches the horizon
 // it registered, and scans nobody while no cluster is registered as stalled.
-// The kernel never runs; the test drives publishProgress directly.
+// Case S06 of the pass matrix (TestStepPass): Kernel.publish neither stores
+// nor scans an unchanged next-work time, and a changed one still wakes the
+// parked cluster. The kernel never runs; the test drives publishProgress and
+// publish directly.
 func TestPublishProgressWakesStalledCluster(t *testing.T) {
 	k, err := New(Config{
 		NumClusters:    2,
@@ -235,5 +238,34 @@ func TestPublishProgressWakesStalledCluster(t *testing.T) {
 	}
 	if notified(0) {
 		t.Error("cluster 0 is not stalled but was woken")
+	}
+
+	// S06. Cluster 0 has not stored through publish yet, so 100 is a
+	// change: stored, scanned, cluster 1 woken.
+	c0 := k.clusters[0]
+	k.publish(c0, 100)
+	if !notified(1) {
+		t.Error("S06: first publish of 100 did not wake cluster 1")
+	}
+	// A sentinel in the shared entry shows whether publish stores. The
+	// floor over it is 110, at or above need 100, so a scan would wake.
+	k.published[0].t = 200
+	k.publish(c0, 100)
+	if got := k.published[0].t; got != 200 {
+		t.Errorf("S06: unchanged publish stored %d over the entry", got)
+	}
+	if notified(1) {
+		t.Error("S06: unchanged publish scanned the waiters")
+	}
+	k.publish(c0, 99)
+	if got := k.published[0].t; got != 99 {
+		t.Errorf("S06: changed publish left the entry at %d, want 99", got)
+	}
+	if notified(1) {
+		t.Error("S06: floor 99 below need 100 woke cluster 1")
+	}
+	k.publish(c0, 100)
+	if !notified(1) {
+		t.Error("S06: changed publish lifting the floor to 100 did not wake cluster 1")
 	}
 }
