@@ -33,8 +33,9 @@
 //     window. Each cluster goroutine runs its loop in passes
 //     (cluster.step): the housekeeping once (cluster 0's GVT coordinator
 //     step, the mailbox drain, the flush triggers, the GVT and migration
-//     probes), then up to passBundles (16) bundles, delivering local
-//     messages after each and stopping early on an empty scheduler, a
+//     probes, the optimism-window horizon), then up to passBundles (16)
+//     bundles, delivering local messages and re-checking the flush
+//     triggers after each and stopping early on an empty scheduler, a
 //     window stall or mail; fossil collection, the GVT request count and
 //     the progress publish (stored only when it changed) follow once per
 //     pass, and the loop itself (cluster.run) only waits between passes.

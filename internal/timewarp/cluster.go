@@ -432,11 +432,10 @@ func (c *cluster) maybeFossil() {
 	}
 }
 
-// executeOne runs the next bundle of the lowest-timestamp LP. Returns the
-// number of events executed (0 when idle or when all work lies beyond the
-// optimism window).
-func (c *cluster) executeOne() (n int, windowStalled bool) {
-	horizon := TimeInfinity
+// horizon returns the latest time the optimism window lets this cluster
+// execute: the progress floor plus the window, or TimeInfinity without a
+// window.
+func (c *cluster) horizon() Time {
 	// A single cluster cannot receive stragglers, so the window would only
 	// add stalls there.
 	if w := c.kernel.cfg.OptimismWindow; w > 0 && len(c.kernel.clusters) > 1 {
@@ -445,9 +444,16 @@ func (c *cluster) executeOne() (n int, windowStalled bool) {
 			floor = 0
 		}
 		if floor < TimeInfinity-w {
-			horizon = floor + w
+			return floor + w
 		}
 	}
+	return TimeInfinity
+}
+
+// executeOne runs the next bundle of the lowest-timestamp LP at or below
+// horizon. Returns the number of events executed (0 when idle or when all
+// work lies beyond the horizon).
+func (c *cluster) executeOne(horizon Time) (n int, windowStalled bool) {
 	for c.sched.len() > 0 {
 		e := c.sched.pop()
 		lp := e.lp
@@ -497,7 +503,7 @@ func (c *cluster) nextWork() Time {
 // passBundles is the most bundles one pass of the cluster loop (step) runs
 // between housekeeping steps. At grain 0 a bundle is about one event, and
 // run once per bundle the housekeeping (coordinator step, mailbox drain,
-// flush triggers, GVT and migration probes, progress publish) took about
+// GVT and migration probes, progress publish) took about
 // 9 % of the CPU at k=1 and the publish alone 10 % at k=2 (s9234). A pass
 // amortizes it over up to passBundles bundles, while the mail-flag check
 // after each bundle keeps straggler receipt prompt. Chosen by the sweep in
@@ -520,15 +526,19 @@ const (
 
 // step runs one pass of the cluster loop without blocking: the housekeeping
 // once (cluster 0's coordinator step, local and mailbox drains, the flush
-// triggers, the GVT and migration probes), then up to passBundles bundles,
-// delivering local messages after each. The pass ends early when a bundle
-// comes back empty (idle or window-stalled) or when the mailbox flag is set,
-// so a straggler waits behind at most one bundle; the flag probe is the one
+// triggers, the GVT and migration probes, the optimism-window horizon),
+// then up to passBundles bundles, delivering local messages and re-checking
+// the flush triggers after each. The pass ends early when a bundle comes
+// back empty (idle or window-stalled) or when the mailbox flag is set, so a
+// straggler waits behind at most one bundle; the flag probe is the one
 // atomic load drainMail makes. The pass then fossil-collects, requests GVT
 // on the events it executed and publishes its next work time, each once.
-// A stall after at least one bundle ends the pass as busy: only a pass that
-// ran no bundle reports the stall, so the driver re-probes the horizon
-// before it parks.
+//
+// The window is a throttle, not a correctness bound, so the pass keeps the
+// horizon it read at its start: a floor that rises meanwhile only ends the
+// pass early, and one that falls is seen by the next pass. A stall after at
+// least one bundle ends the pass as busy: only a pass that ran no bundle
+// reports the stall, so the driver re-probes the horizon before it parks.
 func (c *cluster) step() stepResult {
 	k := c.kernel
 	if c.id == 0 {
@@ -539,8 +549,9 @@ func (c *cluster) step() stepResult {
 	c.checkGVT()
 	c.checkMigrate()
 	bundles, stalled := 0, false
+	horizon := c.horizon()
 	for bundles < passBundles {
-		n, windowStalled := c.executeOne()
+		n, windowStalled := c.executeOne(horizon)
 		c.drainLocal()
 		if n == 0 {
 			stalled = windowStalled
@@ -548,6 +559,11 @@ func (c *cluster) step() stepResult {
 		}
 		bundles++
 		c.eventsSinceGVT += n
+		// The urgency trigger stays per bundle: a held batch the
+		// destination has advanced past would otherwise wait out the pass
+		// and land as a deeper straggler (the random partition rolled back
+		// about a third more with the check once per pass).
+		c.maybeFlush()
 		if atomic.LoadInt32(&c.mail.flag) != 0 {
 			break
 		}

@@ -522,7 +522,7 @@ func TestHistoryCycleAllocatesNothing(t *testing.T) {
 	c.drainLocal()
 	c.schedule(lp)
 	cycle := func() {
-		if n, _ := c.executeOne(); n != 1 {
+		if n, _ := c.executeOne(c.horizon()); n != 1 {
 			t.Fatalf("executed %d events, want 1", n)
 		}
 		c.drainLocal()

@@ -218,7 +218,7 @@ func TestMigratedHistoryCommits(t *testing.T) {
 			}
 			runAll := func() {
 				for {
-					if n, _ := a.executeOne(); n == 0 {
+					if n, _ := a.executeOne(a.horizon()); n == 0 {
 						return
 					}
 				}
@@ -246,7 +246,7 @@ func TestMigratedHistoryCommits(t *testing.T) {
 			if a.stats.EventsCommitted != 0 || len(a.hist) != 0 {
 				t.Fatalf("old home committed %d events and lists %d LPs after the LP left, want 0 and 0", a.stats.EventsCommitted, len(a.hist))
 			}
-			if n, _ := b.executeOne(); n != 0 {
+			if n, _ := b.executeOne(b.horizon()); n != 0 {
 				t.Fatalf("adopted LP executed %d events, want none", n)
 			}
 			b.fossilCollect(TimeInfinity)

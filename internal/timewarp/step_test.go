@@ -7,15 +7,17 @@ import (
 
 // stepLP is a probe for cluster.step: it counts its bundles, optionally runs
 // a hook after each, chains itself one time unit forward up to limit, sends
-// to peer (when not -1) one unit after every bundle, and preloads itself
-// with one event at each time 1..preload from Init.
+// to peer (when not -1) one unit after every bundle before peerUntil (or
+// limit when peerUntil is 0), and preloads itself with one event at each
+// time 1..preload from Init.
 type stepLP struct {
-	limit   Time
-	peer    LPID
-	preload Time
-	chain   bool
-	execs   int
-	after   func(n int)
+	limit     Time
+	peer      LPID
+	peerUntil Time
+	preload   Time
+	chain     bool
+	execs     int
+	after     func(n int)
 }
 
 func (l *stepLP) Init(ctx *Context) {
@@ -32,7 +34,11 @@ func (l *stepLP) Execute(ctx *Context, now Time, events []Event) {
 	if l.chain && now < l.limit {
 		ctx.Send(ctx.Self(), now+1, 0, 0)
 	}
-	if l.peer >= 0 && now < l.limit {
+	until := l.peerUntil
+	if until == 0 {
+		until = l.limit
+	}
+	if l.peer >= 0 && now < until {
 		ctx.Send(l.peer, now+1, 2, 0)
 	}
 	if l.after != nil {
@@ -76,6 +82,8 @@ func newStepKernel(t *testing.T, cfg Config, hs ...Handler) *Kernel {
 //	S03  a stall mid-pass reports busy; a stall at bundle 0 reports stalled
 //	S04  k=1 never reads the progress floor and never rolls back
 //	S05  eventsSinceGVT counts every bundle of the pass
+//	S07  a held batch whose destination advances past it is flushed after
+//	     the next bundle, not at the next pass
 func TestStepPass(t *testing.T) {
 	t.Run("S01", func(t *testing.T) {
 		lp := &stepLP{limit: 10 * passBundles, peer: -1, chain: true}
@@ -197,6 +205,39 @@ func TestStepPass(t *testing.T) {
 		if c.eventsSinceGVT != 0 || atomic.LoadInt32(&k.gvtFlag) != 1 {
 			t.Fatalf("after %d events: eventsSinceGVT = %d, gvtFlag = %d; want 0 and a request",
 				lp.execs, c.eventsSinceGVT, atomic.LoadInt32(&k.gvtFlag))
+		}
+	})
+
+	t.Run("S07", func(t *testing.T) {
+		// LP 1 on cluster 1 holds work from time 1, so LP 0's one send, at
+		// time 2 from bundle 1, is not urgent and stays in the outbox. After
+		// bundle 2 cluster 1 publishes 100: the batch is now a straggler
+		// there and must leave before bundle 3, not wait out the pass.
+		a := &stepLP{limit: 10 * passBundles, peer: 1, peerUntil: 2, chain: true}
+		b := &stepLP{limit: 10 * passBundles, peer: -1, preload: 10 * passBundles}
+		k := newStepKernel(t, Config{NumClusters: 2, ClusterOf: []int{0, 1}}, a, b)
+		c := k.clusters[0]
+		held := -1
+		a.after = func(n int) {
+			switch n {
+			case 2:
+				held = len(c.out[1].buf)
+				k.publishProgress(1, 100)
+			case 3:
+				if got := len(c.out[1].buf); got != 0 {
+					t.Errorf("bundle 3 ran with %d events held for a destination past them", got)
+				}
+			}
+		}
+		c.step()
+		if held != 1 {
+			t.Fatalf("outbox held %d events after bundle 2, want the one non-urgent send", held)
+		}
+		if a.execs < 3 {
+			t.Fatalf("the pass ran %d bundles, want at least 3", a.execs)
+		}
+		if atomic.LoadInt32(&k.clusters[1].mail.flag) == 0 {
+			t.Error("cluster 1's mailbox is empty after the flush")
 		}
 	})
 }

@@ -162,8 +162,8 @@ type outbox struct {
 // flush triggers. The urgency probe (an atomic load of the destination's
 // published progress, a plain load, not a RMW) runs only when this event
 // lowers the outbox minimum: an unchanged minimum was already compared at
-// the previous stage, and maybeFlush re-checks every non-empty outbox once
-// per pass of the cluster loop as the destination advances.
+// the previous stage, and maybeFlush re-checks every non-empty outbox after
+// every bundle as the destination advances.
 //
 //kernelvet:noalloc
 func (c *cluster) stageRemote(dst int, ev Event) {
@@ -178,7 +178,7 @@ func (c *cluster) stageRemote(dst int, ev Event) {
 	}
 	ob.buf = append(ob.buf, ev)
 	// A flush the destination already refused (wantFlush) is retried by
-	// maybeFlush once per pass of the cluster loop, not per staged event —
+	// maybeFlush after every bundle, not per staged event —
 	// re-trying here would reintroduce per-event lock traffic against a
 	// full mailbox, exactly the cost batching removes.
 	if (urgent || len(ob.buf) >= flushBatch) && !ob.wantFlush {
@@ -232,8 +232,8 @@ func (k *Kernel) push(dst int, events []Event, hdr batchHdr) bool {
 }
 
 // maybeFlush applies the urgency trigger to every non-empty outbox and
-// retries batches a full mailbox rejected. Every pass of the cluster loop
-// (cluster.step) calls it once, before its bundles; the scan is
+// retries batches a full mailbox rejected. The cluster loop (cluster.step)
+// calls it at the start of every pass and after every bundle; the scan is
 // len(clusters) branch-predictable length checks.
 func (c *cluster) maybeFlush() {
 	for dst := range c.out {
