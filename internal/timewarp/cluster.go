@@ -510,7 +510,7 @@ func (c *cluster) nextWork() Time {
 // README's Benchmarks section; 1 is the loop of one bundle per pass.
 const passBundles = 16
 
-// stepResult is what one pass of the cluster loop reports to its driver.
+// stepResult is what one pass of the cluster loop reports to its caller.
 type stepResult uint8
 
 const (
@@ -538,7 +538,7 @@ const (
 // horizon it read at its start: a floor that rises meanwhile only ends the
 // pass early, and one that falls is seen by the next pass. A stall after at
 // least one bundle ends the pass as busy: only a pass that ran no bundle
-// reports the stall, so the driver re-probes the horizon before it parks.
+// reports the stall, so the caller re-probes the horizon before it parks.
 func (c *cluster) step() stepResult {
 	k := c.kernel
 	if c.id == 0 {
@@ -576,7 +576,7 @@ func (c *cluster) step() stepResult {
 	// Publish progress: this cluster's next work time (the scheduler top is
 	// accurate after the last executeOne). The optimism throttle reads the
 	// floor over these, and senders read individual entries for the urgency
-	// flush trigger; publishing before the driver waits keeps both fresh.
+	// flush trigger; publishing before the caller waits keeps both fresh.
 	k.publish(c, c.nextWork())
 	switch {
 	case bundles > 0 || moved > 0:

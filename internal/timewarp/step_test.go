@@ -144,7 +144,7 @@ func TestStepPass(t *testing.T) {
 			t.Fatalf("published next work %d, want %d", got, want)
 		}
 		if c.stats.Stalls != 0 {
-			t.Fatalf("step counted %d stalls; only the driver's park counts one", c.stats.Stalls)
+			t.Fatalf("step counted %d stalls; only run's park counts one", c.stats.Stalls)
 		}
 	})
 
