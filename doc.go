@@ -65,7 +65,7 @@
 //     has none, while NewTCPTransport runs one simulation as N OS
 //     processes exchanging length-prefixed binary frames (events and GVT
 //     waves) over a loopback-or-LAN mesh, with the same ledger held across
-//     the sockets (acks pin sent counts, counts frames mirror received
+//     the sockets (acks pin sent counts, mirror frames carry received
 //     ones). Events carry an opaque fixed-size wide payload block (two uint64 planes; on the
 //     wire flag-selected and omitted when zero, so payload-free traffic is
 //     byte-identical to the pre-payload format) that the vectored logic
@@ -86,7 +86,7 @@
 //     dead; a node turning fatal broadcasts an abort frame (origin +
 //     reason) that survivors relay, so every process exits within the
 //     detection bound with an error wrapping ErrPeerDown and naming the
-//     node at fault — never a hung FIN barrier. Dials retry under
+//     node at fault — never a hung end-of-run exchange. Dials retry under
 //     jittered backoff inside DialTimeout and the accept window is
 //     equally bounded. cmd/parsim maps the classes to exit codes
 //     (0 success, 2 handshake rejection, 3 peer failure, 1 other) and a

@@ -213,7 +213,7 @@ type cluster struct {
 	// the wave-1 drain may read stale copies: a red cluster's acked white
 	// sentCum is final, and a lagging recvCum only undercounts — the drain
 	// concludes late, never early. On a node that does not host the
-	// cluster, recvCum is the mirror its counts frames refresh.
+	// cluster, recvCum is a copy its owner's mirror frames refresh.
 	sentCum [2]paddedCount
 	recvCum [2]paddedCount
 
@@ -245,6 +245,9 @@ type cluster struct {
 	// Kernel.publish can skip an unchanged store without reading the shared
 	// cache line.
 	published Time //kernelvet:owner cluster
+	// mirroredRecv is recvCum as of the last mirror refresh Kernel.publish
+	// asked a multi-process transport for.
+	mirroredRecv [2]int64 //kernelvet:owner cluster
 
 	// color is the GVT round this cluster has joined; its parity stamps
 	// every flushed batch and picks the sentCum it is counted in.

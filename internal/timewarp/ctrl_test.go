@@ -110,10 +110,12 @@ func TestDecodeCtrlRejectsRetiredFrames(t *testing.T) {
 		body []byte
 	}{
 		{"ctrl", frameCtrl, nil},
-		{"ackLoad", frameAckLoad, i32(1, 0, 0)},      // cluster 1, no rows, no edges
-		{"order", frameOrder, i32(1, 1, 0)},          // cluster 1: move LP 1 to cluster 0
-		{"payload", framePayload, append(i32(1), 0)}, // cluster 1, color 0, no LP
-		{"route", frameRoute, i32(1, 0)},             // LP 1 now on cluster 0
+		{"ackLoad", frameAckLoad, i32(1, 0, 0)},                      // cluster 1, no rows, no edges
+		{"order", frameOrder, i32(1, 1, 0)},                          // cluster 1: move LP 1 to cluster 0
+		{"payload", framePayload, append(i32(1), 0)},                 // cluster 1, color 0, no LP
+		{"route", frameRoute, i32(1, 0)},                             // LP 1 now on cluster 0
+		{"counts", frameCounts, appendI64(appendI64(i32(1), 10), 2)}, // cluster 1 received 10 and 2
+		{"sumReply", frameSumReply, appendU64(i32(1), 301)},          // one word
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			b, off := beginFrame(nil, tc.typ)

@@ -28,7 +28,7 @@
 // control waves over a full mesh of TCP connections. The two-cut transit
 // ledger spans the sockets unchanged: a batch counts as received only when
 // its frame has been decoded into the receiver's mailbox and taken out of
-// it, and the cut acks pin per-color sent counters while counts frames
+// it, and the cut acks pin per-color sent counters while mirror frames
 // mirror received ones, so a cut closes only after every frame under it has
 // landed. See transport_api.go for the seam, ctrl.go for the control
 // messages and transport_tcp.go for the mesh.

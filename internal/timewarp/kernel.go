@@ -71,7 +71,7 @@ const (
 // Transport seam (transport_api.go), whose receiving node applies it with
 // the same code. Under TCPTransport the same state machine and the same
 // ledger run with the round state replicated onto every node; a remote
-// cluster's recvCum is the mirror its node's counts frames refresh.
+// cluster's recvCum is a copy its node's mirror frames refresh.
 //
 // Fossil collection is not a round step: each cluster commits history on
 // its own schedule whenever it observes the published GVT advance.
@@ -148,7 +148,7 @@ type Kernel struct {
 	// destination's entry to decide urgent flushes — so throttling and
 	// flushing never force extra GVT rounds. Entries are padded to avoid
 	// false sharing. Under TCPTransport remote entries are mirrors kept
-	// fresh by progress frames.
+	// fresh by mirror frames.
 	published []paddedTime
 	// stallNeed[i] is the progress floor window-stalled cluster i is parked
 	// on (TimeInfinity when it is not), and stalled counts such clusters;
@@ -312,15 +312,21 @@ type paddedCount struct {
 // each store moves a cache line every other cluster's progressFloor reads
 // on every bundle. No wake is lost, because the floor only advances when
 // some entry changes, and every change is a store followed by
-// publishProgress's wake scan. The transport is still called every pass:
-// TCP also mirrors the received counters, which change on their own.
+// publishProgress's wake scan. The mirror also carries the cluster's
+// received counters, which change on their own, so across processes the
+// transport is asked for a refresh when either changed since the last one.
 func (k *Kernel) publish(c *cluster, t Time) {
-	if t != c.published {
+	changed := t != c.published
+	if changed {
 		c.published = t
 		k.publishProgress(c.id, t)
 	}
 	if k.remote {
-		k.tr.publish(c, t)
+		recv := [2]int64{atomic.LoadInt64(&c.recvCum[0].n), atomic.LoadInt64(&c.recvCum[1].n)}
+		if changed || recv != c.mirroredRecv {
+			c.mirroredRecv = recv
+			k.tr.publish()
+		}
 	}
 }
 

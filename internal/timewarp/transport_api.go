@@ -34,10 +34,10 @@ package timewarp
 // start fails (rather than blocks) when the fabric cannot be completed
 // within its window; a mid-run fatal — peer death, corrupt frame, received
 // abort, a local cluster's fault (abort) — sets the kernel's done flag so
-// every cluster loop exits, and
-// finishRun returns the first fatal error, wrapping ErrPeerDown /
-// ErrProtoMismatch / ErrConfigMismatch and naming the peer at fault. See
-// TCPTransport for the concrete handshake/heartbeat/abort protocol.
+// every cluster loop exits, and finishRun returns the first fatal error,
+// wrapping ErrPeerDown / ErrProtoMismatch / ErrConfigMismatch and naming the
+// peer at fault. See TCPTransport for the concrete handshake/heartbeat/abort
+// protocol.
 type Transport interface {
 	// bind attaches the transport to its kernel. New calls it exactly once,
 	// before any other method.
@@ -47,8 +47,8 @@ type Transport interface {
 	start() error
 	// finishRun runs after every local cluster exited: a multi-process
 	// transport exchanges FIN markers so all in-flight frames are applied
-	// before Run commits final state. It returns the first fatal transport
-	// error, if any.
+	// before Run commits final state, the same exchange GatherSum makes
+	// afterwards. It returns the first fatal transport error, if any.
 	finishRun() error
 
 	// nodes returns the number of cooperating OS processes.
@@ -64,9 +64,10 @@ type Transport interface {
 	// node, or to every other node when dst is otherNodes. It never refuses:
 	// control traffic is immune to data backpressure.
 	ctrl(dst int, frame []byte)
-	// publish mirrors local cluster c's next work time (already recorded by
-	// the kernel) and its cumulative received counters to the other nodes.
-	publish(c *cluster, t Time)
+	// publish mirrors every local cluster's next work time (already
+	// recorded by the kernel) and cumulative received counters to the other
+	// nodes. Kernel.publish calls it only when some of them changed.
+	publish()
 
 	// initQuiet reports whether initialization traffic has settled: all
 	// init-time sends have left this process's buffers (the in-memory
@@ -96,8 +97,8 @@ func (t *memTransport) push(int, []Event, batchHdr) bool {
 func (t *memTransport) ctrl(int, []byte) {
 	panic("timewarp: in-memory transport asked to send to a remote node")
 }
-func (t *memTransport) publish(*cluster, Time) {}
-func (t *memTransport) abort(error)            {}
+func (t *memTransport) publish()    {}
+func (t *memTransport) abort(error) {}
 
 // initQuiet: initialization is quiescent when the ledger balances — every
 // flushed init batch has been drained into an LP queue.

@@ -34,10 +34,7 @@ import (
 // precedes any red flush's counter effects — while backpressure applies only
 // to event batches: control frames always append, data frames are refused
 // (flushDst retries) once more than InboxSize events are queued and the lane
-// is non-empty. Progress and
-// counter mirrors are conflated: a dirty flag per peer makes the writer
-// append the freshest values once per drain cycle, so a stalled peer reads
-// one fresh progress frame, not a backlog of stale ones.
+// is non-empty.
 //
 // Failure semantics (the paper's cluster-of-workstations case, where links
 // stall and processes die): every connection opens with a versioned,
@@ -48,8 +45,8 @@ import (
 // or wedged peer is detected within PeerTimeout; any fatal error broadcasts
 // a frameAbort naming the origin and reason, so the whole mesh tears down
 // within one detection bound and every node's Run returns an error wrapping
-// ErrPeerDown that names the peer at fault — the FIN barrier can never hang
-// on a dead peer.
+// ErrPeerDown that names the peer at fault — the end-of-run exchanges can
+// never hang on a dead peer.
 type TCPTransport struct {
 	opt TCPOptions
 	k   *Kernel
@@ -57,11 +54,6 @@ type TCPTransport struct {
 	nodeOf []int // cluster id -> hosting node
 	ln     net.Listener
 	peers  []*tcpPeer // by node id; peers[opt.Node] == nil
-
-	// pubState is per-local-cluster conflation memory (owned by that
-	// cluster's goroutine): publish only marks the peers dirty when the
-	// progress or counters actually changed.
-	pubState []tcpPubState
 
 	closing  int32
 	started  bool
@@ -74,19 +66,27 @@ type TCPTransport struct {
 	readWG  sync.WaitGroup
 	writeWG sync.WaitGroup
 
-	// FIN barrier state: finSeen[j] marks that node j sent its end-of-run
-	// marker (all its frames before it are applied).
-	finMu   sync.Mutex
-	finSeen []bool
-	finCond *sync.Cond
-
-	// GatherSum rendezvous: on node 0, sumVals collects every node's
-	// contribution; elsewhere sumReply holds node 0's reduced answer.
-	sumMu    sync.Mutex
-	sumCond  *sync.Cond
-	sumVals  [][]uint64
-	sumReply []uint64
+	// The end-of-run exchanges (see exchange): got[x][j] is node j's part
+	// of exchange x, nil until its frame was applied.
+	xMu   sync.Mutex
+	xCond *sync.Cond
+	got   [2][][]uint64 // guarded by xMu
 }
+
+// The end-of-run exchanges, in the order a run makes them. A node's FIN is
+// its last frame of the run proper, so once it is applied every earlier
+// frame from that node is too; it carries no values. A sum frame carries
+// the node's GatherSum contribution.
+const (
+	xFin = iota
+	xSum
+)
+
+var xName = [2]string{"FIN", "GatherSum contribution"}
+
+// exchangeFuse bounds an end-of-run exchange's wait for a peer that is
+// alive (heartbeating) but never sends its part. Tests shorten it.
+var exchangeFuse = 30 * time.Second
 
 // TCPOptions configure NewTCPTransport.
 type TCPOptions struct {
@@ -133,12 +133,6 @@ type TCPOptions struct {
 	MeshUp func()
 }
 
-// tcpPubState is one local cluster's conflation memory.
-type tcpPubState struct {
-	lastNext Time
-	lastRecv [2]int64
-}
-
 // tcpPeer is one mesh connection plus its outbound lane.
 type tcpPeer struct {
 	node int
@@ -152,14 +146,17 @@ type tcpPeer struct {
 	scratch    []byte // guarded by mu
 	dataEvents int    // guarded by mu
 	// writing is 1 while the writer goroutine holds swapped-out frames it
-	// has not flushed yet (initQuiet's drain probe).
+	// has not flushed yet (see drained).
 	writing int32
-	// pubDirty asks the writer to append fresh progress/counter mirrors on
-	// its next cycle (conflated: many marks, one frame set).
+	// pubDirty asks the writer to append fresh mirror frames on its next
+	// cycle (conflated: many marks, one frame per local cluster).
 	pubDirty int32
 	wake     chan struct{} // cap 1
 	// pubBuf is the writer-owned scratch for conflated mirror frames.
 	pubBuf []byte
+	// evs is the reader-owned decode buffer for event batches; the mailbox
+	// copies what it accepts, so one buffer serves every batch.
+	evs []Event
 }
 
 func (p *tcpPeer) wakeWriter() {
@@ -180,6 +177,15 @@ func (p *tcpPeer) handOff(wasEmpty bool) {
 	if wasEmpty {
 		runtime.Gosched()
 	}
+}
+
+// drained reports whether the lane is empty and the writer holds no frames
+// it has not flushed yet.
+func (p *tcpPeer) drained() bool {
+	p.mu.Lock()
+	pending := len(p.buf) > 0
+	p.mu.Unlock()
+	return !pending && atomic.LoadInt32(&p.writing) == 0
 }
 
 // enqueue appends a pre-encoded control frame to the outbound lane. It never
@@ -226,8 +232,7 @@ func NewTCPTransport(opt TCPOptions) (*TCPTransport, error) {
 		return nil, fmt.Errorf("%w: PeerTimeout %v below twice HeartbeatEvery %v", ErrBadTransport, opt.PeerTimeout, opt.HeartbeatEvery)
 	}
 	t := &TCPTransport{opt: opt, ln: opt.Listener}
-	t.finCond = sync.NewCond(&t.finMu)
-	t.sumCond = sync.NewCond(&t.sumMu)
+	t.xCond = sync.NewCond(&t.xMu)
 	return t, nil
 }
 
@@ -244,13 +249,9 @@ func (t *TCPTransport) bind(k *Kernel) error {
 	for c := range t.nodeOf {
 		t.nodeOf[c] = c * n / k.cfg.NumClusters
 	}
-	t.pubState = make([]tcpPubState, k.cfg.NumClusters)
-	for i := range t.pubState {
-		t.pubState[i].lastNext = TimeInfinity
+	for x := range t.got {
+		t.got[x] = make([][]uint64, n)
 	}
-	t.finSeen = make([]bool, n)
-	t.finSeen[t.opt.Node] = true
-	t.sumVals = make([][]uint64, n)
 	t.peers = make([]*tcpPeer, n)
 	return nil
 }
@@ -344,28 +345,41 @@ func (t *TCPTransport) helloLocal() wireHello {
 	}
 }
 
-// checkHello validates a peer's hello against ours, naming both sides'
-// values in the error.
-func (t *TCPTransport) checkHello(h, local wireHello) error {
-	if h.magic != local.magic {
-		return fmt.Errorf("%w: magic %#x, want %#x (not a timewarp mesh peer?)", ErrProtoMismatch, h.magic, local.magic)
+// parseHello decodes a peer's hello body and validates it against ours,
+// naming both sides' values in the error. A well-formed frameHello with the
+// wrong body size is a peer from before (or after) this handshake format —
+// a version problem, not a stray connection.
+func parseHello(body []byte, local wireHello) (wireHello, error) {
+	r := wireReader{b: body}
+	h := r.hello()
+	switch {
+	case r.done() != nil:
+		return h, fmt.Errorf("%w: hello body %d bytes, want %d (mismatched peer build?)", ErrProtoMismatch, len(body), wireHelloSize)
+	case h.magic != local.magic:
+		return h, fmt.Errorf("%w: magic %#x, want %#x (not a timewarp mesh peer?)", ErrProtoMismatch, h.magic, local.magic)
+	case h.proto != local.proto:
+		return h, fmt.Errorf("%w: peer speaks wire protocol v%d, this node v%d", ErrProtoMismatch, h.proto, local.proto)
+	case h.nodes != local.nodes:
+		return h, fmt.Errorf("%w: peer meshes %d nodes, this node %d", ErrConfigMismatch, h.nodes, local.nodes)
+	case h.clusters != local.clusters:
+		return h, fmt.Errorf("%w: peer runs %d clusters, this node %d", ErrConfigMismatch, h.clusters, local.clusters)
+	case h.lps != local.lps:
+		return h, fmt.Errorf("%w: peer hosts %d LPs, this node %d", ErrConfigMismatch, h.lps, local.lps)
+	case h.digest != local.digest:
+		return h, fmt.Errorf("%w: config digest %#x vs %#x (determinism-affecting knobs, seeds, or workloads differ)", ErrConfigMismatch, h.digest, local.digest)
 	}
-	if h.proto != local.proto {
-		return fmt.Errorf("%w: peer speaks wire protocol v%d, this node v%d", ErrProtoMismatch, h.proto, local.proto)
+	return h, nil
+}
+
+// parseAbort decodes a frameAbort body into the abort it reports.
+func parseAbort(body []byte) (*abortError, error) {
+	r := wireReader{b: body}
+	hdr := r.abortHdr()
+	reason := r.bytes(int(hdr.reasonLen))
+	if err := r.done(); err != nil {
+		return nil, err
 	}
-	if h.nodes != local.nodes {
-		return fmt.Errorf("%w: peer meshes %d nodes, this node %d", ErrConfigMismatch, h.nodes, local.nodes)
-	}
-	if h.clusters != local.clusters {
-		return fmt.Errorf("%w: peer runs %d clusters, this node %d", ErrConfigMismatch, h.clusters, local.clusters)
-	}
-	if h.lps != local.lps {
-		return fmt.Errorf("%w: peer hosts %d LPs, this node %d", ErrConfigMismatch, h.lps, local.lps)
-	}
-	if h.digest != local.digest {
-		return fmt.Errorf("%w: config digest %#x vs %#x (determinism-affecting knobs, seeds, or workloads differ)", ErrConfigMismatch, h.digest, local.digest)
-	}
-	return nil
+	return &abortError{origin: int(hdr.origin), code: hdr.code, reason: string(reason)}, nil
 }
 
 // permanentHandshake reports whether a handshake failure should fail the run
@@ -374,18 +388,22 @@ func permanentHandshake(err error) bool {
 	return errors.Is(err, ErrProtoMismatch) || errors.Is(err, ErrConfigMismatch) || errors.Is(err, ErrPeerDown)
 }
 
-// sendAbortConn best-effort tells a rejected handshake peer why, so its
-// dialer fails with the real mismatch instead of a bare connection reset.
-func (t *TCPTransport) sendAbortConn(conn net.Conn, err error) {
-	code := abortCodeFatal
+// abortFrame encodes err as this node's abort frame. A relayed abort keeps
+// its originator and code, so every node ends up blaming the root cause,
+// not its messenger; any other error is this node's own, classified by the
+// sentinel it wraps.
+func (t *TCPTransport) abortFrame(err error) []byte {
+	origin, code := int32(t.opt.Node), abortCodeFatal
+	var ae *abortError
 	switch {
+	case errors.As(err, &ae):
+		origin, code = int32(ae.origin), ae.code
 	case errors.Is(err, ErrProtoMismatch):
 		code = abortCodeProto
 	case errors.Is(err, ErrConfigMismatch):
 		code = abortCodeConfig
 	}
-	conn.SetWriteDeadline(time.Now().Add(time.Second))
-	conn.Write(appendAbort(nil, int32(t.opt.Node), code, err.Error()))
+	return appendAbort(nil, origin, code, err.Error())
 }
 
 // newPeer builds the per-connection state once a handshake succeeded,
@@ -407,25 +425,17 @@ func (t *TCPTransport) acceptHandshake(conn net.Conn, local wireHello, seen []bo
 	if typ != frameHello {
 		return nil, fmt.Errorf("first frame type %d, want hello", typ) // transient: stray
 	}
-	r := wireReader{b: body}
-	h := r.hello()
-	if r.done() != nil {
-		// A well-formed frameHello with the wrong body size is a peer from
-		// before (or after) this handshake format — a version problem, not a
-		// stray connection.
-		err := fmt.Errorf("%w: hello body %d bytes, want %d (mismatched peer build?)", ErrProtoMismatch, len(body), wireHelloSize)
-		t.sendAbortConn(conn, err)
-		return nil, err
-	}
-	if err := t.checkHello(h, local); err != nil {
-		t.sendAbortConn(conn, err)
-		return nil, err
-	}
+	h, err := parseHello(body, local)
 	from := int(h.node)
-	if from <= t.opt.Node || from >= len(t.opt.Peers) || seen[from] {
-		err := fmt.Errorf("%w: hello names node %d (acceptor is node %d of %d, duplicate=%v)",
+	if err == nil && (from <= t.opt.Node || from >= len(t.opt.Peers) || seen[from]) {
+		err = fmt.Errorf("%w: hello names node %d (acceptor is node %d of %d, duplicate=%v)",
 			ErrConfigMismatch, from, t.opt.Node, len(t.opt.Peers), from >= 0 && from < len(seen) && seen[from])
-		t.sendAbortConn(conn, err)
+	}
+	if err != nil {
+		// Best effort: tell the rejected dialer why, so it fails with the
+		// real mismatch instead of a bare connection reset.
+		conn.SetWriteDeadline(time.Now().Add(time.Second))
+		conn.Write(t.abortFrame(err))
 		return nil, err
 	}
 	// Reply with our own hello so the dialer validates symmetrically.
@@ -450,21 +460,16 @@ func (t *TCPTransport) dialHandshake(conn net.Conn, j int, local wireHello) (*tc
 	if err != nil {
 		return nil, fmt.Errorf("reading hello reply: %w", err) // transient: acceptor not ready
 	}
-	r := wireReader{b: body}
 	switch typ {
 	case frameAbort:
-		hdr := r.abortHdr()
-		reason := r.bytes(int(hdr.reasonLen))
-		if r.done() != nil {
-			return nil, fmt.Errorf("malformed abort reply") // transient
+		ae, err := parseAbort(body)
+		if err != nil {
+			return nil, fmt.Errorf("malformed abort reply: %w", err) // transient
 		}
-		return nil, &abortError{origin: int(hdr.origin), code: hdr.code, reason: string(reason)}
+		return nil, ae
 	case frameHello:
-		h := r.hello()
-		if r.done() != nil {
-			return nil, fmt.Errorf("%w: hello reply body %d bytes, want %d (mismatched peer build?)", ErrProtoMismatch, len(body), wireHelloSize)
-		}
-		if err := t.checkHello(h, local); err != nil {
+		h, err := parseHello(body, local)
+		if err != nil {
 			return nil, err
 		}
 		if int(h.node) != j {
@@ -635,46 +640,29 @@ func (t *TCPTransport) start() error {
 
 // fatal records the first fatal transport error, broadcasts an abort frame
 // so the rest of the mesh tears down too, and unsticks everything local: the
-// kernel's done flag ends cluster loops, the broadcasts end barrier waits.
+// kernel's done flag ends cluster loops, the broadcast ends exchange waits.
 func (t *TCPTransport) fatal(err error) {
 	t.errOnce.Do(func() {
 		t.err.Store(err)
-		t.broadcastAbort(err)
+		// This node's dying breath, best-effort: the writers run until Close.
+		if atomic.LoadInt32(&t.closing) == 0 {
+			t.enqueueAll(t.abortFrame(err))
+		}
 		atomic.StoreInt32(&t.k.done, 1)
 		for _, c := range t.k.local {
 			c.mail.wake()
 		}
-		t.finMu.Lock()
-		t.finCond.Broadcast()
-		t.finMu.Unlock()
-		t.sumMu.Lock()
-		t.sumCond.Broadcast()
-		t.sumMu.Unlock()
+		t.xMu.Lock()
+		t.xCond.Broadcast()
+		t.xMu.Unlock()
 	})
 }
 
 // abort is a local cluster's fault, handled like any other fatal error.
 func (t *TCPTransport) abort(err error) { t.fatal(err) }
 
-// broadcastAbort enqueues this node's dying breath on every lane
-// (best-effort: the writers are still running until Close). When the fatal
-// error is itself a received abort, origin and code are forwarded unchanged
-// so every node ends up blaming the root cause, not its messenger.
-func (t *TCPTransport) broadcastAbort(err error) {
-	if atomic.LoadInt32(&t.closing) == 1 {
-		return
-	}
-	origin, code := int32(t.opt.Node), abortCodeFatal
-	var ae *abortError
-	switch {
-	case errors.As(err, &ae):
-		origin, code = int32(ae.origin), ae.code
-	case errors.Is(err, ErrProtoMismatch):
-		code = abortCodeProto
-	case errors.Is(err, ErrConfigMismatch):
-		code = abortCodeConfig
-	}
-	frame := appendAbort(nil, origin, code, err.Error())
+// enqueueAll appends frame to every peer's lane.
+func (t *TCPTransport) enqueueAll(frame []byte) {
 	for _, p := range t.peers {
 		if p != nil {
 			p.enqueue(frame)
@@ -732,8 +720,11 @@ func (t *TCPTransport) writeLoop(p *tcpPeer) {
 		if atomic.LoadInt32(&t.closing) == 1 {
 			return
 		}
+		// A failed write sticks in w, so each Flush reports every write
+		// before it.
 		wrote := false
-		for {
+		var err error
+		for err == nil {
 			p.mu.Lock()
 			out := p.buf
 			p.buf = p.scratch[:0]
@@ -747,39 +738,23 @@ func (t *TCPTransport) writeLoop(p *tcpPeer) {
 			if len(out) == 0 && !dirty {
 				break
 			}
-			if len(out) > 0 {
-				if _, err := w.Write(out); err != nil {
-					t.fatal(t.peerFail(p.node, "write failed: %v", err))
-					atomic.StoreInt32(&p.writing, 0)
-					return
-				}
-			}
+			w.Write(out)
 			if dirty {
 				p.pubBuf = t.encodeMirrors(p.pubBuf[:0])
-				if _, err := w.Write(p.pubBuf); err != nil {
-					t.fatal(t.peerFail(p.node, "write failed: %v", err))
-					atomic.StoreInt32(&p.writing, 0)
-					return
-				}
+				w.Write(p.pubBuf)
 			}
-			if err := w.Flush(); err != nil {
-				t.fatal(t.peerFail(p.node, "flush failed: %v", err))
-				atomic.StoreInt32(&p.writing, 0)
-				return
-			}
-			atomic.StoreInt32(&p.writing, 0)
+			err = w.Flush()
 			wrote = true
 		}
-		if heartbeat && !wrote {
-			if _, err := w.Write(hbFrame); err != nil {
-				t.fatal(t.peerFail(p.node, "heartbeat write failed: %v", err))
-				return
-			}
-			if err := w.Flush(); err != nil {
-				t.fatal(t.peerFail(p.node, "heartbeat flush failed: %v", err))
-				return
-			}
+		if err == nil && heartbeat && !wrote {
+			w.Write(hbFrame)
+			err = w.Flush()
 			wrote = true
+		}
+		atomic.StoreInt32(&p.writing, 0)
+		if err != nil {
+			t.fatal(t.peerFail(p.node, "write failed: %v", err))
+			return
 		}
 		if wrote {
 			lastWrite = time.Now()
@@ -787,17 +762,13 @@ func (t *TCPTransport) writeLoop(p *tcpPeer) {
 	}
 }
 
-// encodeMirrors appends one fresh progress frame and one counters frame per
-// local cluster — the conflated mirror refresh.
+// encodeMirrors appends one mirror frame per local cluster, with its
+// freshest progress and received counters — the conflated refresh.
 func (t *TCPTransport) encodeMirrors(b []byte) []byte {
 	for _, c := range t.k.local {
-		var off int
-		b, off = beginFrame(b, frameProgress)
-		b = appendI32(b, int32(c.id))
-		b = appendI64(b, atomic.LoadInt64(&t.k.published[c.id].t))
-		b = endFrame(b, off)
-		b = appendCounts(b, wireCounts{
+		b = appendMirror(b, wireMirror{
 			cluster: int32(c.id),
+			next:    atomic.LoadInt64(&t.k.published[c.id].t),
 			recv0:   atomic.LoadInt64(&c.recvCum[0].n),
 			recv1:   atomic.LoadInt64(&c.recvCum[1].n),
 		})
@@ -824,7 +795,7 @@ func (t *TCPTransport) readLoop(p *tcpPeer) {
 			if atomic.LoadInt32(&t.closing) == 1 {
 				return
 			}
-			if errors.Is(err, io.EOF) && t.finFrom(p.node) {
+			if errors.Is(err, io.EOF) && t.arrived(xFin, p.node) {
 				return // clean shutdown: the peer FINed and closed
 			}
 			var nerr net.Error
@@ -847,10 +818,24 @@ func (t *TCPTransport) readLoop(p *tcpPeer) {
 	}
 }
 
-func (t *TCPTransport) finFrom(node int) bool {
-	t.finMu.Lock()
-	defer t.finMu.Unlock()
-	return t.finSeen[node]
+// arrived reports whether node's part of exchange x was applied.
+func (t *TCPTransport) arrived(x, node int) bool {
+	t.xMu.Lock()
+	defer t.xMu.Unlock()
+	return t.got[x][node] != nil
+}
+
+// arrive records node's part of exchange x and wakes the exchange's wait.
+// A node takes part in each exchange once.
+func (t *TCPTransport) arrive(x, node int, vals []uint64) error {
+	t.xMu.Lock()
+	defer t.xMu.Unlock()
+	if t.got[x][node] != nil {
+		return fmt.Errorf("second %s", xName[x])
+	}
+	t.got[x][node] = vals
+	t.xCond.Broadcast()
+	return nil
 }
 
 // apply dispatches one decoded frame. It runs on the peer's read goroutine;
@@ -873,10 +858,14 @@ func (t *TCPTransport) apply(p *tcpPeer, typ uint8, body []byte) error {
 		// Events are variable-size (payload-bearing events are wider), so the
 		// count check is a lower bound; the decode loop + done() reject any
 		// body that does not hold exactly hdr.n events.
-		if hdr.n < 0 || int(hdr.n)*eventWireSize > len(r.b) {
+		n := int(hdr.n)
+		if n < 0 || n*eventWireSize > len(r.b) {
 			return fmt.Errorf("batch length %d does not match body", hdr.n)
 		}
-		evs := make([]Event, hdr.n)
+		if cap(p.evs) < n {
+			p.evs = make([]Event, n)
+		}
+		evs := p.evs[:n]
 		for i := range evs {
 			evs[i] = r.event()
 		}
@@ -885,84 +874,45 @@ func (t *TCPTransport) apply(p *tcpPeer, typ uint8, body []byte) error {
 		}
 		t.deliverBatch(k.clusters[dst], evs, hdr)
 		return nil
-	case frameProgress:
-		cid := int(r.i32())
-		next := r.i64()
+	case frameMirror:
+		m := r.mirror()
 		if err := r.done(); err != nil {
 			return err
 		}
-		// Only the owner of a cluster publishes its progress; a frame
-		// naming a cluster hosted here would overwrite the live entry.
-		if cid < 0 || cid >= len(k.clusters) || k.clusters[cid].here {
-			return fmt.Errorf("progress for cluster %d (hosted here or out of range)", cid)
+		// Only a cluster's owner publishes its progress and counts what it
+		// received; a frame naming a cluster hosted here would overwrite the
+		// live published entry and the recvCum the wave-1 drain sums.
+		if m.cluster < 0 || int(m.cluster) >= len(k.clusters) || k.clusters[m.cluster].here {
+			return fmt.Errorf("mirror for cluster %d (hosted here or out of range)", m.cluster)
 		}
-		k.publishProgress(cid, next)
-		return nil
-	case frameCounts:
-		c := r.counts()
-		if err := r.done(); err != nil {
-			return err
-		}
-		// The frame refreshes the mirror in this node's shell of a remote
-		// cluster; a hosted cluster's recvCum is live and is not a mirror.
-		if c.cluster < 0 || int(c.cluster) >= len(k.clusters) || k.clusters[c.cluster].here {
-			return fmt.Errorf("counts for cluster %d (hosted here or out of range)", c.cluster)
-		}
-		shell := k.clusters[c.cluster]
-		atomic.StoreInt64(&shell.recvCum[0].n, c.recv0)
-		atomic.StoreInt64(&shell.recvCum[1].n, c.recv1)
+		shell := k.clusters[m.cluster]
+		k.publishProgress(shell.id, m.next)
+		atomic.StoreInt64(&shell.recvCum[0].n, m.recv0)
+		atomic.StoreInt64(&shell.recvCum[1].n, m.recv1)
 		return nil
 	case frameFin:
 		if err := r.done(); err != nil {
 			return err
 		}
-		t.finMu.Lock()
-		t.finSeen[p.node] = true
-		t.finCond.Broadcast()
-		t.finMu.Unlock()
-		return nil
+		return t.arrive(xFin, p.node, []uint64{})
 	case frameSum:
-		node := int(r.i32())
-		cnt := int(r.i32())
-		if r.err != nil || cnt < 0 || cnt*8 != len(r.b) {
-			return fmt.Errorf("malformed sum frame")
+		if len(body)%8 != 0 {
+			return fmt.Errorf("sum body of %d bytes is not whole words", len(body))
 		}
-		vals := make([]uint64, cnt)
+		vals := make([]uint64, len(body)/8)
 		for i := range vals {
 			vals[i] = r.u64()
 		}
-		if node <= 0 || node >= len(t.sumVals) {
-			return fmt.Errorf("sum from node %d", node)
-		}
-		t.sumMu.Lock()
-		t.sumVals[node] = vals
-		t.sumCond.Broadcast()
-		t.sumMu.Unlock()
-		return nil
-	case frameSumReply:
-		cnt := int(r.i32())
-		if r.err != nil || cnt < 0 || cnt*8 != len(r.b) {
-			return fmt.Errorf("malformed sum reply")
-		}
-		vals := make([]uint64, cnt)
-		for i := range vals {
-			vals[i] = r.u64()
-		}
-		t.sumMu.Lock()
-		t.sumReply = vals
-		t.sumCond.Broadcast()
-		t.sumMu.Unlock()
-		return nil
+		return t.arrive(xSum, p.node, vals)
 	case frameHeartbeat:
 		// Liveness only; arriving at all is the payload.
 		return r.done()
 	case frameAbort:
-		hdr := r.abortHdr()
-		reason := r.bytes(int(hdr.reasonLen))
-		if err := r.done(); err != nil {
+		ae, err := parseAbort(body)
+		if err != nil {
 			return err
 		}
-		return &abortError{origin: int(hdr.origin), code: hdr.code, reason: string(reason)}
+		return ae
 	default:
 		// Control frames: the kernel decodes and applies them exactly as it
 		// applies a message between two clusters of one process.
@@ -1026,27 +976,21 @@ func (t *TCPTransport) ctrl(dst int, frame []byte) {
 		t.peers[t.nodeOf[dst]].enqueue(frame)
 		return
 	}
-	for _, p := range t.peers {
-		if p != nil {
-			p.enqueue(frame)
-		}
-	}
+	t.enqueueAll(frame)
 }
 
-func (t *TCPTransport) publish(c *cluster, next Time) {
-	ps := &t.pubState[c.id]
-	r0 := atomic.LoadInt64(&c.recvCum[0].n)
-	r1 := atomic.LoadInt64(&c.recvCum[1].n)
-	if next == ps.lastNext && r0 == ps.lastRecv[0] && r1 == ps.lastRecv[1] {
-		return
-	}
-	ps.lastNext, ps.lastRecv[0], ps.lastRecv[1] = next, r0, r1
+// publish asks every writer for a mirror refresh. Kernel.publish calls it
+// only when a local cluster's progress or received counters changed. The
+// refresh is conflated: a dirty flag per peer makes the writer append one
+// mirror frame per local cluster, with the freshest values, once per drain
+// cycle, so a stalled peer reads one fresh frame, not a backlog of stale
+// ones.
+func (t *TCPTransport) publish() {
 	for _, p := range t.peers {
-		if p == nil {
-			continue
+		if p != nil {
+			atomic.StoreInt32(&p.pubDirty, 1)
+			p.wakeWriter()
 		}
-		atomic.StoreInt32(&p.pubDirty, 1)
-		p.wakeWriter()
 	}
 }
 
@@ -1067,161 +1011,103 @@ func (t *TCPTransport) initQuiet() bool {
 		return true
 	}
 	for _, p := range t.peers {
-		if p == nil {
-			continue
-		}
-		p.mu.Lock()
-		pending := len(p.buf) > 0
-		p.mu.Unlock()
-		if pending || atomic.LoadInt32(&p.writing) == 1 {
+		if p != nil && !p.drained() {
 			return false
 		}
 	}
 	return true
 }
 
-// finishRun is the end-of-run barrier: enqueue FIN behind everything else on
-// every lane (FIFO ⇒ all earlier frames are applied before the peer's FIN
-// lands), then wait for every peer's FIN. Connections stay open for
-// GatherSum; Close tears them down.
-func (t *TCPTransport) finishRun() error {
-	if len(t.opt.Peers) == 1 {
-		atomic.StoreInt32(&t.finished, 1)
-		return nil
-	}
+// exchange is the end-of-run pattern FIN and GatherSum share: enqueue
+// frame behind everything else on every lane, then wait until every peer's
+// part of exchange x has arrived, or for a fatal error. It returns the
+// first fatal error, if any.
+func (t *TCPTransport) exchange(x int, frame []byte) error {
 	if err := t.fatalErr(); err != nil {
 		return err
 	}
-	var b []byte
-	var off int
-	b, off = beginFrame(b, frameFin)
-	b = endFrame(b, off)
-	for _, p := range t.peers {
-		if p == nil {
-			continue
-		}
-		p.enqueue(b)
-	}
+	t.enqueueAll(frame)
 	// Backstop, not the failure detector: a peer whose process died is
 	// caught within PeerTimeout by its read loop. This fuse catches a peer
-	// that is alive (heartbeating) but logically wedged before its FIN.
-	deadline := time.AfterFunc(30*time.Second, func() {
-		t.finMu.Lock()
-		var missing []int
-		for node, seen := range t.finSeen {
-			if !seen {
-				missing = append(missing, node)
-			}
+	// that is alive (heartbeating) but logically wedged before its frame.
+	fuse := time.AfterFunc(exchangeFuse, func() {
+		t.xMu.Lock()
+		missing := t.missingLocked(x)
+		t.xMu.Unlock()
+		if len(missing) > 0 {
+			t.fatal(fmt.Errorf("timewarp: node %d: %w: no %s from nodes %v within %v", t.opt.Node, ErrPeerDown, xName[x], missing, exchangeFuse))
 		}
-		t.finMu.Unlock()
-		t.fatal(fmt.Errorf("timewarp: node %d: %w: no FIN from nodes %v within 30s", t.opt.Node, ErrPeerDown, missing))
 	})
-	t.finMu.Lock()
-	for t.fatalErr() == nil && !t.allFinsLocked() {
-		t.finCond.Wait()
+	defer fuse.Stop()
+	t.xMu.Lock()
+	for t.fatalErr() == nil && len(t.missingLocked(x)) > 0 {
+		t.xCond.Wait()
 	}
-	t.finMu.Unlock()
-	deadline.Stop()
-	if err := t.fatalErr(); err != nil {
-		return err
+	t.xMu.Unlock()
+	return t.fatalErr()
+}
+
+// missingLocked lists the peers whose part of exchange x has not arrived.
+func (t *TCPTransport) missingLocked(x int) []int {
+	var missing []int
+	for node, vals := range t.got[x] {
+		if node != t.opt.Node && vals == nil {
+			missing = append(missing, node)
+		}
+	}
+	return missing
+}
+
+// finishRun is the end-of-run barrier, exchange xFin: FIN travels behind
+// everything else on every lane (FIFO ⇒ all earlier frames are applied
+// before the peer's FIN lands). Connections stay open for GatherSum; Close
+// tears them down.
+func (t *TCPTransport) finishRun() error {
+	if t.nodes() > 1 {
+		b, off := beginFrame(nil, frameFin)
+		if err := t.exchange(xFin, endFrame(b, off)); err != nil {
+			return err
+		}
 	}
 	atomic.StoreInt32(&t.finished, 1)
 	return nil
-}
-
-func (t *TCPTransport) allFinsLocked() bool {
-	for _, seen := range t.finSeen {
-		if !seen {
-			return false
-		}
-	}
-	return true
 }
 
 // GatherSum element-wise sums vals across all nodes and returns the total on
 // every node. Call it after Run returned on every node (once per run); the
 // connections are still up until Close. Callers use it to reassemble global
 // counters (committed events, output signatures) from the per-node shares.
+// Every node sends its contribution to every peer and adds all n in node
+// order; uint64 addition is exact, so every node returns the same total.
 func (t *TCPTransport) GatherSum(vals []uint64) ([]uint64, error) {
 	if !t.started {
 		return nil, fmt.Errorf("%w: GatherSum before Run", ErrBadTransport)
 	}
-	total := append([]uint64(nil), vals...)
-	n := len(t.opt.Peers)
-	if n == 1 {
-		return total, nil
-	}
-	if err := t.fatalErr(); err != nil {
-		return nil, err
-	}
-	deadline := time.AfterFunc(30*time.Second, func() {
-		t.fatal(fmt.Errorf("timewarp: node %d: %w: timed out in GatherSum", t.opt.Node, ErrPeerDown))
-	})
-	defer deadline.Stop()
-	if t.opt.Node == 0 {
-		t.sumMu.Lock()
-		for t.fatalErr() == nil && !t.allSumsLocked() {
-			t.sumCond.Wait()
-		}
-		contribs := t.sumVals
-		t.sumMu.Unlock()
-		if err := t.fatalErr(); err != nil {
-			return nil, err
-		}
-		for node := 1; node < n; node++ {
-			c := contribs[node]
-			if len(c) != len(total) {
-				return nil, fmt.Errorf("timewarp: GatherSum length mismatch: node %d sent %d values, want %d", node, len(c), len(total))
-			}
-			for i, v := range c {
-				total[i] += v
-			}
-		}
-		var b []byte
-		var off int
-		b, off = beginFrame(b, frameSumReply)
-		b = appendI32(b, int32(len(total)))
-		for _, v := range total {
+	if t.nodes() > 1 {
+		b, off := beginFrame(nil, frameSum)
+		for _, v := range vals {
 			b = appendU64(b, v)
 		}
-		b = endFrame(b, off)
-		for _, p := range t.peers {
-			if p == nil {
-				continue
-			}
-			p.enqueue(b)
-		}
-		return total, nil
-	}
-	var b []byte
-	var off int
-	b, off = beginFrame(b, frameSum)
-	b = appendI32(b, int32(t.opt.Node))
-	b = appendI32(b, int32(len(vals)))
-	for _, v := range vals {
-		b = appendU64(b, v)
-	}
-	b = endFrame(b, off)
-	t.peers[0].enqueue(b)
-	t.sumMu.Lock()
-	for t.fatalErr() == nil && t.sumReply == nil {
-		t.sumCond.Wait()
-	}
-	reply := t.sumReply
-	t.sumMu.Unlock()
-	if err := t.fatalErr(); err != nil {
-		return nil, err
-	}
-	return reply, nil
-}
-
-func (t *TCPTransport) allSumsLocked() bool {
-	for node := 1; node < len(t.sumVals); node++ {
-		if t.sumVals[node] == nil {
-			return false
+		if err := t.exchange(xSum, endFrame(b, off)); err != nil {
+			return nil, err
 		}
 	}
-	return true
+	// Every part has arrived and arrive never replaces one, so got is read
+	// without the lock.
+	total := make([]uint64, len(vals))
+	for node := range t.opt.Peers {
+		c := vals
+		if node != t.opt.Node {
+			c = t.got[xSum][node]
+		}
+		if len(c) != len(vals) {
+			return nil, fmt.Errorf("timewarp: GatherSum length mismatch: node %d sent %d values, want %d", node, len(c), len(vals))
+		}
+		for i, v := range c {
+			total[i] += v
+		}
+	}
+	return total, nil
 }
 
 // Close tears the mesh down. Safe to call more than once and on a transport
@@ -1239,8 +1125,8 @@ func (t *TCPTransport) closeLocked() {
 		t.fatal(fmt.Errorf("timewarp: node %d: transport closed during the run", t.opt.Node))
 	}
 	// Let the writers drain frames enqueued just before Close — the
-	// GatherSum reply on a healthy shutdown, the abort broadcast on a fatal
-	// one — since setting closing would make them exit with bytes still
+	// GatherSum contribution on a healthy shutdown, the abort broadcast on a
+	// fatal one — since setting closing would make them exit with bytes still
 	// buffered. Bounded either way: a wedged peer cannot hold Close hostage,
 	// and an erroring mesh gets a shorter grace.
 	grace := 2 * time.Second
@@ -1252,13 +1138,7 @@ func (t *TCPTransport) closeLocked() {
 		if p == nil {
 			continue
 		}
-		for time.Now().Before(deadline) {
-			p.mu.Lock()
-			pending := len(p.buf) > 0
-			p.mu.Unlock()
-			if !pending && atomic.LoadInt32(&p.writing) == 0 {
-				break
-			}
+		for time.Now().Before(deadline) && !p.drained() {
 			p.wakeWriter()
 			time.Sleep(time.Millisecond)
 		}

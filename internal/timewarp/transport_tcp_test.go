@@ -1,6 +1,7 @@
 package timewarp
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -129,10 +130,18 @@ func TestTCPLoopbackPingPong(t *testing.T) {
 	}
 }
 
-// TestTCPLoopbackStress partitions four clusters over two processes with
-// straggler pairs crossing the node boundary, so rollbacks and anti-messages
-// travel by socket. Totals must equal the in-memory run bit for bit.
+// TestTCPLoopbackStress partitions four clusters over two and over three
+// processes with straggler pairs crossing the node boundary, so rollbacks and
+// anti-messages travel by socket. Over three, node 1 both dials (node 0) and
+// accepts (node 2). Totals must equal the in-memory run bit for bit on every
+// node.
 func TestTCPLoopbackStress(t *testing.T) {
+	for _, n := range []int{2, 3} {
+		t.Run(fmt.Sprintf("nodes=%d", n), func(t *testing.T) { testTCPLoopbackStress(t, n) })
+	}
+}
+
+func testTCPLoopbackStress(t *testing.T, nodes int) {
 	build := func() (Config, []Handler) {
 		const chains = 6
 		handlers := make([]Handler, 0, chains+2)
@@ -141,8 +150,8 @@ func TestTCPLoopbackStress(t *testing.T) {
 			handlers = append(handlers, &chainLP{limit: 150})
 			clusterOf = append(clusterOf, i%4)
 		}
-		// Victim on node 0's clusters, sender on node 1's: every straggler
-		// and its anti-message cascade crosses the socket.
+		// Victim on node 0's clusters, sender on the last node's: every
+		// straggler and its anti-message cascade crosses the socket.
 		handlers = append(handlers, &stragglerVictim{limit: 250}, &stragglerSender{victim: LPID(chains), n: 240})
 		clusterOf = append(clusterOf, 0, 3)
 		return Config{
@@ -167,7 +176,7 @@ func TestTCPLoopbackStress(t *testing.T) {
 		return []uint64{sum}
 	}
 
-	results, sum := runTCPLoopback(t, 2, func(int) (Config, []Handler) { return build() }, contribute)
+	results, sum := runTCPLoopback(t, nodes, func(int) (Config, []Handler) { return build() }, contribute)
 	var committed, processed, rolledBack uint64
 	for _, r := range results {
 		committed += r.stats.EventsCommitted
@@ -273,42 +282,25 @@ func TestTCPTransportValidation(t *testing.T) {
 	}
 }
 
-// TestTCPMirrorFramesRejectHostedClusters: progress and counts frames
-// mirror a remote cluster's published progress and received counters into
-// this node's shell of it. A frame naming a cluster this node hosts would
-// overwrite live state — its published entry, or the recvCum the wave-1
-// drain sums — so it is a frame error and changes nothing. Frames naming a
-// remote cluster still apply.
+// TestTCPMirrorFramesRejectHostedClusters: a mirror frame carries a remote
+// cluster's published progress and received counters into this node's
+// shell of it. A frame naming a cluster this node hosts would overwrite live
+// state — its published entry, or the recvCum the wave-1 drain sums — so it
+// is a frame error and changes nothing. A frame naming a remote cluster
+// still applies.
 func TestTCPMirrorFramesRejectHostedClusters(t *testing.T) {
-	tr, err := NewTCPTransport(TCPOptions{Node: 0, Peers: []string{"a", "b"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	k, err := New(Config{NumClusters: 2, ClusterOf: []int{0, 1}, Net: NetConfig{Transport: tr}},
-		[]Handler{&pingLP{peer: 1}, &pingLP{peer: 0}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr, k := boundTCP(t, NetConfig{})
 	hosted, remote := k.clusters[0], k.clusters[1]
 	k.publishProgress(hosted.id, 7)
 	atomic.StoreInt64(&hosted.recvCum[0].n, 3)
 	atomic.StoreInt64(&hosted.recvCum[1].n, 4)
-	progress := func(cid int32, next Time) []byte {
-		b, off := beginFrame(nil, frameProgress)
-		b = appendI32(b, cid)
-		b = appendI64(b, next)
-		return endFrame(b, off)
-	}
-	apply := func(frame []byte) error {
-		typ, body := decodeOneFrame(t, frame)
+	apply := func(m wireMirror) error {
+		typ, body := decodeOneFrame(t, appendMirror(nil, m))
 		return tr.apply(nil, typ, body)
 	}
 
-	if err := apply(progress(0, 99)); err == nil {
-		t.Error("progress frame naming hosted cluster 0 applied")
-	}
-	if err := apply(appendCounts(nil, wireCounts{cluster: 0, recv0: 90, recv1: 91})); err == nil {
-		t.Error("counts frame naming hosted cluster 0 applied")
+	if err := apply(wireMirror{cluster: 0, next: 99, recv0: 90, recv1: 91}); err == nil {
+		t.Error("mirror frame naming hosted cluster 0 applied")
 	}
 	if got := atomic.LoadInt64(&k.published[0].t); got != 7 {
 		t.Errorf("hosted cluster's published = %d, want 7", got)
@@ -317,17 +309,203 @@ func TestTCPMirrorFramesRejectHostedClusters(t *testing.T) {
 		t.Errorf("hosted cluster's recvCum = [%d %d], want [3 4]", r0, r1)
 	}
 
-	if err := apply(progress(1, 42)); err != nil {
-		t.Errorf("progress frame for remote cluster 1: %v", err)
-	}
-	if err := apply(appendCounts(nil, wireCounts{cluster: 1, recv0: 5, recv1: 6})); err != nil {
-		t.Errorf("counts frame for remote cluster 1: %v", err)
+	if err := apply(wireMirror{cluster: 1, next: 42, recv0: 5, recv1: 6}); err != nil {
+		t.Errorf("mirror frame for remote cluster 1: %v", err)
 	}
 	if got := atomic.LoadInt64(&k.published[1].t); got != 42 {
 		t.Errorf("remote cluster's published = %d, want 42", got)
 	}
 	if r0, r1 := atomic.LoadInt64(&remote.recvCum[0].n), atomic.LoadInt64(&remote.recvCum[1].n); r0 != 5 || r1 != 6 {
 		t.Errorf("remote cluster's recvCum mirror = [%d %d], want [5 6]", r0, r1)
+	}
+}
+
+// boundTCP returns node 0 of an unstarted two-node TCP transport, bound to a
+// two-cluster kernel: cluster 0 is hosted here, cluster 1 on node 1. No
+// socket is opened; tests install peers by hand.
+func boundTCP(t *testing.T, nc NetConfig) (*TCPTransport, *Kernel) {
+	t.Helper()
+	tr, err := NewTCPTransport(TCPOptions{Node: 0, Peers: []string{"a", "b"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nc.Transport = tr
+	k, err := New(Config{NumClusters: 2, ClusterOf: []int{0, 1}, Net: nc},
+		[]Handler{&pingLP{peer: 1}, &pingLP{peer: 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr, k
+}
+
+// slowConn is a net.Conn stub whose writes take delay and fail once it is
+// closed, like a socket torn down under a writer.
+type slowConn struct {
+	net.Conn
+	delay  time.Duration
+	mu     sync.Mutex
+	buf    []byte
+	closed bool
+}
+
+func (c *slowConn) Write(b []byte) (int, error) {
+	time.Sleep(c.delay)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed {
+		return 0, net.ErrClosed
+	}
+	c.buf = append(c.buf, b...)
+	return len(b), nil
+}
+
+func (c *slowConn) Close() error {
+	c.mu.Lock()
+	c.closed = true
+	c.mu.Unlock()
+	return nil
+}
+
+// TestTCPCloseDrainsLane: a frame enqueued just before Close — a GatherSum
+// contribution, or the abort broadcast of a failing node — still reaches
+// the peer, because Close lets the writer drain the lane before it closes
+// the connection, even when the write is slow.
+func TestTCPCloseDrainsLane(t *testing.T) {
+	tr, _ := boundTCP(t, NetConfig{})
+	conn := &slowConn{delay: 100 * time.Millisecond}
+	p := tr.newPeer(1, conn, nil)
+	tr.peers[1] = p
+	tr.started = true
+	atomic.StoreInt32(&tr.finished, 1)
+	tr.writeWG.Add(1)
+	go tr.writeLoop(p)
+	frame, off := beginFrame(nil, frameSum)
+	frame = endFrame(appendU64(frame, 301), off)
+	p.enqueue(frame)
+	tr.Close()
+	conn.mu.Lock()
+	defer conn.mu.Unlock()
+	if !bytes.Equal(conn.buf, frame) {
+		t.Errorf("peer received % x before Close, want % x", conn.buf, frame)
+	}
+}
+
+// TestTCPInitQuietWaitsForLanes: init is quiet on this node once every lane
+// is empty and no writer holds frames it has not flushed; after a fatal
+// error it is quiet regardless, since a dead writer never drains.
+func TestTCPInitQuietWaitsForLanes(t *testing.T) {
+	tr, _ := boundTCP(t, NetConfig{})
+	p := tr.newPeer(1, &sinkConn{}, nil)
+	tr.peers[1] = p
+	steps := []struct {
+		name  string
+		setup func()
+		quiet bool
+	}{
+		{"idle lane", func() {}, true},
+		{"frame queued", func() { p.enqueue(appendReport(nil, wireReport{cluster: 0, min: 3})) }, false},
+		{"writer holds frames", func() {
+			p.buf = p.buf[:0]
+			atomic.StoreInt32(&p.writing, 1)
+		}, false},
+		{"writer flushed", func() { atomic.StoreInt32(&p.writing, 0) }, true},
+		{"fatal with a full lane", func() { tr.fatal(errors.New("peer died")) }, true},
+	}
+	for _, s := range steps {
+		s.setup()
+		if got := tr.initQuiet(); got != s.quiet {
+			t.Errorf("%s: initQuiet = %v, want %v", s.name, got, s.quiet)
+		}
+	}
+}
+
+// TestTCPPushBackpressure: a lane refuses an event batch once it would hold
+// more than InboxSize events, so a slow peer bounds the sender's memory and
+// flushDst retries; an empty lane takes any batch, and control frames are
+// never refused.
+func TestTCPPushBackpressure(t *testing.T) {
+	tr, _ := boundTCP(t, NetConfig{InboxSize: 4})
+	p := tr.newPeer(1, &sinkConn{}, nil)
+	tr.peers[1] = p
+	push := func(n int) bool { return tr.push(1, make([]Event, n), batchHdr{n: int32(n)}) }
+	if !push(3) {
+		t.Fatal("empty lane refused 3 events")
+	}
+	if push(2) {
+		t.Error("lane holding 3 of 4 events took 2 more")
+	}
+	if !push(1) {
+		t.Error("lane holding 3 of 4 events refused the 4th")
+	}
+	before := len(p.buf)
+	tr.ctrl(1, appendReport(nil, wireReport{cluster: 0, min: 3}))
+	if len(p.buf) == before {
+		t.Error("control frame refused by a full lane")
+	}
+	p.buf, p.dataEvents = p.buf[:0], 0 // the writer swapped the lane out
+	if !push(9) {
+		t.Error("empty lane refused a batch larger than InboxSize")
+	}
+}
+
+// TestAbortFrameForwardsOrigin: one mapping turns an error into an abort
+// frame. A relayed abort keeps its originator and code, so a mesh blames
+// the root cause rather than the node that passed it on; this node's own
+// errors carry its id and the code of the sentinel they wrap.
+func TestAbortFrameForwardsOrigin(t *testing.T) {
+	tr := &TCPTransport{opt: TCPOptions{Node: 1}}
+	relayed := &abortError{origin: 2, code: abortCodeConfig, reason: "digest differs"}
+	for _, tc := range []struct {
+		name   string
+		err    error
+		origin int
+		code   uint8
+	}{
+		{"relayed", fmt.Errorf("timewarp: node 1: %w", relayed), 2, abortCodeConfig},
+		{"proto", fmt.Errorf("%w: v4 vs v5", ErrProtoMismatch), 1, abortCodeProto},
+		{"config", fmt.Errorf("%w: 3 nodes vs 2", ErrConfigMismatch), 1, abortCodeConfig},
+		{"fatal", tr.peerFail(0, "read failed"), 1, abortCodeFatal},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			typ, body := decodeOneFrame(t, tr.abortFrame(tc.err))
+			if typ != frameAbort {
+				t.Fatalf("frame type %d, want abort", typ)
+			}
+			ae, err := parseAbort(body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ae.origin != tc.origin || ae.code != tc.code || ae.reason != tc.err.Error() {
+				t.Errorf("abort = %+v, want origin %d code %d reason %q", *ae, tc.origin, tc.code, tc.err.Error())
+			}
+		})
+	}
+}
+
+// TestDeliverBatchForcePushAfterDone: a reader delivering into a full
+// mailbox waits for the consumer, but once the kernel is done no consumer
+// is coming. The batch must then go in regardless, or the reader goroutine
+// (and Close, which waits for it) would hang.
+func TestDeliverBatchForcePushAfterDone(t *testing.T) {
+	tr, k := boundTCP(t, NetConfig{InboxSize: 1})
+	c := k.clusters[0]
+	evs := []Event{{ID: 1, Sender: 1, Receiver: 0, RecvTime: 5}}
+	if !c.mail.push(evs, batchHdr{n: 1}, 1) {
+		t.Fatal("first push into an empty mailbox refused")
+	}
+	atomic.StoreInt32(&k.done, 1)
+	delivered := make(chan struct{})
+	go func() {
+		tr.deliverBatch(c, evs, batchHdr{n: 1})
+		close(delivered)
+	}()
+	select {
+	case <-delivered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("deliverBatch into a full mailbox still waiting 5s after the kernel was done")
+	}
+	if got, _, _ := c.mail.take(nil, nil); len(got) != 2 {
+		t.Errorf("mailbox holds %d events, want 2", len(got))
 	}
 }
 

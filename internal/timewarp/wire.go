@@ -20,25 +20,28 @@ import (
 //
 // Decoding is defensive: the frame length is capped (maxFrameLen), every read
 // goes through wireReader, which saturates on truncation instead of
-// panicking, and decodeers reject bodies with trailing bytes. A corrupt or
+// panicking, and decoders reject bodies with trailing bytes. A corrupt or
 // truncated frame therefore surfaces as an error from the transport, never as
 // an out-of-bounds access or a silently misparsed event.
 
 // Frame types. The hello frame opens every connection (versioned handshake,
-// see wireHello); fin is the last frame a node sends for the run proper
-// (GatherSum frames may follow). Heartbeat frames keep idle lanes visibly
-// alive for the peer-failure detector; an abort frame is a node's dying
-// breath, telling the mesh why it is tearing down. frameCtrl and the four
-// dynamic-balancing frames (frameAckLoad, frameOrder, framePayload,
-// frameRoute) are retired: no node sends them and receivers reject them, but
-// their numbers stay taken. New types are appended — renumbering existing
-// ones is a wire-protocol break and must bump protoVersion.
+// see wireHello); fin is the last frame a node sends for the run proper, and
+// only its sum frame, GatherSum's contribution, may follow. A mirror frame
+// refreshes a remote cluster's progress and received counters. Heartbeat
+// frames keep idle lanes visibly alive for the peer-failure detector; an
+// abort frame is a node's dying breath, telling the mesh why it is tearing
+// down. Retired frames — frameCtrl, frameCounts (folded into the mirror
+// frame), the four dynamic-balancing frames (frameAckLoad, frameOrder,
+// framePayload, frameRoute) and frameSumReply (GatherSum is all-to-all) —
+// are sent by no node and rejected by receivers, but their numbers stay
+// taken. New types are appended — renumbering existing ones is a
+// wire-protocol break and must bump protoVersion.
 const (
 	frameHello uint8 = 1 + iota
 	frameBatch
 	frameCtrl // retired
-	frameProgress
-	frameCounts
+	frameMirror
+	frameCounts // retired
 	frameCoord
 	frameReqGVT
 	frameAckCut
@@ -49,7 +52,7 @@ const (
 	frameRoute   // retired
 	frameFin
 	frameSum
-	frameSumReply
+	frameSumReply // retired
 	frameHeartbeat
 	frameAbort
 )
@@ -74,8 +77,11 @@ const helloMagic uint32 = 0x54574d50
 // dropped the per-LP rollback and remote-send counters from migration
 // payloads and load acks; version 4 retired the load-ack, order, payload and
 // route frames and the load round in the coord frame, since LPs no longer
-// migrate between processes.
-const protoVersion uint16 = 4
+// migrate between processes; version 5 merged the progress and counts frames
+// into one mirror frame and made GatherSum all-to-all, retiring the counts
+// and sum-reply frames and dropping the sender and count fields of the sum
+// frame.
+const protoVersion uint16 = 5
 
 // maxAbortReason caps the reason string carried by a frameAbort. Reasons are
 // human-readable error text; anything longer is truncated at encode time,
@@ -139,11 +145,16 @@ func endFrame(b []byte, off int) []byte {
 // (type byte included). It returns the frame type and the body bytes after
 // the type byte; the body is valid until the next call.
 func readFrame(r *bufio.Reader, scratch []byte) (uint8, []byte, []byte, error) {
-	var pre [4]byte
-	if _, err := io.ReadFull(r, pre[:]); err != nil {
+	// Peek reads the prefix in place, where a local array would escape.
+	pre, err := r.Peek(4)
+	if err != nil {
+		if err == io.EOF && len(pre) > 0 {
+			err = io.ErrUnexpectedEOF // a stream cut inside a length prefix
+		}
 		return 0, nil, scratch, err
 	}
-	n := binary.LittleEndian.Uint32(pre[:])
+	n := binary.LittleEndian.Uint32(pre)
+	r.Discard(4) // cannot fail: Peek returned the 4 bytes
 	if n < 1 || n > maxFrameLen {
 		return 0, nil, scratch, fmt.Errorf("timewarp: wire frame length %d out of range", n)
 	}
@@ -338,28 +349,31 @@ func (r *wireReader) coord() wireCoord {
 	}
 }
 
-// wireCounts mirrors one cluster's cumulative received-event counters to the
-// coordinator's node (the wave-1 drain probe input). Strictly monotone per
-// cluster; conflated, so only the freshest value is ever in flight.
+// wireMirror refreshes this node's shell of a remote cluster: the next work
+// time its owner published and its cumulative received-event counters (the
+// wave-1 drain probe's input). Conflated, so only the freshest values are
+// ever in flight.
 //
 //kernelvet:wire
-type wireCounts struct {
+type wireMirror struct {
 	cluster int32
+	next    Time
 	recv0   int64
 	recv1   int64
 }
 
-func appendCounts(b []byte, c wireCounts) []byte {
+func appendMirror(b []byte, m wireMirror) []byte {
 	var off int
-	b, off = beginFrame(b, frameCounts)
-	b = appendI32(b, c.cluster)
-	b = appendI64(b, c.recv0)
-	b = appendI64(b, c.recv1)
+	b, off = beginFrame(b, frameMirror)
+	b = appendI32(b, m.cluster)
+	b = appendI64(b, m.next)
+	b = appendI64(b, m.recv0)
+	b = appendI64(b, m.recv1)
 	return endFrame(b, off)
 }
 
-func (r *wireReader) counts() wireCounts {
-	return wireCounts{cluster: r.i32(), recv0: r.i64(), recv1: r.i64()}
+func (r *wireReader) mirror() wireMirror {
+	return wireMirror{cluster: r.i32(), next: r.i64(), recv0: r.i64(), recv1: r.i64()}
 }
 
 // wireAckCut is a cluster's wave-1 join ack. It pins the cluster's white
