@@ -71,9 +71,15 @@
 //     byte-identical to the pre-payload format) that the vectored logic
 //     simulator fills with 64 packed scenarios per message. Event queues
 //     use non-boxing heaps, scheduler pushes are deduplicated per LP, and
-//     each LP keeps its history — input events (payloads inline), sends
-//     and saved states — in three flat logs that rollback truncates and
-//     fossil collection compacts.
+//     each cluster keeps the history of all its LPs in one append-only
+//     log in execution order: a record per bundle (LP id, time, a link to
+//     the same LP's previous live record, offsets into three flat logs of
+//     input events with payloads inline, sends and saved states, a dead
+//     flag). Rollback walks one LP's chain of records and marks them
+//     dead; fossil collection advances one head pointer over dead records
+//     and live ones below GVT, stopping at the first live record at or
+//     after it, touches no LP and compacts by copy-down; migration carries
+//     an LP's uncommitted records to the tail of its new home's log.
 //
 //     Failure semantics of the TCP mesh: connections open with a versioned
 //     hello (magic, wire-protocol version, topology counts, and an FNV-1a

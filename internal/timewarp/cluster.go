@@ -231,12 +231,12 @@ type cluster struct {
 	delayed delayedHeap  //kernelvet:owner cluster
 	sched   schedQueue   //kernelvet:owner cluster
 	stats   ClusterStats //kernelvet:owner cluster
-	// hist lists the LPs that may hold processed bundles, so fossil
-	// collection visits only them (see lpRuntime.inHist). It may still name
-	// LPs that migrated away, which fossilCollect drops without touching,
-	// and an LP that left and came back before the next pass is listed
-	// twice until its history empties; collecting it twice is a no-op.
-	hist []*lpRuntime //kernelvet:owner cluster
+	// hist is the cluster's history log: one record per processed bundle
+	// of every LP it runs, in execution order (see histLog). chainBuf is
+	// the reused list of sequence numbers chain fills for a rollback or a
+	// migration.
+	hist     histLog //kernelvet:owner cluster
+	chainBuf []int64 //kernelvet:owner cluster
 
 	eventsSinceGVT int //kernelvet:owner cluster
 	idleLoops      int //kernelvet:owner cluster
@@ -259,7 +259,8 @@ type cluster struct {
 	// reportedRound is the last round this cluster sent a wave-2 report
 	// for; it makes duplicate report wakeups harmless.
 	reportedRound int64 //kernelvet:owner cluster
-	// fossilAt is the GVT this cluster last fossil-collected at.
+	// fossilAt is the GVT this cluster last fossil-collected at: no
+	// message may arrive below it (lpRuntime.straggler).
 	fossilAt Time //kernelvet:owner cluster
 	// idleTimer is the reusable timer behind waitMail; time.After would
 	// allocate a fresh timer channel on every idle wait.
@@ -430,7 +431,6 @@ func (c *cluster) checkGVT() {
 // coordination with other clusters, no round barrier.
 func (c *cluster) maybeFossil() {
 	if g := c.kernel.GVT(); g > c.fossilAt {
-		c.fossilAt = g
 		c.fossilCollect(g)
 	}
 }
@@ -685,24 +685,212 @@ func (c *cluster) localMin() Time {
 	return min
 }
 
-// fossilCollect commits history below gvt across the cluster's LPs. Only
-// LPs on the history list can hold any; the list keeps those still owned
-// with history left and drops the rest. An LP that migrated away belongs to
-// its new owner, which re-registered it on adoption, so it is dropped
-// without being read.
+// histLog is a cluster's history: an append-only log of records, one per
+// processed bundle of every LP the cluster runs, in execution order, and
+// three flat logs the records index — the bundles' input events (in), the
+// sends they made (out) and the LP states saved before them (states). A
+// record's shares run from its offsets to the next record's (or the log's
+// end), so executeNext only appends at the three tails. Sequence numbers
+// and offsets are absolute: recs[i] is record base+i, and offset o is
+// in[o-inBase] (likewise out and states), so compaction moves no record's
+// number and rebases nothing.
+//
+// Records before head are committed or dead; fossil collection advances
+// head and compacts by copy-down once it passes half the log. Records
+// carry an LPID, not a pointer, and events hold none, so the garbage
+// collector never scans the log.
+type histLog struct {
+	recs []histRec
+	base int64
+	head int
+
+	in, out                    []Event
+	states                     []byte
+	inBase, outBase, stateBase int
+}
+
+// histRec is one processed bundle in a history log.
+type histRec struct {
+	time Time
+	// prev is the sequence number of the same LP's previous live record,
+	// or -1 (see lpRuntime.last).
+	prev int64
+	// evAt, sentAt and stateAt are where the bundle's input events, sends
+	// and pre-state start, as absolute offsets into the log's in, out and
+	// states.
+	evAt, sentAt, stateAt int
+	lp                    LPID
+	// dead marks a record rolled back, or carried away or committed by a
+	// migration: fossil collection skips it.
+	dead bool
+}
+
+// headSeq returns the sequence number of the first record not yet known to
+// be committed or dead; every live record at or after it is uncommitted.
+func (h *histLog) headSeq() int64 { return h.base + int64(h.head) }
+
+// at returns record s, which must be in the log.
+func (h *histLog) at(s int64) *histRec { return &h.recs[s-h.base] }
+
+// shares returns record s's input events, sends and saved state, windows
+// on the logs valid until the next append, trim or compaction.
+//
+//kernelvet:noalloc
+func (h *histLog) shares(s int64) (in, out []Event, state []byte) {
+	i := int(s - h.base)
+	r := &h.recs[i]
+	inEnd, outEnd, stateEnd := len(h.in), len(h.out), len(h.states)
+	if i+1 < len(h.recs) {
+		n := &h.recs[i+1]
+		inEnd, outEnd, stateEnd = n.evAt-h.inBase, n.sentAt-h.outBase, n.stateAt-h.stateBase
+	}
+	return h.in[r.evAt-h.inBase : inEnd], h.out[r.sentAt-h.outBase : outEnd], h.states[r.stateAt-h.stateBase : stateEnd]
+}
+
+// reserve doubles each log whose spare capacity is below what one bundle
+// typically appends, before executeNext appends to it. Left to append, a
+// slice past 256 elements grows by about a quarter at a time, so every fresh
+// run regrew its cluster logs through many reallocations of distinct large
+// sizes: on vec-k2-g0 each run allocated 27–50 MB and left a heap of
+// 28–49 MB behind, whose scavenging slowed the next set-up. Doubling made it
+// 21–35 MB and 28–32 MB. It allocates only while the logs grow.
+func (h *histLog) reserve() {
+	if len(h.recs) == cap(h.recs) {
+		h.recs = append(make([]histRec, 0, 2*len(h.recs)+64), h.recs...)
+	}
+	if cap(h.in)-len(h.in) < 64 {
+		h.in = append(make([]Event, 0, 2*len(h.in)+64), h.in...)
+	}
+	if cap(h.out)-len(h.out) < 64 {
+		h.out = append(make([]Event, 0, 2*len(h.out)+64), h.out...)
+	}
+	if cap(h.states)-len(h.states) < 4096 {
+		h.states = append(make([]byte, 0, 2*len(h.states)+4096), h.states...)
+	}
+}
+
+// add appends r, whose shares are the logs' tails from its offsets, and
+// returns its sequence number.
+//
+//kernelvet:noalloc
+func (h *histLog) add(r histRec) int64 {
+	h.recs = append(h.recs, r)
+	return h.base + int64(len(h.recs)) - 1
+}
+
+// push appends a record for a bundle of LP id at time t whose shares are
+// copied from in, out and state, and returns its sequence number.
+func (h *histLog) push(id LPID, t Time, prev int64, in, out []Event, state []byte) int64 {
+	r := histRec{
+		time: t, prev: prev, lp: id,
+		evAt: h.inBase + len(h.in), sentAt: h.outBase + len(h.out), stateAt: h.stateBase + len(h.states),
+	}
+	h.in = append(h.in, in...)
+	h.out = append(h.out, out...)
+	h.states = append(h.states, state...)
+	return h.add(r)
+}
+
+// trim drops the dead records at the log's tail, and their shares, so the
+// common rollback of the newest bundles leaves nothing for fossil
+// collection to skip. Their numbers are reused, which is safe because no
+// chain links to a dead record.
+//
+//kernelvet:noalloc
+func (h *histLog) trim() {
+	n := len(h.recs)
+	for n > h.head && h.recs[n-1].dead {
+		n--
+	}
+	if n == len(h.recs) {
+		return
+	}
+	r := &h.recs[n]
+	h.in = h.in[:r.evAt-h.inBase]
+	h.out = h.out[:r.sentAt-h.outBase]
+	h.states = h.states[:r.stateAt-h.stateBase]
+	h.recs = h.recs[:n]
+}
+
+// compact drops the records before head, and their shares, by copy-down
+// once head has passed half the log; the amortized cost is one copy of
+// each record and share, and the steady state allocates nothing.
+//
+//kernelvet:noalloc
+func (h *histLog) compact() {
+	if h.head == 0 || 2*h.head < len(h.recs) {
+		return
+	}
+	inAt, outAt, stateAt := len(h.in), len(h.out), len(h.states)
+	if h.head < len(h.recs) {
+		r := &h.recs[h.head]
+		inAt, outAt, stateAt = r.evAt-h.inBase, r.sentAt-h.outBase, r.stateAt-h.stateBase
+	}
+	h.in = h.in[:copy(h.in, h.in[inAt:])]
+	h.out = h.out[:copy(h.out, h.out[outAt:])]
+	h.states = h.states[:copy(h.states, h.states[stateAt:])]
+	h.recs = h.recs[:copy(h.recs, h.recs[h.head:])]
+	h.inBase += inAt
+	h.outBase += outAt
+	h.stateBase += stateAt
+	h.base += int64(h.head)
+	h.head = 0
+}
+
+// chain returns the sequence numbers of the live records on the chain from
+// s whose time is at or after t, newest first, in the cluster's reused
+// buffer. The walk stops at a committed record, so it never reads one that
+// compaction may have dropped.
+//
+//kernelvet:noalloc
+func (c *cluster) chain(s int64, t Time) []int64 {
+	h := &c.hist
+	out := c.chainBuf[:0]
+	for s >= h.headSeq() {
+		r := h.at(s)
+		if r.time < t {
+			break
+		}
+		out = append(out, s)
+		s = r.prev
+	}
+	c.chainBuf = out
+	return out
+}
+
+// fossilCollect commits history below gvt: it advances the log's head over
+// dead records and over live records below gvt, and stops at the first
+// live record at or after gvt, which holds the records behind it until a
+// later collection even when they are older (a blocker). It touches no LP
+// but, under dynamic rebalancing, the load counter of each LP it commits
+// for. Every record a cluster holds belongs to an LP it owns (migrateOut
+// takes the LP's records along), so that counter is the cluster's too.
+//
+//kernelvet:deterministic
+//kernelvet:noalloc
 func (c *cluster) fossilCollect(gvt Time) {
-	keep := c.hist[:0]
-	for _, lp := range c.hist {
-		if !c.owned[lp.id] {
+	if gvt > c.fossilAt {
+		c.fossilAt = gvt
+	}
+	h := &c.hist
+	load := c.kernel.cfg.Dynamic.Rebalance != nil
+	for ; h.head < len(h.recs); h.head++ {
+		r := &h.recs[h.head]
+		if r.dead {
 			continue
 		}
-		c.stats.EventsCommitted += lp.fossilCollect(gvt)
-		if lp.hasHistory() {
-			keep = append(keep, lp)
-		} else {
-			lp.inHist = false
+		if r.time >= gvt {
+			break
+		}
+		end := h.inBase + len(h.in)
+		if h.head+1 < len(h.recs) {
+			end = h.recs[h.head+1].evAt
+		}
+		n := uint64(end - r.evAt)
+		c.stats.EventsCommitted += n
+		if load {
+			c.kernel.lps[r.lp].loadCommitted += n
 		}
 	}
-	clear(c.hist[len(keep):])
-	c.hist = keep
+	h.compact()
 }

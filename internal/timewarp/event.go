@@ -3,9 +3,13 @@
 // is the in-process equivalent of the WARPED kernel used by the paper:
 // logical processes (LPs) are grouped into clusters, one goroutine per
 // cluster models one workstation-level simulation process, and clusters
-// exchange timestamped event messages. Each LP keeps input, output and state
-// queues; a straggler rolls the LP back, and every send the rolled-back
-// bundles made becomes an anti-message at once (aggressive cancellation).
+// exchange timestamped event messages. Each cluster keeps one history log
+// for all its LPs, in execution order: a record per processed bundle,
+// linked to the same LP's previous record, indexing the bundle's input
+// events, sends and saved state in three cluster-wide logs (cluster.go). A
+// straggler rolls the LP back along its chain of records, and every send
+// the rolled-back bundles made becomes an anti-message at once (aggressive
+// cancellation).
 //
 // Inter-cluster transport is batched: a cluster accumulates remote events in
 // per-destination outboxes and flushes each as one batch into the
@@ -112,8 +116,8 @@ const (
 // other applications are free to use it as 16 opaque bytes. A zero Payload
 // means "no payload": the wire codec omits it entirely (one flag bit selects
 // the wide frame), so scalar-mode traffic stays byte-identical to the
-// pre-payload format. Payloads live inline in events — the LP's input and
-// send logs keep them through rollback and fossil collection like any other
+// pre-payload format. Payloads live inline in events — the cluster's input
+// and send logs keep them through rollback and fossil collection like any other
 // field, and the transit ledger is unchanged because the unit in flight is
 // still the event.
 //

@@ -172,41 +172,43 @@ func horizonLP(t *testing.T) (k *Kernel, lp *lpRuntime, v *stragglerVictim, deli
 // read the unset horizon as "committed through 0".
 func TestHorizonTimeZeroRollback(t *testing.T) {
 	_, lp, v, deliver, execute := horizonLP(t)
+	c := lp.cluster
 	deliver(0, false)
 	execute()
-	if v.sum != 0 || lp.lvt != 0 || len(lp.processed) != 1 {
-		t.Fatalf("after the time-0 bundle: sum=%d lvt=%d processed=%d", v.sum, lp.lvt, len(lp.processed))
+	if v.sum != 0 || lp.lvt != 0 || lp.liveRecords() != 1 {
+		t.Fatalf("after the time-0 bundle: sum=%d lvt=%d live records=%d", v.sum, lp.lvt, lp.liveRecords())
 	}
-	if n := lp.fossilCollect(0); n != 0 {
-		t.Fatalf("fossilCollect(0) committed %d events of the time-0 bundle", n)
+	if c.fossilCollect(0); c.stats.EventsCommitted != 0 {
+		t.Fatalf("fossilCollect(0) committed %d events of the time-0 bundle", c.stats.EventsCommitted)
 	}
 	lp.rollback(0)
-	if len(lp.processed) != 0 || lp.nextTime() != 0 || lp.lvt != -1 {
-		t.Errorf("after rollback to 0: processed=%d next=%d lvt=%d, want 0, 0, -1",
-			len(lp.processed), lp.nextTime(), lp.lvt)
+	if lp.liveRecords() != 0 || lp.nextTime() != 0 || lp.lvt != -1 {
+		t.Errorf("after rollback to 0: live records=%d next=%d lvt=%d, want 0, 0, -1",
+			lp.liveRecords(), lp.nextTime(), lp.lvt)
 	}
 }
 
 // TestHorizonArrivalAfterFullRollback: once a rollback has undone every
-// bundle the LP still holds, lvt stands at the committed horizon, so a
-// message at the horizon fails at its arrival instead of being queued and
-// executed below GVT.
+// bundle the LP still holds, lvt stands at the cluster's collected GVT
+// minus one, so a message below that GVT fails at its arrival instead of
+// being queued and executed below GVT.
 func TestHorizonArrivalAfterFullRollback(t *testing.T) {
 	for _, anti := range []bool{false, true} {
 		t.Run(fmt.Sprintf("anti=%v", anti), func(t *testing.T) {
 			k, lp, _, deliver, execute := horizonLP(t)
+			c := lp.cluster
 			deliver(1, false)
 			deliver(2, false)
 			execute()
-			lp.fossilCollect(2) // commits the bundle at 1
-			deliver(2, false)   // straggler: rolls back the only bundle left
-			if len(lp.processed) != 0 || lp.committedThrough != 1 || lp.lvt != 1 {
-				t.Errorf("after the full rollback: processed=%d committedThrough=%d lvt=%d, want 0, 1, 1",
-					len(lp.processed), lp.committedThrough, lp.lvt)
+			c.fossilCollect(2) // commits the bundle at 1
+			deliver(2, false)  // straggler: rolls back the only bundle left
+			if lp.liveRecords() != 0 || c.fossilAt != 2 || lp.lvt != 1 {
+				t.Errorf("after the full rollback: live records=%d fossilAt=%d lvt=%d, want 0, 2, 1",
+					lp.liveRecords(), c.fossilAt, lp.lvt)
 			}
 			// The message names the arrival: its ID is the next one
 			// horizonLP's deliver mints.
-			want := fmt.Sprintf("LP 0 received a message at 1, at or below its committed horizon 1 (lvt 1, GVT view -1): event %d from LP %d, anti=%v, route epoch 0",
+			want := fmt.Sprintf("LP 0 received a message at 1, below the GVT 2 its cluster 0 collected at (lvt 1, GVT view -1): event %d from LP %d, anti=%v, route epoch 0",
 				atomic.LoadUint64(&k.eventID)+1, NoLP, anti)
 			defer func() {
 				msg, _ := recover().(string)
@@ -216,6 +218,38 @@ func TestHorizonArrivalAfterFullRollback(t *testing.T) {
 			}()
 			deliver(1, anti)
 			t.Errorf("arrival at the horizon was accepted; pending=%d", len(lp.pending))
+		})
+	}
+}
+
+// TestHorizonArrivalBelowCollectedGVT: fossil collection does not touch the
+// LPs, so after it commits an LP's newest bundle the LP's lvt lags the
+// cluster's collected GVT. A forged arrival between the two must still fail
+// at its arrival, and one at the collected GVT itself, which GVT allows,
+// must not.
+func TestHorizonArrivalBelowCollectedGVT(t *testing.T) {
+	for _, anti := range []bool{false, true} {
+		t.Run(fmt.Sprintf("anti=%v", anti), func(t *testing.T) {
+			k, lp, _, deliver, execute := horizonLP(t)
+			c := lp.cluster
+			deliver(1, false)
+			execute()
+			c.fossilCollect(5) // commits the bundle at 1; lvt stays 1
+			if lp.liveRecords() != 0 || c.fossilAt != 5 || lp.lvt != 1 || c.stats.EventsCommitted != 1 {
+				t.Fatalf("after the collection: live records=%d fossilAt=%d lvt=%d committed=%d, want 0, 5, 1, 1",
+					lp.liveRecords(), c.fossilAt, lp.lvt, c.stats.EventsCommitted)
+			}
+			deliver(5, anti) // at the collected GVT: legal
+			want := fmt.Sprintf("LP 0 received a message at 3, below the GVT 5 its cluster 0 collected at (lvt 1, GVT view -1): event %d from LP %d, anti=%v, route epoch 0",
+				atomic.LoadUint64(&k.eventID)+1, NoLP, anti)
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, want) {
+					t.Errorf("arrival below the collected GVT: recovered %q, want %q", msg, want)
+				}
+			}()
+			deliver(3, anti)
+			t.Errorf("arrival below the collected GVT was accepted; pending=%d", len(lp.pending))
 		})
 	}
 }
@@ -271,6 +305,7 @@ func TestGVTStuckCutDumps(t *testing.T) {
 	for _, want := range []string{
 		"GVT stuck in the cut of round 1",
 		"cluster 1 ledger: cutSent=[1 0] recvCum=[0 0] (local)",
+		"cluster 1 history: head=0 len=0 dead=0 fossilAt=-1",
 	} {
 		if !strings.Contains(msg, want) {
 			t.Errorf("panic %q does not contain %q", msg, want)

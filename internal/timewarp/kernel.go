@@ -668,14 +668,22 @@ func (k *Kernel) dumpStuck(headline string) {
 		c.mail.mu.Unlock()
 		add("cluster %d: sched=%d localQ=%d outboxed=%d mail=%d delayed=%d limbo=%d localMin=%d\n",
 			c.id, c.sched.len(), len(c.localQ), c.outboxed(), mail, len(c.delayed), len(c.limbo), c.localMin())
+		dead := 0
+		for i := range c.hist.recs {
+			if c.hist.recs[i].dead {
+				dead++
+			}
+		}
+		add("cluster %d history: head=%d len=%d dead=%d fossilAt=%d\n",
+			c.id, c.hist.headSeq(), len(c.hist.recs), dead, c.fossilAt)
 	}
 	for _, lp := range k.lps {
 		nt := lp.nextTime()
 		if nt == TimeInfinity {
 			continue
 		}
-		add("  lp %d (cluster %d): next=%d lvt=%d pending=%d cancelled=%d processed=%d\n",
-			lp.id, k.RouteOf(lp.id), nt, lp.lvt, len(lp.pending), len(lp.cancelled), len(lp.processed))
+		add("  lp %d (cluster %d): next=%d lvt=%d pending=%d cancelled=%d live=%d\n",
+			lp.id, k.RouteOf(lp.id), nt, lp.lvt, len(lp.pending), len(lp.cancelled), lp.liveRecords())
 	}
 	panic(string(sb))
 }

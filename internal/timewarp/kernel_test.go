@@ -343,9 +343,9 @@ func (s *gatedSender) Execute(ctx *Context, now Time, events []Event) {
 	s.stragglerSender.Execute(ctx, now, events)
 }
 
-// TestStatesLogMidHistoryRollback drives the per-LP states log, whose
-// entries differ in length, through rollbacks into the middle of the history
-// and the fossil collections around them. Each subtest compares the
+// TestStatesLogMidHistoryRollback drives the cluster's states log, whose
+// entries differ in length, through rollbacks into the middle of an LP's
+// history and the fossil collections around them. Each subtest compares the
 // committed state with a run that never rolls back and requires the log to
 // be empty once everything is committed.
 func TestStatesLogMidHistoryRollback(t *testing.T) {
@@ -369,9 +369,10 @@ func TestStatesLogMidHistoryRollback(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, lp := range k.lps {
-				if len(lp.states) != 0 {
-					t.Errorf("%d clusters: LP %d keeps %d bytes of saved state after Run", clusters, lp.id, len(lp.states))
+			for _, c := range k.clusters {
+				if h := &c.hist; len(h.recs) != 0 || len(h.in) != 0 || len(h.out) != 0 || len(h.states) != 0 {
+					t.Errorf("%d clusters: cluster %d keeps %d records, %d input events, %d sends and %d bytes of saved state after Run",
+						clusters, c.id, len(h.recs), len(h.in), len(h.out), len(h.states))
 				}
 			}
 			return v, stats
@@ -391,14 +392,14 @@ func TestStatesLogMidHistoryRollback(t *testing.T) {
 	})
 
 	// by-hand: when a running kernel fossil-collects is up to its GVT rounds,
-	// so the offsets a partial collection rebases are tested on one LP driven
-	// directly. It executes through time 40, commits below 20 and executes on
-	// through 50, appending over the logs' vacated tails. A straggler for 25
-	// then rolls back into the rebased logs, and one for 24, queued before
-	// anything re-executes, to the bundle the first rollback left last. The
-	// reference has both events queued before it executes anything. Every
-	// rolled-back bundle sent one event, so the two rollbacks send 26 + 1
-	// anti-messages.
+	// so a partial collection is tested on one LP driven directly. It
+	// executes through time 40, commits below 20 and executes on through 50.
+	// A straggler for 25 then rolls back into the records behind the head,
+	// and one for 24, queued before anything re-executes, to the bundle the
+	// first rollback left last; re-execution appends over the logs' trimmed
+	// tails. The reference has both events queued before it executes
+	// anything. Every rolled-back bundle sent one event, so the two
+	// rollbacks send 26 + 1 anti-messages.
 	t.Run("by-hand", func(t *testing.T) {
 		// The one case runs under the cancellation policy's name, as
 		// it did while the kernel also had lazy cancellation.
@@ -420,7 +421,7 @@ func TestStatesLogMidHistoryRollback(t *testing.T) {
 					for lp.lvt < through && lp.executeNext() > 0 {
 						c.drainLocal()
 					}
-					checkLogs(t, lp)
+					checkLog(t, c)
 				}
 				if !rollback {
 					for _, ev := range late {
@@ -429,16 +430,20 @@ func TestStatesLogMidHistoryRollback(t *testing.T) {
 				}
 				execute(40)
 				if rollback {
-					lp.fossilCollect(20)
-					// Bundles 20..40 are left, one event in and one sent
-					// each, rebased to the start of every log.
-					if len(lp.processed) != 21 || len(lp.inLog) != 21 || len(lp.outLog) != 21 {
-						t.Fatalf("after committing below 20: %d bundles, %d input events, %d sends; want 21 each",
-							len(lp.processed), len(lp.inLog), len(lp.outLog))
+					c.fossilCollect(20)
+					// Bundles 20..40 are left from the head on, one event
+					// in and one sent each, back to back in every log.
+					h := &c.hist
+					live := h.recs[h.head:]
+					first := live[0]
+					inLeft, outLeft := h.inBase+len(h.in)-first.evAt, h.outBase+len(h.out)-first.sentAt
+					if lp.liveRecords() != 21 || len(live) != 21 || inLeft != 21 || outLeft != 21 {
+						t.Fatalf("after committing below 20: %d live records, %d records from the head, %d input events, %d sends; want 21 each",
+							lp.liveRecords(), len(live), inLeft, outLeft)
 					}
-					for i, b := range lp.processed {
-						if b.time != Time(20+i) || b.evAt != i || b.sentAt != i {
-							t.Fatalf("bundle %d after the rebase: %+v, want time %d at offsets %d", i, b, 20+i, i)
+					for i, r := range live {
+						if r.dead || r.time != Time(20+i) || r.evAt != first.evAt+i || r.sentAt != first.sentAt+i {
+							t.Fatalf("record %d after the collection: %+v, want live at time %d, offsets %d past the first's", i, r, 20+i, i)
 						}
 					}
 				}
@@ -450,10 +455,10 @@ func TestStatesLogMidHistoryRollback(t *testing.T) {
 					}
 				}
 				execute(TimeInfinity)
-				lp.fossilCollect(TimeInfinity)
-				if len(lp.states) != 0 || len(lp.inLog) != 0 || len(lp.outLog) != 0 {
-					t.Errorf("rollback=%v: %d bytes of saved state, %d input events, %d sends after committing everything",
-						rollback, len(lp.states), len(lp.inLog), len(lp.outLog))
+				c.fossilCollect(TimeInfinity)
+				if h := &c.hist; len(h.states) != 0 || len(h.in) != 0 || len(h.out) != 0 || len(h.recs) != 0 {
+					t.Errorf("rollback=%v: %d bytes of saved state, %d input events, %d sends, %d records after committing everything",
+						rollback, len(h.states), len(h.in), len(h.out), len(h.recs))
 				}
 				var wantRollbacks, wantAnti uint64
 				if rollback {
@@ -476,36 +481,65 @@ func TestStatesLogMidHistoryRollback(t *testing.T) {
 	})
 }
 
-// checkLogs asserts the shape every LP history keeps: the first bundle's
-// shares start each log, the offsets never decrease, and each bundle's
-// input events and sends carry its time.
-func checkLogs(t *testing.T, lp *lpRuntime) {
+// checkLog asserts the shape every cluster history log keeps: the first
+// record's shares start each log, the offsets never decrease and stay in
+// the logs, each record holds at least one input event, and its input
+// events and sends carry its LP and time; and each LP the cluster owns
+// links exactly its live records from the head on, newest first, the
+// newest at its lvt.
+func checkLog(t *testing.T, c *cluster) {
 	t.Helper()
-	for i, b := range lp.processed {
-		evEnd, sentEnd := len(lp.inLog), len(lp.outLog)
-		if i+1 < len(lp.processed) {
-			evEnd, sentEnd = lp.processed[i+1].evAt, lp.processed[i+1].sentAt
+	h := &c.hist
+	if h.head > len(h.recs) {
+		t.Fatalf("head %d past the %d records", h.head, len(h.recs))
+	}
+	if len(h.recs) > 0 {
+		if r := h.recs[0]; r.evAt != h.inBase || r.sentAt != h.outBase || r.stateAt != h.stateBase {
+			t.Fatalf("first record %+v does not start the logs (bases %d, %d, %d)", r, h.inBase, h.outBase, h.stateBase)
 		}
-		if i == 0 && (b.evAt != 0 || b.sentAt != 0 || b.stateAt != 0) {
-			t.Fatalf("first bundle %+v does not start the logs", b)
+	}
+	live := make(map[LPID]int)
+	for i, r := range h.recs {
+		evEnd, sentEnd, stateEnd := h.inBase+len(h.in), h.outBase+len(h.out), h.stateBase+len(h.states)
+		if i+1 < len(h.recs) {
+			n := h.recs[i+1]
+			evEnd, sentEnd, stateEnd = n.evAt, n.sentAt, n.stateAt
 		}
-		if b.evAt >= evEnd || b.sentAt > sentEnd {
-			t.Fatalf("bundle %d %+v: offsets out of order (input ends %d, sends end %d)", i, b, evEnd, sentEnd)
+		if r.evAt >= evEnd || r.sentAt > sentEnd || r.stateAt > stateEnd || stateEnd > h.stateBase+len(h.states) {
+			t.Fatalf("record %d %+v: offsets out of order (input ends %d, sends end %d, state ends %d)", i, r, evEnd, sentEnd, stateEnd)
 		}
-		for _, ev := range lp.inLog[b.evAt:evEnd] {
-			if ev.RecvTime != b.time {
-				t.Fatalf("bundle %d at %d holds an input event for %d", i, b.time, ev.RecvTime)
+		s := h.base + int64(i)
+		in, sent, _ := h.shares(s)
+		for _, ev := range in {
+			if ev.RecvTime != r.time || ev.Receiver != r.lp {
+				t.Fatalf("record %d (LP %d at %d) holds an input event for LP %d at %d", i, r.lp, r.time, ev.Receiver, ev.RecvTime)
 			}
 		}
-		for _, ev := range lp.outLog[b.sentAt:sentEnd] {
-			if ev.SendTime != b.time {
-				t.Fatalf("bundle %d at %d holds a send from %d", i, b.time, ev.SendTime)
+		for _, ev := range sent {
+			if ev.SendTime != r.time || ev.Sender != r.lp {
+				t.Fatalf("record %d (LP %d at %d) holds a send from LP %d at %d", i, r.lp, r.time, ev.Sender, ev.SendTime)
 			}
+		}
+		if i >= h.head && !r.dead {
+			live[r.lp]++
+		}
+	}
+	for _, lp := range c.lps {
+		n, prev := 0, TimeInfinity
+		for s := lp.last; s >= h.headSeq(); s = h.at(s).prev {
+			r := h.at(s)
+			if r.dead || r.lp != lp.id || r.time >= prev || (n == 0 && r.time != lp.lvt) {
+				t.Fatalf("LP %d (lvt %d): chain record %d %+v is dead, foreign, out of order or not at lvt", lp.id, lp.lvt, s, *r)
+			}
+			n, prev = n+1, r.time
+		}
+		if n != live[lp.id] {
+			t.Fatalf("LP %d links %d records, the log holds %d live ones", lp.id, n, live[lp.id])
 		}
 	}
 }
 
-// TestHistoryCycleAllocatesNothing: once an LP's logs and the cluster's
+// TestHistoryCycleAllocatesNothing: once the cluster's history log and
 // queues have grown to their working size, executing a bundle and
 // committing the one before it allocates nothing.
 func TestHistoryCycleAllocatesNothing(t *testing.T) {
@@ -534,8 +568,8 @@ func TestHistoryCycleAllocatesNothing(t *testing.T) {
 	if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
 		t.Errorf("execute → fossil-collect cycle allocates %.2f times, want 0", allocs)
 	}
-	if len(lp.processed) != 1 || c.stats.EventsCommitted != uint64(lp.lvt-1) {
-		t.Errorf("after the cycles: %d bundles held, %d events committed through %d", len(lp.processed), c.stats.EventsCommitted, lp.lvt)
+	if lp.liveRecords() != 1 || c.stats.EventsCommitted != uint64(lp.lvt-1) {
+		t.Errorf("after the cycles: %d bundles held, %d events committed through %d", lp.liveRecords(), c.stats.EventsCommitted, lp.lvt)
 	}
 }
 

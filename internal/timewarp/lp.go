@@ -1,9 +1,6 @@
 package timewarp
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Handler is the application side of a logical process.
 //
@@ -12,10 +9,10 @@ import (
 // (recvTime > now) via the Context. The kernel saves the LP's state with
 // EncodeState before every bundle and rolls it back with DecodeState, so
 // Execute must confine all mutable simulation state to what EncodeState
-// captures. The events slice is a window on the LP's input log, valid only
-// during the call, and the Context is the LP's own, reused for Init and then
-// for every bundle: neither Init nor Execute may retain it (nor Execute the
-// events) beyond the call.
+// captures. The events slice is a window on the owning cluster's input log,
+// valid only during the call, and the Context is the LP's own, reused for
+// Init and then for every bundle: neither Init nor Execute may retain it
+// (nor Execute the events) beyond the call.
 type Handler interface {
 	// Init runs once before the simulation starts; it may send initial
 	// events (including to the LP itself) with any recvTime >= 0.
@@ -76,7 +73,8 @@ func (ctx *Context) SendP(to LPID, recvTime Time, kind, value int32, pay Payload
 	}
 	// The send is logged for rollback to cancel; executeNext routes the
 	// bundle's sends once the handler returns (dispatchSends).
-	ctx.lp.outLog = append(ctx.lp.outLog, ev)
+	h := &ctx.lp.cluster.hist
+	h.out = append(h.out, ev)
 }
 
 // lpRuntime is the kernel-side record of one LP. Its mutable state is owned
@@ -94,21 +92,20 @@ type lpRuntime struct {
 	// annihilation: most LPs never need it.
 	cancelled map[uint64]struct{} //kernelvet:owner cluster
 
-	// processed bundles in chronological order. Each indexes its share of
-	// three flat logs: bundle i's input events are inLog from
-	// processed[i].evAt up to the next bundle's evAt (or the end of the log),
-	// its sends are outLog from sentAt, and its pre-state is states from
-	// stateAt, likewise. The first bundle's offsets are 0: fossil collection
-	// compacts the logs and rebases the rest.
-	processed []bundle //kernelvet:owner cluster
-	inLog     []Event  //kernelvet:owner cluster
-	outLog    []Event  //kernelvet:owner cluster
-	states    []byte   //kernelvet:owner cluster
+	// last is the sequence number of this LP's newest live record in its
+	// owning cluster's history log (cluster.hist), or -1 before the first
+	// bundle and after a migration with nothing left to carry. Each record
+	// links to the LP's record before it (histRec.prev), so the chain from
+	// last is the LP's uncommitted history, newest first; it ends at -1 or
+	// at a number below the log's head, a committed record.
+	last int64 //kernelvet:owner cluster
 
-	// lvt is the receive time of the last processed bundle, or, with no
-	// processed bundle left, the committed horizon (-1 before any commit).
-	// It is never below committedThrough, so every arrival at or below the
-	// horizon goes through straggler's check.
+	// lvt is the receive time of the LP's newest live bundle or, when a
+	// rollback left none, the owning cluster's collected GVT (fossilAt)
+	// minus one. Fossil collection does not touch it, so once the newest
+	// bundle is committed it may lag fossilAt: enqueue and annihilate check
+	// fossilAt besides lvt, and every arrival below it reaches straggler's
+	// check.
 	lvt Time //kernelvet:owner cluster
 
 	// schedT is the timestamp of this LP's tracked entry in its owning
@@ -120,12 +117,6 @@ type lpRuntime struct {
 	// skipping a push because schedT <= nextTime can never strand work.
 	schedT Time //kernelvet:owner cluster
 
-	// inHist reports whether the owning cluster's history list (cluster.hist)
-	// names this LP. Invariant: an owned LP with processed bundles is on the
-	// list; executeNext registers it, and migrateIn re-registers it after a
-	// move.
-	inHist bool //kernelvet:owner cluster
-
 	// idNext/idEnd bound this LP's private event-ID space,
 	// [id<<32, (id+1)<<32): IDs are unique across LPs by construction (the
 	// high half is the sender) and monotonic per sender — the property the
@@ -134,10 +125,6 @@ type lpRuntime struct {
 	// process boundaries and LP migrations. The kernel's test-only counter
 	// lives above 2^63, outside every LP's space.
 	idNext, idEnd uint64 //kernelvet:owner cluster
-
-	// committedThrough is the latest fossil-collected bundle time, or -1
-	// before the first commit; it only backs the rollback invariant check.
-	committedThrough Time //kernelvet:owner cluster
 
 	// Load profile for dynamic rebalancing, owner-goroutine only, reset at
 	// every load round (captureLoad). loadCommitted counts the events
@@ -157,25 +144,16 @@ type lpRuntime struct {
 	ctx Context //kernelvet:owner cluster
 }
 
-// bundle is one processed timestamp: its time and where its input events,
-// sends and pre-state start in the LP's logs.
-type bundle struct {
-	time                  Time
-	evAt, sentAt, stateAt int
-}
-
 func newLPRuntime(id LPID, h Handler, c *cluster) *lpRuntime {
 	lp := &lpRuntime{
 		id:      id,
 		handler: h,
 		cluster: c,
+		last:    -1,
 		lvt:     -1,
-		// Nothing is committed yet. A zero value would read as "committed
-		// through time 0" and reject a legal rollback to a time-0 bundle.
-		committedThrough: -1,
-		schedT:           TimeInfinity,
-		idNext:           uint64(id) << 32,
-		idEnd:            (uint64(id) + 1) << 32,
+		schedT:  TimeInfinity,
+		idNext:  uint64(id) << 32,
+		idEnd:   (uint64(id) + 1) << 32,
 	}
 	return lp
 }
@@ -211,25 +189,23 @@ func (lp *lpRuntime) nextTime() Time {
 	return TimeInfinity
 }
 
-// hasHistory reports whether the LP holds processed bundles, the state
-// fossil collection releases.
-func (lp *lpRuntime) hasHistory() bool {
-	return len(lp.processed) > 0
-}
-
-// register puts the LP on its owning cluster's history list unless it is
-// already there.
-func (lp *lpRuntime) register() {
-	if !lp.inHist {
-		lp.inHist = true
-		lp.cluster.hist = append(lp.cluster.hist, lp)
+// liveRecords counts the LP's uncommitted records in its owning cluster's
+// history log. It only reads, so the stuck-run dump may call it on another
+// cluster's LP; the bound keeps a torn read inside the log.
+func (lp *lpRuntime) liveRecords() int {
+	h := &lp.cluster.hist
+	n := 0
+	for s := lp.last; s >= h.headSeq() && s < h.base+int64(len(h.recs)); s = h.at(s).prev {
+		n++
 	}
+	return n
 }
 
 // enqueue inserts a positive event, rolling back first if the event is a
-// straggler (at or before the LP's last processed time).
+// straggler (at or before the LP's last processed time); an arrival below
+// the cluster's collected GVT goes to straggler's check too.
 func (lp *lpRuntime) enqueue(ev Event) {
-	if ev.RecvTime <= lp.lvt {
+	if ev.RecvTime <= lp.lvt || ev.RecvTime < lp.cluster.fossilAt {
 		lp.straggler(&ev)
 	}
 	lp.pending.push(ev)
@@ -239,7 +215,7 @@ func (lp *lpRuntime) enqueue(ev Event) {
 // precedes its anti-message on any delivery path, so it is either still
 // pending or already processed (straggler annihilation → rollback first).
 func (lp *lpRuntime) annihilate(anti Event) {
-	if anti.RecvTime <= lp.lvt {
+	if anti.RecvTime <= lp.lvt || anti.RecvTime < lp.cluster.fossilAt {
 		lp.straggler(&anti)
 	}
 	if lp.cancelled == nil {
@@ -248,80 +224,86 @@ func (lp *lpRuntime) annihilate(anti Event) {
 	lp.cancelled[anti.ID] = struct{}{}
 }
 
-// straggler rolls the LP back for ev, an arrival at or before lvt. GVT
-// guarantees no message (positive or anti) arrives at or below the committed
-// horizon — under the asynchronous protocol every in-transit message is
-// bounded by the transit ledger or a redMin report. Because lvt never drops
-// below the horizon, enqueue and annihilate send every such arrival here, at
-// the arrival itself. Reaching the panic means the kernel's GVT or
-// cancellation protocol is broken, which would silently corrupt results, so
-// it fails loudly, naming the message and the routing epoch it arrived in.
+// straggler rolls the LP back for ev, an arrival at or before lvt or below
+// the owning cluster's collected GVT. GVT guarantees no message (positive
+// or anti) arrives below it — under the asynchronous protocol every
+// in-transit message is bounded by the transit ledger or a redMin report —
+// and the cluster has committed history up to the GVT it collected at.
+// Reaching the panic means the kernel's GVT or cancellation protocol is
+// broken, which would silently corrupt results, so it fails loudly, naming
+// the message and the routing epoch it arrived in.
 func (lp *lpRuntime) straggler(ev *Event) {
-	if ev.RecvTime <= lp.committedThrough {
-		k := lp.cluster.kernel
-		panic(fmt.Sprintf("timewarp: LP %d received a message at %d, at or below its committed horizon %d (lvt %d, GVT view %d): event %d from LP %d, anti=%v, route epoch %d",
-			lp.id, ev.RecvTime, lp.committedThrough, lp.lvt, k.GVT(), ev.ID, ev.Sender, ev.Anti, k.RouteEpoch()))
+	c := lp.cluster
+	if ev.RecvTime < c.fossilAt {
+		k := c.kernel
+		panic(fmt.Sprintf("timewarp: LP %d received a message at %d, below the GVT %d its cluster %d collected at (lvt %d, GVT view %d): event %d from LP %d, anti=%v, route epoch %d",
+			lp.id, ev.RecvTime, c.fossilAt, c.id, lp.lvt, k.GVT(), ev.ID, ev.Sender, ev.Anti, k.RouteEpoch()))
 	}
 	lp.rollback(ev.RecvTime)
 }
 
-// rollback undoes every processed bundle with time >= t: the LP state is
-// restored to just before the earliest such bundle, the bundles' input
-// events return to the pending queue, and every send they made becomes an
-// anti-message at once (aggressive cancellation). The three logs are
-// truncated where that bundle's share begins. Rollback must replay
-// identically on every run, or diverged replicas commit different states.
+// rollback undoes every processed bundle with time >= t: it walks the LP's
+// chain in the cluster's history log back to the earliest such bundle,
+// returns the bundles' input events to the pending queue and turns every
+// send they made into an anti-message at once (aggressive cancellation),
+// both in chronological order, restores the state saved before that
+// bundle and marks the records dead. Rollback must replay identically on
+// every run, or diverged replicas commit different states.
 //
 //kernelvet:deterministic
+//kernelvet:noalloc
 func (lp *lpRuntime) rollback(t Time) {
-	idx := sort.Search(len(lp.processed), func(i int) bool { return lp.processed[i].time >= t })
-	if idx == len(lp.processed) {
+	c := lp.cluster
+	h := &c.hist
+	chain := c.chain(lp.last, t)
+	if len(chain) == 0 {
 		return
 	}
-	c := lp.cluster
 	c.stats.Rollbacks++
-	b := lp.processed[idx]
-	events, sent := lp.inLog[b.evAt:], lp.outLog[b.sentAt:]
-	c.stats.EventsRolledBack += uint64(len(events))
-	for _, ev := range events {
-		lp.pending.push(ev)
+	for i := len(chain) - 1; i >= 0; i-- {
+		events, sent, _ := h.shares(chain[i])
+		c.stats.EventsRolledBack += uint64(len(events))
+		for _, ev := range events {
+			lp.pending.push(ev)
+		}
+		for _, s := range sent {
+			c.sendAnti(s)
+		}
+		h.at(chain[i]).dead = true
 	}
-	for _, s := range sent {
-		c.sendAnti(s)
-	}
-	end := len(lp.states)
-	if idx+1 < len(lp.processed) {
-		end = lp.processed[idx+1].stateAt
-	}
-	if err := lp.handler.DecodeState(lp.states[b.stateAt:end]); err != nil {
+	first := chain[len(chain)-1]
+	_, _, state := h.shares(first)
+	if err := lp.handler.DecodeState(state); err != nil {
 		// The log holds only what this handler encoded, so this is a
 		// handler bug; continuing would execute from a wrong state.
 		panic(fmt.Sprintf("timewarp: LP %d cannot decode its own saved state: %v", lp.id, err))
 	}
-	lp.inLog = lp.inLog[:b.evAt]
-	lp.outLog = lp.outLog[:b.sentAt]
-	lp.states = lp.states[:b.stateAt]
-	lp.processed = lp.processed[:idx]
-	if idx > 0 {
-		lp.lvt = lp.processed[idx-1].time
+	lp.last = h.at(first).prev
+	if lp.last >= h.headSeq() {
+		lp.lvt = h.at(lp.last).time
 	} else {
-		lp.lvt = lp.committedThrough
+		lp.lvt = c.fossilAt - 1
 	}
+	h.trim()
 }
 
-// executeNext pops the earliest bundle onto the input log and runs the
-// handler. It returns the number of events consumed (0 when the LP had no
-// live work). The bundle order (recvTime, sender, ID) is the kernel's
-// determinism contract, so nothing on this path may consult wall clocks or
-// unordered iteration.
+// executeNext pops the earliest bundle onto the owning cluster's input log,
+// runs the handler and appends the bundle's record to the history log. It
+// returns the number of events consumed (0 when the LP had no live work).
+// The bundle order (recvTime, sender, ID) is the kernel's determinism
+// contract, so nothing on this path may consult wall clocks or unordered
+// iteration.
 //
 //kernelvet:deterministic
+//kernelvet:noalloc
 func (lp *lpRuntime) executeNext() int {
 	t := lp.nextTime()
 	if t == TimeInfinity {
 		return 0
 	}
-	evAt := len(lp.inLog)
+	h := &lp.cluster.hist
+	h.reserve()
+	evAt := len(h.in)
 	for len(lp.pending) > 0 && lp.pending[0].RecvTime == t {
 		ev := lp.pending.pop()
 		if len(lp.cancelled) > 0 {
@@ -330,22 +312,24 @@ func (lp *lpRuntime) executeNext() int {
 				continue
 			}
 		}
-		lp.inLog = append(lp.inLog, ev)
+		h.in = append(h.in, ev)
 	}
-	n := len(lp.inLog) - evAt
+	n := len(h.in) - evAt
 	if n == 0 {
 		return 0
 	}
 
-	b := bundle{time: t, evAt: evAt, sentAt: len(lp.outLog), stateAt: len(lp.states)}
-	lp.states = lp.handler.EncodeState(lp.states)
+	sentAt, stateAt := len(h.out), len(h.states)
+	h.states = lp.handler.EncodeState(h.states)
 	lp.ctx = Context{lp: lp, now: t}
-	end := len(lp.inLog)
-	lp.handler.Execute(&lp.ctx, t, lp.inLog[evAt:end:end])
-	lp.dispatchSends(lp.outLog[b.sentAt:])
+	end := len(h.in)
+	lp.handler.Execute(&lp.ctx, t, h.in[evAt:end:end])
+	lp.dispatchSends(h.out[sentAt:])
 
-	lp.processed = append(lp.processed, b)
-	lp.register()
+	lp.last = h.add(histRec{
+		time: t, prev: lp.last, lp: lp.id,
+		evAt: h.inBase + evAt, sentAt: h.outBase + sentAt, stateAt: h.stateBase + stateAt,
+	})
 	lp.lvt = t
 	lp.cluster.stats.EventsProcessed += uint64(n)
 	return n
@@ -395,43 +379,4 @@ func (lp *lpRuntime) dispatchSends(sent []Event) {
 	for i := range sent {
 		lp.send(sent[i])
 	}
-}
-
-// fossilCollect discards history strictly before gvt and returns the number
-// of input events committed. The collectable bundles are a prefix of the
-// history and their shares a prefix of each log, so each log is compacted
-// with one copy-down and the surviving bundles' offsets are rebased;
-// steady-state fossil collection allocates nothing.
-//
-//kernelvet:deterministic
-//kernelvet:noalloc
-func (lp *lpRuntime) fossilCollect(gvt Time) uint64 {
-	idx := 0
-	for idx < len(lp.processed) && lp.processed[idx].time < gvt {
-		idx++
-	}
-	if idx == 0 {
-		return 0
-	}
-	lp.committedThrough = lp.processed[idx-1].time
-	// base is the first kept bundle, or the logs' ends when none is kept.
-	base := bundle{evAt: len(lp.inLog), sentAt: len(lp.outLog), stateAt: len(lp.states)}
-	if idx < len(lp.processed) {
-		base = lp.processed[idx]
-	}
-	lp.inLog = lp.inLog[:copy(lp.inLog, lp.inLog[base.evAt:])]
-	lp.outLog = lp.outLog[:copy(lp.outLog, lp.outLog[base.sentAt:])]
-	lp.states = lp.states[:copy(lp.states, lp.states[base.stateAt:])]
-	lp.processed = lp.processed[:copy(lp.processed, lp.processed[idx:])]
-	for i := range lp.processed {
-		b := &lp.processed[i]
-		b.evAt -= base.evAt
-		b.sentAt -= base.sentAt
-		b.stateAt -= base.stateAt
-	}
-	// The first bundle's events start the input log, so the committed
-	// ones are all that precede the first kept bundle.
-	committed := uint64(base.evAt)
-	lp.loadCommitted += committed
-	return committed
 }

@@ -2,6 +2,7 @@ package timewarp
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 )
 
@@ -15,19 +16,23 @@ import (
 //   - The coordinator appends migOrder entries to the source cluster's order
 //     queue (mutex-protected, cold path) and raises its order flag.
 //   - The source cluster, on its own goroutine, hands the LP off
-//     (migrateOut): it fossil-collects the LP to observed GVT — GVT advance
-//     is the one point where the committed prefix is unique, so only the
-//     optimistic suffix travels — then rewrites the routing table, drops
-//     ownership, and hands the live lpRuntime by pointer to the
-//     destination's payload queue.
+//     (migrateOut): it commits the LP's records below observed GVT — GVT
+//     advance is the one point where the committed prefix is unique — and
+//     copies the optimistic suffix out of its history log, marking all of
+//     the LP's records dead, then rewrites the routing table, drops
+//     ownership, and hands the live lpRuntime by pointer, with the suffix,
+//     to the destination's payload queue.
 //   - The payload is accounted exactly like a message in flight: its
 //     earliest pending work time is folded into the sender's redMin, and it
 //     is counted once in the sender's sent counter under the sender's current
 //     color, so no GVT cut can close over an LP that is mid-flight with
 //     uncounted events.
 //   - The destination adopts the LP (migrateIn) the next time it looks at
-//     its flags: it counts the payload as received, takes ownership, seeds
-//     its scheduler, and re-delivers any events that were parked for the LP.
+//     its flags: it counts the payload as received, takes ownership,
+//     appends the suffix to its own history log and relinks the LP's chain
+//     there, seeds its scheduler, and re-delivers any events that were
+//     parked for the LP. No live record of an LP stays in a log its owner
+//     does not run.
 //
 // Events routed under a stale table entry are forwarded by whichever cluster
 // receives them (cluster.deliver): forwarding re-stages the event in the
@@ -46,11 +51,13 @@ type migOrder struct {
 }
 
 // migPayload is one LP in flight between clusters: the live runtime, moved
-// by pointer. color is the round color the source counted the payload under;
-// the destination counts it received under the same color.
+// by pointer, and its uncommitted history, a log of its own (base 0) in
+// chronological order. color is the round color the source counted the
+// payload under; the destination counts it received under the same color.
 type migPayload struct {
-	lp    *lpRuntime
-	color uint8
+	lp     *lpRuntime
+	suffix histLog
+	color  uint8
 }
 
 // enqueueOrder hands a migration order to the source cluster. Coordinator
@@ -100,7 +107,7 @@ func (c *cluster) migrateOut(o migOrder) {
 	}
 	// Commit the unique prefix here so only the optimistic suffix travels;
 	// the committed counter stays with the collecting cluster.
-	c.stats.EventsCommitted += lp.fossilCollect(k.GVT())
+	suffix := c.takeHistory(lp, k.GVT())
 	// Account the payload like a message in flight: bound its earliest work
 	// by redMin now and count it sent under the current color once it is
 	// handed off, so the GVT cuts that race the handoff stay sound.
@@ -116,7 +123,7 @@ func (c *cluster) migrateOut(o migOrder) {
 	c.owned[o.lp] = false
 	c.removeLP(lp)
 	c.stats.Migrations++
-	k.clusters[o.to].enqueuePayload(migPayload{lp: lp, color: color})
+	k.clusters[o.to].enqueuePayload(migPayload{lp: lp, suffix: suffix, color: color})
 	atomic.AddInt64(&c.sentCum[color].n, 1)
 }
 
@@ -144,13 +151,38 @@ func (c *cluster) migrateIn(p migPayload) {
 	// scheduling here or the gate could suppress the adopting push.
 	lp.schedT = TimeInfinity
 	c.schedule(lp)
-	// inHist, likewise, described the old home's history list, which drops
-	// the LP unread; register it here while it still has history, or that
-	// history would never be committed.
-	lp.inHist = false
-	if lp.hasHistory() {
-		lp.register()
+	// The suffix joins this cluster's log at its tail, relinked in order,
+	// so fossil collection here commits it and a rollback here walks it.
+	h := &p.suffix
+	for i := range h.recs {
+		in, out, state := h.shares(int64(i))
+		lp.last = c.hist.push(lp.id, h.recs[i].time, lp.last, in, out, state)
 	}
+}
+
+// takeHistory takes LP lp's uncommitted history out of this cluster's log
+// for a migration: records below gvt are committed here, the rest are
+// copied, oldest first, into the returned suffix, and all are marked dead.
+//
+//kernelvet:deterministic
+func (c *cluster) takeHistory(lp *lpRuntime, gvt Time) histLog {
+	h := &c.hist
+	var suffix histLog
+	chain := c.chain(lp.last, math.MinInt64)
+	for i := len(chain) - 1; i >= 0; i-- {
+		r := h.at(chain[i])
+		in, out, state := h.shares(chain[i])
+		if r.time < gvt {
+			c.stats.EventsCommitted += uint64(len(in))
+			lp.loadCommitted += uint64(len(in))
+		} else {
+			suffix.push(lp.id, r.time, -1, in, out, state)
+		}
+		r.dead = true
+	}
+	lp.last = -1
+	h.trim()
+	return suffix
 }
 
 // adoptFinalPayloads adopts payloads still parked at termination. It runs
@@ -177,7 +209,7 @@ func clearPayloads(s []migPayload) {
 }
 
 // removeLP drops lp from this cluster's owned set (order is immaterial to
-// localMin and fossil collection).
+// localMin and captureLoad).
 func (c *cluster) removeLP(lp *lpRuntime) {
 	for i, o := range c.lps {
 		if o == lp {

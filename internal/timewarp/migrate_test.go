@@ -198,9 +198,9 @@ func TestStaleRouteForwardAndLimbo(t *testing.T) {
 // TestMigratedHistoryCommits: an LP migrates in-process with uncommitted
 // history (three bundles, two of them rolled back by a straggler and run
 // again) and executes nothing after adoption. Its new home must still commit
-// every event: the old home's history list drops the LP without reading it,
-// so only the re-registration on adoption (migrateIn, also reached through
-// adoptFinalPayloads at termination) can.
+// every event: the old home's log gives the LP's records up when it leaves,
+// so only the suffix appended to the new home's log on adoption (migrateIn,
+// also reached through adoptFinalPayloads at termination) can.
 func TestMigratedHistoryCommits(t *testing.T) {
 	for _, adopt := range []string{"checkMigrate", "adoptFinalPayloads"} {
 		t.Run(adopt, func(t *testing.T) {
@@ -229,8 +229,8 @@ func TestMigratedHistoryCommits(t *testing.T) {
 			runAll()
 			deliver(2) // straggler: rolls back the bundles at 2 and 3
 			runAll()
-			if len(lp.processed) != 3 || a.stats.EventsRolledBack != 2 {
-				t.Fatalf("before migration: processed bundles %d, rolled back %d; want 3, 2", len(lp.processed), a.stats.EventsRolledBack)
+			if lp.liveRecords() != 3 || a.stats.EventsRolledBack != 2 {
+				t.Fatalf("before migration: live records %d, rolled back %d; want 3, 2", lp.liveRecords(), a.stats.EventsRolledBack)
 			}
 
 			a.migrateOut(migOrder{lp: 0, to: 1}) // GVT is -1: nothing commits here
@@ -243,8 +243,8 @@ func TestMigratedHistoryCommits(t *testing.T) {
 				t.Fatal("destination did not adopt LP 0")
 			}
 			a.fossilCollect(TimeInfinity)
-			if a.stats.EventsCommitted != 0 || len(a.hist) != 0 {
-				t.Fatalf("old home committed %d events and lists %d LPs after the LP left, want 0 and 0", a.stats.EventsCommitted, len(a.hist))
+			if a.stats.EventsCommitted != 0 || len(a.hist.recs) != 0 {
+				t.Fatalf("old home committed %d events and holds %d records after the LP left, want 0 and 0", a.stats.EventsCommitted, len(a.hist.recs))
 			}
 			if n, _ := b.executeOne(b.horizon()); n != 0 {
 				t.Fatalf("adopted LP executed %d events, want none", n)
@@ -260,8 +260,9 @@ func TestMigratedHistoryCommits(t *testing.T) {
 			if s.EventsProcessed-s.EventsRolledBack != s.EventsCommitted {
 				t.Errorf("processed %d - rolled back %d != committed %d", s.EventsProcessed, s.EventsRolledBack, s.EventsCommitted)
 			}
-			if len(lp.processed) != 0 || len(b.hist) != 0 || lp.inHist {
-				t.Errorf("after commit: processed %d, new home lists %d LPs, inHist %v; want 0, 0, false", len(lp.processed), len(b.hist), lp.inHist)
+			if lp.liveRecords() != 0 || len(b.hist.recs) != 0 || len(b.hist.in) != 0 || len(b.hist.states) != 0 {
+				t.Errorf("after commit: live records %d, new home holds %d records, %d input events, %d state bytes; want 0 each",
+					lp.liveRecords(), len(b.hist.recs), len(b.hist.in), len(b.hist.states))
 			}
 		})
 	}
